@@ -296,9 +296,7 @@ def security_summary(scheme: str, name: str) -> SecuritySummary:
     """Echo the published security levels and computed size/work numbers
     for a recognized preset."""
     if scheme == "mceliece":
-        if name not in mceliece.PRESETS:
-            raise UnknownParams(f"unknown mceliece preset {name!r}")
-        params = mceliece.PRESETS[name]
+        params = mceliece.preset(name)
         return SecuritySummary(
             scheme="mceliece",
             name=name,
@@ -309,9 +307,7 @@ def security_summary(scheme: str, name: str) -> SecuritySummary:
             notes=_MCELIECE_NOTES.get(name, ()),
         )
     if scheme == "ntru":
-        if name not in ntru.PRESETS:
-            raise UnknownParams(f"unknown ntru preset {name!r}")
-        params = ntru.PRESETS[name]
+        params = ntru.preset(name)
         return SecuritySummary(
             scheme="ntru",
             name=name,

@@ -37,15 +37,6 @@ from .f2linalg import BinMatrix, BinVector
 from .goppa import bruteforce_decode
 from .ntru import NtruParams
 
-# mceliece presets the CLI can actually generate: (m, t, n)
-_MCE_KEYGEN_PRESETS = {
-    "toy": (4, 2, None),
-    "demo": (5, 3, None),
-    "legacy": (10, 50, 1024),
-    "revised": (11, 27, 2048),
-    "pq128": (13, 119, 6960),  # hours of keygen; present for completeness
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the documented code is 1."""
@@ -102,16 +93,11 @@ def _cmd_keygen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.scheme == "mceliece":
         if args.params:
-            vals = _int_csv(args.params, 2, "mceliece (m,t)")
-            m, t, n = vals[0], vals[1], None
+            m, t = _int_csv(args.params, 2, "mceliece (m,t)")
+            n = None
         else:
-            name = args.preset or "toy"
-            if name not in _MCE_KEYGEN_PRESETS:
-                raise UnknownParams(
-                    f"unknown mceliece preset {name!r}; "
-                    f"choices: {', '.join(sorted(_MCE_KEYGEN_PRESETS))}"
-                )
-            m, t, n = _MCE_KEYGEN_PRESETS[name]
+            params = mceliece.preset(args.preset or "toy")
+            m, t, n = params.m, params.t, params.n
         kp = mceliece.keygen(m, t, rng, n=n, systematic=args.systematic)
         pub_path = os.path.join(args.out, "key.mcpub")
         priv_path = os.path.join(args.out, "key.mcpriv")

@@ -81,10 +81,6 @@ def ring_add(f: Coeffs, g: Coeffs) -> list[int]:
     return [a + b for a, b in zip(f, g)]
 
 
-def ring_scale(f: Coeffs, c: int) -> list[int]:
-    return [c * a for a in f]
-
-
 def ring_one(n: int) -> list[int]:
     out = [0] * n
     out[0] = 1
@@ -242,10 +238,3 @@ def ternary_shape(f: Coeffs) -> tuple[int, int] | None:
 
 def poly_to_text(f: Coeffs) -> str:
     return " ".join(str(c) for c in f)
-
-
-def poly_from_text(line: str, n: int | None = None) -> list[int]:
-    out = [int(tok) for tok in line.split()]
-    if n is not None and len(out) != n:
-        raise DimensionError(f"expected {n} coefficients, got {len(out)}")
-    return out

@@ -218,58 +218,60 @@ def rank(a: BinMatrix) -> int:
     return rk
 
 
+def _rref(rows: list[int], cols: int) -> list[int]:
+    """Gauss-Jordan on the low `cols` bits of each row, in place.
+
+    Bits at and above `cols` ride along with their row, so reducing a packed
+    [A | T] reduces A and applies the same row operations to T.  Returns the
+    pivot columns; rows[:len(pivots)] are the pivot rows, and every later row
+    is zero in its low `cols` bits.
+    """
+    pivots = []
+    n = len(rows)
+    r = 0
+    for col in range(cols):
+        if r == n:
+            break
+        mask = 1 << col
+        for i in range(r, n):
+            if rows[i] & mask:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pr = rows[r]
+        for i in range(n):
+            if i != r and rows[i] & mask:
+                rows[i] ^= pr
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def _reduce_with_identity(a: BinMatrix) -> tuple[list[int], list[int]]:
+    """Reduce A with an identity tagging along; returns (pivots, U) with
+    U x A = rref(A) padded by zero rows."""
+    shift = a.cols
+    rows = [r | (1 << (shift + i)) for i, r in enumerate(a.data)]
+    pivots = _rref(rows, shift)
+    return pivots, [r >> shift for r in rows]
+
+
 def invert(a: BinMatrix) -> BinMatrix:
     """Gauss-Jordan inverse over GF(2)."""
     if a.rows != a.cols:
         raise SingularMatrix("only square matrices can be inverted")
-    n = a.rows
-    work = list(a.data)
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        mask = 1 << col
-        pivot = None
-        for i in range(col, n):
-            if work[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrix(f"matrix is singular (no pivot in column {col})")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        wc, ic = work[col], inv[col]
-        for i in range(n):
-            if i != col and (work[i] & mask):
-                work[i] ^= wc
-                inv[i] ^= ic
-    return BinMatrix(n, n, inv)
-
-
-def _rref(data: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    pivots = []
-    r = 0
-    for col in range(cols):
-        mask = 1 << col
-        pivot = None
-        for i in range(r, len(data)):
-            if data[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        data[r], data[pivot] = data[pivot], data[r]
-        for i in range(len(data)):
-            if i != r and (data[i] & mask):
-                data[i] ^= data[r]
-        pivots.append(col)
-        r += 1
-    return data[:r], pivots
+    pivots, inv = _reduce_with_identity(a)
+    if len(pivots) < a.rows:
+        raise SingularMatrix(f"matrix is singular (rank {len(pivots)} < {a.rows})")
+    return BinMatrix(a.rows, a.rows, inv)
 
 
 def rref(a: BinMatrix) -> tuple[BinMatrix, list[int]]:
     """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows, pivots = _rref(list(a.data), a.cols)
-    return BinMatrix(len(rows), a.cols, rows), pivots
+    rows = list(a.data)
+    pivots = _rref(rows, a.cols)
+    return BinMatrix(len(pivots), a.cols, rows[: len(pivots)]), pivots
 
 
 def null_space(a: BinMatrix) -> BinMatrix:
@@ -278,14 +280,13 @@ def null_space(a: BinMatrix) -> BinMatrix:
     Rows come out in free-column order with an identity pattern on the free
     columns, so solving v . K = y for a kernel matrix K is a column lookup.
     """
-    rows, pivots = _rref(list(a.data), a.cols)
+    reduced, pivots = rref(a)
     pivot_set = set(pivots)
     free_cols = [j for j in range(a.cols) if j not in pivot_set]
     basis = []
     for f in free_cols:
-        v = 1 << f
-        fm = 1 << f
-        for r, p in zip(rows, pivots):
+        v = fm = 1 << f
+        for r, p in zip(reduced.data, pivots):
             if r & fm:
                 v |= 1 << p
         basis.append(v)
@@ -385,70 +386,17 @@ class PermMatrix:
         return f"PermMatrix({list(self.perm)})"
 
 
-def systematic_form(g: BinMatrix) -> tuple[BinMatrix, PermMatrix]:
-    """Column-permute and row-reduce a full-row-rank G to [A | I_k].
-
-    Returns (G', P) with G' = [A | I_k] row-equivalent to G x P.  The
-    permutation moves G's pivot columns to the end, keeping the relative
-    order of pivot and non-pivot columns stable.
-    """
-    k = g.rows
-    # already [A | I_k]: nothing to move
-    if g.cols >= k and all(
-        (r >> (g.cols - k)) == 1 << i for i, r in enumerate(g.data)
-    ):
-        return g.copy(), PermMatrix.identity(g.cols)
-    reduced, pivots = rref(g)
-    if len(pivots) != k:
-        raise RankError(f"rank {len(pivots)} < row count {k}")
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(g.cols) if j not in pivot_set]
-    order = free_cols + pivots  # old column order; new position = index here
-    perm = [0] * g.cols
-    for new_pos, old_col in enumerate(order):
-        perm[old_col] = new_pos
-    p = PermMatrix(perm)
-    gp = p.apply_mat(g)
-    # pivot columns are now the last k; normalize them to the identity
-    tail = BinMatrix(
-        k, k, [(r >> (g.cols - k)) & ((1 << k) - 1) for r in gp.data]
-    )
-    gs = mat_mul(invert(tail), gp)
-    return gs, p
-
-
 class RowSolver:
     """Solve v . G = y for a fixed full-row-rank G (message recovery)."""
 
     def __init__(self, g: BinMatrix):
-        reduced, pivots = rref(g)
+        # u with u x G = rref(G): the pivot rows come first
+        pivots, u = _reduce_with_identity(g)
         if len(pivots) != g.rows:
             raise RankError("generator does not have full row rank")
         self.g = g
         self.pivots = pivots
-        # u with u x G = rref(G): redo elimination on an identity tag-along
-        n = g.rows
-        work = list(g.data)
-        tag = [1 << i for i in range(n)]
-        r = 0
-        for col in range(g.cols):
-            mask = 1 << col
-            pivot = None
-            for i in range(r, n):
-                if work[i] & mask:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            tag[r], tag[pivot] = tag[pivot], tag[r]
-            for i in range(n):
-                if i != r and (work[i] & mask):
-                    work[i] ^= work[r]
-                    tag[i] ^= tag[r]
-            r += 1
-        self.reduced = BinMatrix(n, g.cols, work)
-        self.u = BinMatrix(n, n, tag)
+        self.u = BinMatrix(g.rows, g.rows, u)
 
     def solve(self, y: BinVector) -> BinVector:
         """Return v with v . G = y; raises RankError if y is outside the row space."""

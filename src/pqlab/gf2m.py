@@ -10,7 +10,7 @@ tuple, lowest degree first, with no trailing zeros.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DivisionByZero
 
@@ -114,19 +114,6 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus={bin(self.modulus)})"
-
-
-def field_arith(ctx: FieldCtx, a: int, b: int | None, op: str) -> int:
-    """Dispatch wrapper over the FieldCtx element operations."""
-    if op == "add":
-        return ctx.add(a, b)
-    if op == "mul":
-        return ctx.mul(a, b)
-    if op == "inv":
-        return ctx.inv(a)
-    if op == "pow":
-        return ctx.pow(a, b)
-    raise ValueError(f"unknown field op {op!r}")
 
 
 class FieldPoly:
@@ -390,22 +377,3 @@ def sqrt_mod_g(u: FieldPoly, g: FieldPoly) -> FieldPoly:
     for _ in range(g.ctx.m * g.degree - 1):
         r = r.square() % g
     return r
-
-
-def poly_arith(
-    p: FieldPoly, q: FieldPoly, op: str
-) -> FieldPoly | tuple[FieldPoly, FieldPoly, FieldPoly]:
-    """Dispatch wrapper over FieldPoly arithmetic."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "rem":
-        return p % q
-    if op == "eea":
-        return poly_eea(p, q)
-    raise ValueError(f"unknown poly op {op!r}")
-
-
-def poly_from_ints(coeffs: Sequence[int], ctx: FieldCtx) -> FieldPoly:
-    return FieldPoly(coeffs, ctx)

@@ -13,10 +13,17 @@ import random
 from dataclasses import dataclass
 
 from . import f2linalg, goppa
-from .errors import DecodingFailure, DimensionError, SamplingExhausted, UnknownParams
+from .errors import (
+    DecodingFailure,
+    DimensionError,
+    SamplingExhausted,
+    SingularMatrix,
+    UnknownParams,
+)
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, random_irreducible
 from .goppa import GoppaCode, LinearCode
+from .packing import pack, unpack
 
 
 @dataclass(frozen=True)
@@ -31,19 +38,21 @@ class McElieceParams:
         if self.k > self.n:
             raise ValueError("k cannot exceed n")
 
+    @property
+    def m(self) -> int:
+        """Field degree: the smallest m with n <= 2^m."""
+        return (self.n - 1).bit_length()
 
-# Named parameter sets: the classic original proposal, the revision that
-# restored its security margin, and the 128-bit post-quantum set.
+
+# Named parameter sets: two desk-scale codes for demos and tests, the classic
+# original proposal, the revision that restored its security margin, and the
+# 128-bit post-quantum set.  k = n - m*t throughout.
 PRESETS = {
+    "toy": McElieceParams(16, 8, 2),
+    "demo": McElieceParams(32, 17, 3),
     "legacy": McElieceParams(1024, 524, 50),
     "revised": McElieceParams(2048, 1751, 27),
-    "pq128": McElieceParams(6960, 5413, 119),  # keygen at this size is slow
-}
-
-# desk-scale presets for demos and tests: (m, t)
-TOY_PRESETS = {
-    "toy": (4, 2),
-    "demo": (5, 3),
+    "pq128": McElieceParams(6960, 5413, 119),  # hours of keygen at this size
 }
 
 
@@ -109,12 +118,12 @@ def keygen(
         for _ in range(max_tries):
             p = f2linalg.random_permutation(n, rng)
             gp = p.apply_mat(code.generator)
-            tail = BinMatrix(
-                k, k, [(r >> (n - k)) & ((1 << k) - 1) for r in gp.data]
-            )
-            if f2linalg.rank(tail) == k:
+            tail = BinMatrix(k, k, [r >> (n - k) for r in gp.data])
+            try:
                 s = f2linalg.invert(tail)
-                break
+            except SingularMatrix:
+                continue
+            break
         else:
             raise SamplingExhausted("no permutation gave an invertible tail block")
     else:
@@ -177,24 +186,10 @@ def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
 # -- byte-stream block encryption --
 
 
-def _bytes_to_bits(data: bytes) -> list[int]:
-    out = []
-    for byte in data:
-        for i in range(7, -1, -1):
-            out.append((byte >> i) & 1)
-    return out
-
-
-def _bits_to_bytes(bits: list[int]) -> bytes:
-    if len(bits) % 8:
-        raise ValueError("bit count not a multiple of 8")
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        b = 0
-        for bit in bits[i : i + 8]:
-            b = (b << 1) | bit
-        out.append(b)
-    return bytes(out)
+def _flip(block: int, k: int) -> int:
+    """Reverse a k-bit block: the packer holds the first stream bit at the
+    top, a message vector holds it at bit 0."""
+    return int(format(block, f"0{k}b")[::-1], 2)
 
 
 def encrypt_long(
@@ -203,27 +198,15 @@ def encrypt_long(
     """Split a byte stream into k-bit blocks (10* padded) and encrypt each
     with a fresh error vector."""
     k = pub.k
-    bits = _bytes_to_bits(data)
-    bits.append(1)
-    while len(bits) % k:
-        bits.append(0)
-    blocks = []
-    for i in range(0, len(bits), k):
-        m = BinVector.from_bits(bits[i : i + k])
-        blocks.append(encrypt(pub, m, rng=rng))
-    return blocks
+    return [
+        encrypt(pub, BinVector(k, _flip(block, k)), rng=rng)
+        for block in pack(data, k)
+    ]
 
 
 def decrypt_long(kp: McElieceKeyPair, blocks: list[BinVector]) -> bytes:
-    bits: list[int] = []
-    for c in blocks:
-        bits.extend(decrypt(kp, c).to_bits())
-    while bits and bits[-1] == 0:
-        bits.pop()
-    if not bits or bits[-1] != 1:
-        raise DecodingFailure("padding marker missing after decryption")
-    bits.pop()
-    return _bits_to_bytes(bits)
+    k = kp.k
+    return unpack([_flip(decrypt(kp, c).bits, k) for c in blocks], k)
 
 
 # -- calculators --
@@ -246,4 +229,6 @@ def preset(name: str) -> McElieceParams:
     try:
         return PRESETS[name]
     except KeyError:
-        raise UnknownParams(f"unknown parameter preset {name!r}") from None
+        raise UnknownParams(
+            f"unknown mceliece preset {name!r}; choices: {', '.join(PRESETS)}"
+        ) from None

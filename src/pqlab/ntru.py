@@ -23,6 +23,7 @@ from .errors import (
     UnknownParams,
 )
 from .convring import center, center_mod, conv_mul, invert_mod, sample_ternary
+from .packing import pack, unpack
 
 
 def _is_prime(n: int) -> bool:
@@ -195,51 +196,29 @@ def block_bytes(n: int) -> int:
 
 
 def _bytes_to_blocks(data: bytes, n: int) -> list[list[int]]:
-    bb = block_bytes(n)
-    bits = []
-    for byte in data:
-        for i in range(7, -1, -1):
-            bits.append((byte >> i) & 1)
-    bits.append(1)
-    while len(bits) % (8 * bb):
-        bits.append(0)
     blocks = []
-    for start in range(0, len(bits), 8 * bb):
-        value = 0
-        for bit in bits[start : start + 8 * bb]:
-            value = (value << 1) | bit
+    for value in pack(data, 8 * block_bytes(n)):
         # plain base-3 digits, each centered mod 3 (2 becomes -1); this is a
         # bijection on [0, 3^N), unlike balanced ternary whose range is smaller
         digits = []
         for _ in range(n):
-            digits.append(center(value % 3, 3))
-            value //= 3
+            value, d = divmod(value, 3)
+            digits.append(center(d, 3))
         blocks.append(digits)
     return blocks
 
 
 def _blocks_to_bytes(blocks: list[list[int]], n: int) -> bytes:
-    bb = block_bytes(n)
-    bits: list[int] = []
+    width = 8 * block_bytes(n)
+    values = []
     for digits in blocks:
         value = 0
         for d in reversed(digits):
             value = value * 3 + (d % 3)
-        if value >> (8 * bb):
+        if value >> width:
             raise MessageRangeError("decrypted block out of byte range")
-        bits.extend((value >> i) & 1 for i in range(8 * bb - 1, -1, -1))
-    while bits and bits[-1] == 0:
-        bits.pop()
-    if not bits or bits[-1] != 1:
-        raise MessageRangeError("padding marker missing after decryption")
-    bits.pop()
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        b = 0
-        for bit in bits[i : i + 8]:
-            b = (b << 1) | bit
-        out.append(b)
-    return bytes(out)
+        values.append(value)
+    return unpack(values, width)
 
 
 def encrypt_bytes(

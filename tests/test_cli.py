@@ -138,6 +138,20 @@ def test_unknown_preset(tmp_path, capsys):
     assert "unknown mceliece preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["toy", "demo"])
+def test_keygen_preset_matches_registry(tmp_path, capsys, name):
+    from pqlab.formats import load_file
+    from pqlab.mceliece import PRESETS
+
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", name, "--seed", "3")
+    _, _, pub = load_file(str(keys / "key.mcpub"))
+    params = PRESETS[name]
+    assert (pub.n, pub.k, pub.t) == (params.n, params.k, params.t)
+    # info reads the same registry
+    assert main(["info", "--params", name]) == 0
+    assert f"[n,k,t] = [{params.n},{params.k},{params.t}]" in capsys.readouterr().out
+
+
 def test_bad_custom_params(tmp_path, capsys):
     rc = main([
         "keygen", "--scheme", "ntru", "--params", "11,3,41",
@@ -310,22 +324,28 @@ def test_corrupt_ciphertext(tmp_path, capsys):
 
 
 def test_undecodable_blocks(tmp_path, capsys):
-    # a well-formed ciphertext whose only block strips to an empty message
-    # (the padding marker is missing) must fail as a crypto error
+    # well-formed ciphertexts whose only block strips to an empty message
+    # (the padding marker is missing) or to one stray bit (not a whole byte)
+    # must fail as a crypto error
     keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
+    import random
+
     from pqlab.f2linalg import BinVector
     from pqlab.formats import load_file, serialize_ciphertext_mceliece
+    from pqlab.mceliece import encrypt
 
     _, _, pub = load_file(str(keys / "key.mcpub"))
-    ct = tmp_path / "m.ct"
-    ct.write_text(serialize_ciphertext_mceliece(pub, [BinVector(pub.n, 0)]))
-    capsys.readouterr()
-    rc = main([
-        "decrypt", "--priv", str(keys / "key.mcpriv"),
-        "--in", str(ct), "--out", str(tmp_path / "m.out"),
-    ])
-    assert rc == 3
-    assert "crypto failure" in capsys.readouterr().err
+    stray = BinVector.from_bits([1, 1, 0, 0, 0, 0, 0, 0])
+    for block in [BinVector(pub.n, 0), encrypt(pub, stray, rng=random.Random(0))]:
+        ct = tmp_path / "m.ct"
+        ct.write_text(serialize_ciphertext_mceliece(pub, [block]))
+        capsys.readouterr()
+        rc = main([
+            "decrypt", "--priv", str(keys / "key.mcpriv"),
+            "--in", str(ct), "--out", str(tmp_path / "m.out"),
+        ])
+        assert rc == 3
+        assert "crypto failure" in capsys.readouterr().err
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -15,11 +15,9 @@ from pqlab.convring import (
     invert_mod_prime,
     invert_mod_prime_power,
     is_zero,
-    poly_from_text,
     poly_to_text,
     ring_add,
     ring_one,
-    ring_scale,
     sample_ternary,
     ternary_shape,
 )
@@ -139,7 +137,6 @@ def test_ring_axioms(fgh):
 
 def test_ring_helpers():
     assert ring_add([1, 2], [3, -2]) == [4, 0]
-    assert ring_scale([1, -2, 0], 3) == [3, -6, 0]
     assert is_zero([0, 0])
     assert not is_zero([0, 1])
     with pytest.raises(DimensionError):
@@ -285,7 +282,5 @@ def test_ternary_shape():
 def test_poly_text_roundtrip(rng):
     for _ in range(20):
         f = [rng.randrange(-50, 50) for _ in range(rng.randrange(1, 15))]
-        assert poly_from_text(poly_to_text(f)) == f
-    assert poly_from_text("1 -2 0", 3) == [1, -2, 0]
-    with pytest.raises(DimensionError):
-        poly_from_text("1 2", 3)
+        assert [int(tok) for tok in poly_to_text(f).split()] == f
+    assert poly_to_text([1, -2, 0]) == "1 -2 0"

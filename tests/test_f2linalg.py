@@ -1,6 +1,8 @@
 """Bit-packed GF(2) linear algebra."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pqlab.errors import DimensionError, RankError, SingularMatrix
 from pqlab.f2linalg import (
@@ -17,7 +19,6 @@ from pqlab.f2linalg import (
     random_permutation,
     random_weight_vector,
     rref,
-    systematic_form,
     vec_mat_mul,
 )
 
@@ -157,40 +158,6 @@ def test_null_space_orthogonal_and_complete(rng):
             assert rank(ns) == ns.rows
 
 
-def test_systematic_form_already_systematic():
-    # G = [A | I_k] comes back unchanged with the identity permutation
-    g = BinMatrix.from_rows([
-        [1, 1, 0, 1, 0],
-        [0, 1, 1, 0, 1],
-    ])
-    gs, p = systematic_form(g)
-    assert gs == g
-    assert p == PermMatrix.identity(5)
-
-
-def test_systematic_form_shape_and_row_space(rng):
-    for _ in range(20):
-        k, n = 4, 9
-        g = BinMatrix(k, n, [0] * k)
-        while rank(g) < k:
-            g = BinMatrix(k, n, [rng.randrange(1 << n) for _ in range(k)])
-        gs, p = systematic_form(g)
-        # tail block is I_k
-        for i in range(k):
-            assert (gs.data[i] >> (n - k)) == 1 << i
-        # same row space as G x P: each permuted row solves against gs
-        gp = p.apply_mat(g)
-        solver = RowSolver(gs)
-        for i in range(k):
-            solver.solve(gp.row(i))
-
-
-def test_systematic_form_rank_deficient():
-    g = BinMatrix.from_rows([[1, 1, 0], [1, 1, 0]])
-    with pytest.raises(RankError):
-        systematic_form(g)
-
-
 # -- permutations --
 
 
@@ -295,3 +262,52 @@ def test_row_solver_rank_deficient_matrix():
     g = BinMatrix.from_rows([[1, 1, 0], [1, 1, 0]])
     with pytest.raises(RankError):
         RowSolver(g)
+
+
+# -- the eliminator against the independent rank --
+
+
+@st.composite
+def matrices(draw, max_dim=10):
+    """Square, wide and tall matrices; a product through a narrow inner
+    dimension makes singular and rank-deficient shapes common."""
+    rows = draw(st.integers(1, max_dim))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, max_dim))
+    inner = draw(st.integers(0, max_dim))
+    left = [draw(st.integers(0, (1 << inner) - 1)) for _ in range(rows)]
+    right = [draw(st.integers(0, (1 << cols) - 1)) for _ in range(inner)]
+    return mat_mul(BinMatrix(rows, inner, left), BinMatrix(inner, cols, right))
+
+
+@given(matrices())
+def test_invert_matches_rank(a):
+    if a.rows != a.cols or rank(a) < a.rows:
+        with pytest.raises(SingularMatrix):
+            invert(a)
+        return
+    inv = invert(a)
+    assert mat_mul(a, inv) == BinMatrix.identity(a.rows)
+    assert mat_mul(inv, a) == BinMatrix.identity(a.rows)
+
+
+@given(matrices(), st.data())
+def test_row_solver_matches_rank(g, data):
+    if rank(g) < g.rows:
+        with pytest.raises(RankError):
+            RowSolver(g)
+        return
+    solver = RowSolver(g)
+    x = BinVector(g.rows, data.draw(st.integers(0, (1 << g.rows) - 1)))
+    assert solver.solve(vec_mat_mul(x, g)) == x
+
+
+@given(matrices())
+def test_rref_and_null_space_match_rank(a):
+    red, pivots = rref(a)
+    assert len(pivots) == red.rows == rank(a)
+    assert rank(red) == red.rows
+    ns = null_space(a)
+    assert ns.rows == a.cols - len(pivots)
+    assert mat_mul(a, ns.transpose()).is_zero()
+    if ns.rows:
+        assert rank(ns) == ns.rows

@@ -12,15 +12,12 @@ from pqlab.gf2m import (
     is_irreducible,
     poly_eea,
     poly_eea_partial,
-    poly_from_ints,
     poly_gcd,
     poly_inv_mod,
     poly_powmod,
     random_irreducible,
     random_poly,
     sqrt_mod_g,
-    field_arith,
-    poly_arith,
 )
 
 
@@ -126,16 +123,6 @@ def test_pow_matches_repeated_mul():
     for e in range(20):
         assert ctx.pow(a, e) == acc
         acc = ctx.mul(acc, a)
-
-
-def test_field_arith_dispatch():
-    ctx = FieldCtx(4)
-    assert field_arith(ctx, 3, 5, "add") == 6
-    assert field_arith(ctx, 0b10, 0b1000, "mul") == 0b11
-    assert field_arith(ctx, 3, None, "inv") == ctx.inv(3)
-    assert field_arith(ctx, 3, 15, "pow") == 1
-    with pytest.raises(ValueError):
-        field_arith(ctx, 1, 2, "nope")
 
 
 # -- polynomials --
@@ -359,22 +346,3 @@ def test_sqrt_mod_g_of_square(rng):
         s = sqrt_mod_g(sq, g)
         # squaring is a bijection mod irreducible g, so the root is unique
         assert s == w % g
-
-
-def test_poly_arith_dispatch(rng):
-    ctx = FieldCtx(4)
-    p = random_poly(ctx, 3, rng)
-    q = random_poly(ctx, 2, rng)
-    assert poly_arith(p, q, "add") == p + q
-    assert poly_arith(p, q, "mul") == p * q
-    assert poly_arith(p, q, "rem") == p % q
-    d, u, v = poly_arith(p, q, "eea")
-    assert u * p + v * q == d
-    with pytest.raises(ValueError):
-        poly_arith(p, q, "nope")
-
-
-def test_poly_from_ints():
-    ctx = FieldCtx(4)
-    p = poly_from_ints([1, 0, 7], ctx)
-    assert p == FieldPoly([1, 0, 7], ctx)

@@ -10,7 +10,6 @@ from pqlab.f2linalg import BinMatrix, BinVector, mat_mul, rank, vec_mat_mul
 from pqlab.goppa import GoppaCode, LinearCode
 from pqlab.mceliece import (
     PRESETS,
-    TOY_PRESETS,
     McElieceParams,
     decrypt,
     decrypt_long,
@@ -248,6 +247,10 @@ def test_long_padding_marker_guard(rng):
     zero_blocks = [encrypt(kp.public, BinVector(kp.k, 0), rng=rng)]
     with pytest.raises(DecodingFailure):
         decrypt_long(kp, zero_blocks)
+    # bits 11000000 strip to a single payload bit: not a whole byte
+    stray = BinVector.from_bits([1, 1, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(DecodingFailure):
+        decrypt_long(kp, [encrypt(kp.public, stray, rng=rng)])
 
 
 # -- calculators --
@@ -280,5 +283,10 @@ def test_preset_lookup():
     assert preset("legacy") == McElieceParams(1024, 524, 50)
     with pytest.raises(UnknownParams):
         preset("nope")
-    assert TOY_PRESETS["toy"] == (4, 2)
-    assert TOY_PRESETS["demo"] == (5, 3)
+    assert (PRESETS["toy"].m, PRESETS["toy"].t) == (4, 2)
+    assert (PRESETS["demo"].m, PRESETS["demo"].t) == (5, 3)
+
+
+def test_registry_dimensions():
+    for name, params in PRESETS.items():
+        assert params.k == params.n - params.m * params.t, name

@@ -14,6 +14,7 @@ from pqlab.convring import (
     ternary_shape,
 )
 from pqlab.errors import (
+    DecodingFailure,
     DimensionError,
     MessageRangeError,
     SamplingExhausted,
@@ -260,6 +261,25 @@ def test_bytes_block_count(rng):
     assert len(encrypt_bytes(kp.public, b"hi", rng)) == 2
     # empty -> marker only -> 1 block
     assert len(encrypt_bytes(kp.public, b"", rng)) == 1
+
+
+def _base3_digits(value, n):
+    # the byte encoding's digit order: least significant first, 2 -> -1
+    digits = []
+    for _ in range(n):
+        value, d = divmod(value, 3)
+        digits.append(d - 3 if d == 2 else d)
+    return digits
+
+
+def test_bytes_padding_guard(rng):
+    kp = keygen(TOY, rng)
+    # a zero block has no marker; 0b11 followed by 14 zeros strips to a
+    # single payload bit, which is not a whole byte
+    for value in [0, 0b11 << 14]:
+        c = encrypt(kp.public, _base3_digits(value, TOY.n), rng=rng)
+        with pytest.raises(DecodingFailure):
+            decrypt_bytes(kp, [c])
 
 
 def test_bytes_requires_p3(rng):

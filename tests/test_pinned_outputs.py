@@ -1,0 +1,82 @@
+"""SHA-256 pins of CLI outputs under fixed seeds.
+
+Covers the desk-scale presets, systematic keygen and toy11 byte encryption,
+none of which the benchmark's digests reach.  A refactor must leave every
+key file and ciphertext here byte-identical; re-pin only for an intended
+format or algorithm change.
+"""
+
+import hashlib
+
+import pytest
+
+from pqlab.cli import main
+
+# name -> (keygen arguments, key file suffix)
+KEYGENS = {
+    "mce-toy": (["--scheme", "mceliece", "--preset", "toy", "--seed", "21"], "mc"),
+    "mce-demo": (["--scheme", "mceliece", "--preset", "demo", "--seed", "22"], "mc"),
+    "mce-toy-systematic": (
+        ["--scheme", "mceliece", "--preset", "toy", "--systematic", "--seed", "23"],
+        "mc",
+    ),
+    "ntru-toy11": (["--scheme", "ntru", "--preset", "toy11", "--seed", "24"], "nt"),
+}
+
+SIZES = (0, 1, 100)
+
+DIGESTS = {
+    "mce-toy/key.mcpub": "2b0e04a26ae3b2e774a589e1531ccacb4c64ca6474dd7739eb66296ed0d6a852",
+    "mce-toy/key.mcpriv": "5cc0d6ef256beab953c3196f617b0b7de643c2f256d3b904897193d28165910e",
+    "mce-toy/0.ct": "4665d9c5841d9f51be68ab30bc366a7d96c208eb7ef31e6abd7a79a9451c935d",
+    "mce-toy/1.ct": "d62d71134fa5a63e812dfd0b7cfc855322dc15472abb00ea3ba25c54a67d1620",
+    "mce-toy/100.ct": "c986bce2ecee61d2927069c1d10fe101173fdd94e33d754d187b491ed1c9b46b",
+    "mce-demo/key.mcpub": "3161ef921204fe4f8e2e16c3d331bb1abc14558dc1a1a149693458d34260a7c0",
+    "mce-demo/key.mcpriv": "d8a3da6f724de47b7f3811c33609a5e66a4f3819ca8fc7c7a1f9eaa61f6f31c1",
+    "mce-demo/0.ct": "490ba455f9cf8657bef77f7b305c02276abc6fcd58ac307e83af4a43d07b070a",
+    "mce-demo/1.ct": "8b489b90d9b8bbca6632770c0b34aa667c4a0bb219b00e82464884040bc53b61",
+    "mce-demo/100.ct": "f4a674dd4477af262c5e61546a79d524265fa9040f6d508352093adde900f9cf",
+    "mce-toy-systematic/key.mcpub": "a42b80222a830de7c73d7e94261e001d471bd3db858c79d189f9a7694b9e9301",
+    "mce-toy-systematic/key.mcpriv": "77ec90f2ef2f9a34d3372ce4e2d25694c90cc936f578e253e3961ed041a9bd72",
+    "mce-toy-systematic/0.ct": "a825d7a1a112c17333220b83b6e28561a7d3584ba0df7a90fcd1b0927192a9a8",
+    "mce-toy-systematic/1.ct": "fb127607834f4bf3db1d87f564fb718e91f16d33929b08b25d7588d54da7f145",
+    "mce-toy-systematic/100.ct": "f71390c74fd999f407ec9ac0c74535f9a80d974183f2e386e354197afc906e6e",
+    "ntru-toy11/key.ntpub": "f10fecb935d0533e59861318acdcff8888411c46014aaab759f8fbcc5a672ff1",
+    "ntru-toy11/key.ntpriv": "925f826facc9836c35eb1b0b603fb974c1d7a3015f5e1c8ee66af8b2edb2858d",
+    "ntru-toy11/0.ct": "b6d35a7a181cae2720e1675a9b4fca4252da63ef8caad2465aec05a000223a12",
+    "ntru-toy11/1.ct": "1cd3881b2db6da2237adae797443fd6fd8d9b1ca31d1ea7d006822e86bc119b4",
+    "ntru-toy11/100.ct": "68a724b157ee7eb8a1e0dcf8f264a6946cbe22db85a00e8bcee5796f8db7a6a5",
+}
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_seed(monkeypatch):
+    monkeypatch.delenv("PQLAB_SEED", raising=False)
+
+
+def _payload(size: int) -> bytes:
+    return bytes((37 * i + 11) % 256 for i in range(size))
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(KEYGENS))
+def test_pinned_keys_and_ciphertexts(tmp_path, name):
+    argv, ext = KEYGENS[name]
+    keys = tmp_path / "keys"
+    assert main(["keygen", "--out", str(keys), *argv]) == 0
+    got = {}
+    for kind in ("pub", "priv"):
+        got[f"{name}/key.{ext}{kind}"] = _sha256(keys / f"key.{ext}{kind}")
+    for size in SIZES:
+        plain = tmp_path / f"{size}.bin"
+        plain.write_bytes(_payload(size))
+        ct = tmp_path / f"{size}.ct"
+        assert main([
+            "encrypt", "--pub", str(keys / f"key.{ext}pub"),
+            "--in", str(plain), "--out", str(ct), "--seed", str(size + 1),
+        ]) == 0
+        got[f"{name}/{size}.ct"] = _sha256(ct)
+    assert got == {k: v for k, v in DIGESTS.items() if k.startswith(name + "/")}
