@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import lattice as lattice_mod
 from . import mceliece, ntru
-from .convring import conv_mul, invert_mod, sample_ternary, ternary_shape
+from .convring import invert_mod, sample_ternary, ternary_shape
 from .errors import DimensionError, NotInvertible, UnknownParams
 from .f2linalg import BinMatrix, BinVector
 from .lattice import build_public_basis, lll_reduce
@@ -152,9 +152,8 @@ def _try_candidate_key(
     r = sample_ternary(params.n, *params.shape, rng)
     pub = ntru.NtruPublicKey(params, tuple(pub_h))
     c = ntru.encrypt(pub, m, r=r)
-    a = conv_mul(f_cand, c, params.q)
-    recovered = conv_mul(f_p_inv, a, params.p)
-    return recovered == m
+    candidate = ntru.NtruKeyPair(pub, tuple(f_cand), tuple(f_p_inv))
+    return ntru.decrypt(candidate, c) == m
 
 
 def ntru_lll_attack(

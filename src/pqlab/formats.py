@@ -15,8 +15,9 @@ import hashlib
 from dataclasses import dataclass
 
 from . import mceliece as mce
-from .errors import FormatError
-from .f2linalg import BinMatrix, BinVector, PermMatrix, mat_mul
+from .convring import conv_mul
+from .errors import FormatError, RankError
+from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
 from .goppa import GoppaCode
 from .ntru import NtruKeyPair, NtruParams, NtruPublicKey
@@ -164,14 +165,15 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
     g = FieldPoly(p.int_list("poly", "g"), ctx)
     support = p.int_list("support", "l")
     p.expect_end()
+    if g.degree != params["t"]:
+        raise FormatError(f"param t {params['t']} != deg g {g.degree}")
     code = GoppaCode(ctx, g, support)
     if code.k != params["k"] or code.n != params["n"]:
         raise FormatError("code parameters do not match the stored key")
-    g_hat = perm.apply_mat(mat_mul(s, code.generator))
-    public = mce.McEliecePublicKey(
-        g_hat, params["t"], bool(params.get("systematic", 0))
-    )
-    return mce.McElieceKeyPair(public=public, s=s, code=code, p=perm)
+    try:
+        return mce.assemble(s, code, perm, code.t, bool(params.get("systematic", 0)))
+    except RankError:
+        raise FormatError("scramble matrix s is singular") from None
 
 
 # -- NTRU --
@@ -223,6 +225,8 @@ def _parse_ntru_private(p: _Parser) -> NtruKeyPair:
     p.expect_end()
     if not len(f) == len(f_p_inv) == len(h) == np_.n:
         raise FormatError("private polynomials have wrong degree")
+    if conv_mul(f, f_p_inv, np_.p) != [1] + [0] * (np_.n - 1):
+        raise FormatError("f * f_p_inv is not 1 mod p")
     return NtruKeyPair(
         public=NtruPublicKey(np_, tuple(h)), f=tuple(f), f_p_inv=tuple(f_p_inv)
     )

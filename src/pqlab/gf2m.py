@@ -269,23 +269,6 @@ def poly_gcd(p: FieldPoly, q: FieldPoly) -> FieldPoly:
     return p.monic()
 
 
-def poly_eea(p: FieldPoly, q: FieldPoly) -> tuple[FieldPoly, FieldPoly, FieldPoly]:
-    """Extended Euclid: returns (d, u, v) with u*p + v*q = d = gcd, d monic."""
-    ctx = p.ctx
-    r0, r1 = p, q
-    u0, u1 = FieldPoly.one(ctx), FieldPoly.zero(ctx)
-    v0, v1 = FieldPoly.zero(ctx), FieldPoly.one(ctx)
-    while not r1.is_zero():
-        quo, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, u0 + quo * u1
-        v0, v1 = v1, v0 + quo * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead_inv = ctx.inv(r0.coeffs[-1])
-    return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
-
-
 def poly_eea_partial(
     p: FieldPoly, q: FieldPoly, stop_deg: int
 ) -> tuple[FieldPoly, FieldPoly]:
@@ -307,11 +290,13 @@ def poly_eea_partial(
 
 
 def poly_inv_mod(p: FieldPoly, mod: FieldPoly) -> FieldPoly:
-    """Inverse of p modulo mod; requires gcd(p, mod) = 1."""
-    d, u, _ = poly_eea(p, mod)
-    if d.degree != 0:
+    """Inverse of p modulo mod.  The partial EEA stops at a remainder r of
+    degree <= 0 with r = v*p (mod mod): r = 0 means gcd(p, mod) != 1, and a
+    nonzero constant r gives the inverse v/r."""
+    r, v = poly_eea_partial(mod, p % mod, 0)
+    if r.is_zero():
         raise DivisionByZero("polynomial is not invertible modulo the given modulus")
-    return u % mod
+    return v.scale(p.ctx.inv(r.coeffs[0]))
 
 
 def poly_powmod(base: FieldPoly, e: int, mod: FieldPoly) -> FieldPoly:

@@ -23,7 +23,7 @@ from .errors import (
     RankError,
     SamplingExhausted,
 )
-from .convring import center_mod, conv_mul, invert_mod, sample_ternary
+from .convring import center_mod, conv_mul, invert_mod, sample_ternary, ternary_shape
 
 IntVector = list[int]
 IntMatrix = list[list[int]]
@@ -150,14 +150,11 @@ def lattice_keygen(params, rng: random.Random, max_tries: int = 100) -> NtruLatt
 
 
 def _check_ternary_bounded(v: Sequence[int], shape: tuple[int, int], label: str) -> None:
-    plus = minus = 0
-    for c in v:
-        if c == 1:
-            plus += 1
-        elif c == -1:
-            minus += 1
-        elif c != 0:
-            raise MessageRangeError(f"{label} coefficient {c} is not ternary")
+    counts = ternary_shape(v)
+    if counts is None:
+        c = next(c for c in v if c not in (-1, 0, 1))
+        raise MessageRangeError(f"{label} coefficient {c} is not ternary")
+    plus, minus = counts
     if plus > shape[0] or minus > shape[1]:
         raise MessageRangeError(
             f"{label} has {plus} ones / {minus} minus-ones, "

@@ -2,25 +2,27 @@
 
 Key generation hides a decodable code G behind an invertible scramble S and
 a column permutation P: the public matrix is G_hat = S x G x P.  Encryption
-adds a secret weight-t error to m . G_hat; decryption unwinds P, decodes,
-and unwinds S.  Includes the key-size and work-factor calculators for the
-standard parameter sets and block encryption for byte streams.
+adds a secret weight-t error to m . G_hat; decryption unwinds P, decodes the
+error e, and solves m . G_hat = c + e.  Includes the key-size and
+work-factor calculators for the standard parameter sets and block encryption
+for byte streams.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import f2linalg, goppa
 from .errors import (
     DecodingFailure,
     DimensionError,
+    RankError,
     SamplingExhausted,
     SingularMatrix,
     UnknownParams,
 )
-from .f2linalg import BinMatrix, BinVector, PermMatrix
+from .f2linalg import BinMatrix, BinVector, PermMatrix, RowSolver
 from .gf2m import FieldCtx, random_irreducible
 from .goppa import GoppaCode, LinearCode
 from .packing import pack, unpack
@@ -77,6 +79,8 @@ class McElieceKeyPair:
     s: BinMatrix
     code: GoppaCode | LinearCode
     p: PermMatrix
+    # solves m . G_hat = y: the whole of unscrambling, built once per key
+    solver: RowSolver = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -129,10 +133,16 @@ def keygen(
     else:
         s = f2linalg.random_invertible(k, rng)
         p = f2linalg.random_permutation(n, rng)
+    return assemble(s, code, p, t, systematic)
+
+
+def assemble(
+    s: BinMatrix, code: GoppaCode | LinearCode, p: PermMatrix, t: int, systematic=False
+) -> McElieceKeyPair:
+    """Key pair with G_hat = S x G x P; RankError if S is singular."""
     g_hat = p.apply_mat(f2linalg.mat_mul(s, code.generator))
-    return McElieceKeyPair(
-        public=McEliecePublicKey(g_hat, t, systematic), s=s, code=code, p=p
-    )
+    public = McEliecePublicKey(g_hat, t, systematic)
+    return McElieceKeyPair(public, s, code, p, RowSolver(g_hat))
 
 
 def from_components(
@@ -140,11 +150,7 @@ def from_components(
 ) -> McElieceKeyPair:
     """Assemble a key pair from explicit (S, G, P) with G treated as an
     opaque linear code (decoding falls back to the exhaustive oracle)."""
-    code = LinearCode(generator)
-    g_hat = p.apply_mat(f2linalg.mat_mul(s, generator))
-    return McElieceKeyPair(
-        public=McEliecePublicKey(g_hat, t), s=s, code=code, p=p
-    )
+    return assemble(s, LinearCode(generator), p, t)
 
 
 def encrypt(
@@ -166,21 +172,21 @@ def encrypt(
 
 
 def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
-    """Unwind P, decode to v = m . S, unwind S; verify by re-encryption."""
+    """Unwind P, decode the error e, solve m . G_hat = c + e.  The solve is
+    the re-encryption check: a misdecode leaves c + e outside the row space."""
     if c.n != kp.n:
         raise DimensionError(f"ciphertext length {c.n} != n {kp.n}")
     c_hat = kp.p.apply_vec_inverse(c)
     if isinstance(kp.code, GoppaCode):
-        codeword, _ = goppa.patterson_decode(kp.code, c_hat)
+        _, e_hat = goppa.patterson_decode(kp.code, c_hat)
     else:
-        codeword, _ = goppa.bruteforce_decode(kp.code, c_hat, kp.t)
-    v = kp.code.message_of(codeword)
-    m = f2linalg.vec_mat_mul(v, f2linalg.invert(kp.s))
-    # silent misdecode becomes an explicit error
-    residue = c + f2linalg.vec_mat_mul(m, kp.public.g_hat)
-    if residue.weight() > kp.t:
-        raise DecodingFailure("re-encryption check failed")
-    return m
+        _, e_hat = goppa.bruteforce_decode(kp.code, c_hat, kp.t)
+    if e_hat.weight() <= kp.t:
+        try:
+            return kp.solver.solve(c + kp.p.apply_vec(e_hat))
+        except RankError:
+            pass
+    raise DecodingFailure("re-encryption check failed")
 
 
 # -- byte-stream block encryption --

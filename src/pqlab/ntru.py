@@ -151,11 +151,7 @@ def decrypt(kp: NtruKeyPair, c: list[int]) -> list[int]:
     Wrap failures (possible at toy q) are not detectable at this layer;
     callers that know (r, m) can consult decryption_identity_check.
     """
-    params = kp.params
-    if len(c) != params.n:
-        raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
-    a = conv_mul(list(kp.f), c, params.q)
-    return conv_mul(list(kp.f_p_inv), a, params.p)
+    return decrypt_with_intermediate(kp, c)[1]
 
 
 def decrypt_with_intermediate(
@@ -163,6 +159,8 @@ def decrypt_with_intermediate(
 ) -> tuple[list[int], list[int]]:
     """(a, m) with a the centered mod-q product f * c (replay/demo use)."""
     params = kp.params
+    if len(c) != params.n:
+        raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
     a = conv_mul(list(kp.f), c, params.q)
     return a, conv_mul(list(kp.f_p_inv), a, params.p)
 

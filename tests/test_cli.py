@@ -301,6 +301,51 @@ def test_key_kind_checks(tmp_path, capsys):
     assert "not a private key" in capsys.readouterr().err
 
 
+def _encrypt_then_decrypt_with(tmp_path, keys, ext, edit_private):
+    """Encrypt a file, rewrite the private key text with edit_private(lines),
+    and return the exit code of decrypting with the edited key."""
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(b"abc")
+    ct = tmp_path / "m.ct"
+    assert main([
+        "encrypt", "--pub", str(keys / f"key.{ext}pub"),
+        "--in", str(plain), "--out", str(ct), "--seed", "2",
+    ]) == 0
+    priv = keys / f"key.{ext}priv"
+    lines = priv.read_text().splitlines()
+    edit_private(lines)
+    priv.write_text("\n".join(lines) + "\n")
+    return main([
+        "decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(tmp_path / "m.out"),
+    ])
+
+
+def test_singular_scramble_key_rejected(tmp_path, capsys):
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
+
+    def duplicate_first_row_of_s(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("matrix s "))
+        lines[idx + 2] = lines[idx + 1]
+
+    capsys.readouterr()
+    assert _encrypt_then_decrypt_with(tmp_path, keys, "mc", duplicate_first_row_of_s) == 2
+    assert "format error" in capsys.readouterr().err
+
+
+def test_bad_f_p_inv_key_rejected(tmp_path, capsys):
+    keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
+
+    def bump_first_f_p_inv_coefficient(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("poly f_p_inv "))
+        parts = lines[idx].split()
+        parts[2] = str((int(parts[2]) + 1) % 3)
+        lines[idx] = " ".join(parts)
+
+    capsys.readouterr()
+    assert _encrypt_then_decrypt_with(tmp_path, keys, "nt", bump_first_f_p_inv_coefficient) == 2
+    assert "format error" in capsys.readouterr().err
+
+
 def test_corrupt_ciphertext(tmp_path, capsys):
     keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
     plain = tmp_path / "m.bin"

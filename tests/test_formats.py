@@ -247,6 +247,13 @@ def test_mismatched_private_params_rejected(mce_kp):
         parse_file(text.replace(f"param k {k}", f"param k {k + 1}", 1))
 
 
+def test_private_t_must_match_goppa_degree(mce_kp):
+    text = serialize_mceliece_private(mce_kp)
+    assert "param t 2" in text and mce_kp.code.g.degree == 2
+    with pytest.raises(FormatError):
+        parse_file(text.replace("param t 2", "param t 3", 1))
+
+
 def test_ciphertext_block_count_must_match(ntru_kp):
     text = serialize_ciphertext_ntru(ntru_kp.params, [[0] * 11])
     with pytest.raises(FormatError):

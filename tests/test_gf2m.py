@@ -10,7 +10,6 @@ from pqlab.gf2m import (
     FieldCtx,
     FieldPoly,
     is_irreducible,
-    poly_eea,
     poly_eea_partial,
     poly_gcd,
     poly_inv_mod,
@@ -217,17 +216,6 @@ def test_poly_gcd_common_factor(rng):
     assert d.degree >= 2
 
 
-def test_poly_eea_remultiplication(rng):
-    # d = u*p + v*q, checked by re-multiplying
-    ctx = FieldCtx(5)
-    for _ in range(50):
-        p = random_poly(ctx, rng.randrange(1, 6), rng)
-        q = random_poly(ctx, rng.randrange(1, 6), rng)
-        d, u, v = poly_eea(p, q)
-        assert u * p + v * q == d
-        assert d == poly_gcd(p, q)
-
-
 def test_poly_eea_partial_stop_degree(rng):
     ctx = FieldCtx(4)
     for _ in range(50):
@@ -247,17 +235,23 @@ def test_poly_inv_mod(rng):
     ctx = FieldCtx(4)
     g = random_irreducible(ctx, 3, rng)
     for _ in range(30):
-        p = random_poly(ctx, rng.randrange(0, 3), rng)
-        inv = poly_inv_mod(p, g)
-        assert (p * inv) % g == FieldPoly.one(ctx)
+        low = random_poly(ctx, rng.randrange(0, 3), rng).scale(rng.randrange(1, ctx.order))
+        # degree at and above deg g, with the same residue mod g
+        for p in (low, low + g, low + g * random_poly(ctx, rng.randrange(1, 5), rng)):
+            inv = poly_inv_mod(p, g)
+            assert inv.degree < g.degree
+            assert (p * inv) % g == FieldPoly.one(ctx)
 
 
-def test_poly_inv_mod_not_coprime():
+def test_poly_inv_mod_not_coprime(rng):
     ctx = FieldCtx(4)
     x = FieldPoly.x(ctx)
     mod = x * (x + FieldPoly.one(ctx))
     with pytest.raises(DivisionByZero):
         poly_inv_mod(x, mod)
+    # a nonzero multiple of the modulus reduces to zero
+    with pytest.raises(DivisionByZero):
+        poly_inv_mod(mod * random_poly(ctx, 2, rng), mod)
 
 
 def test_poly_powmod(rng):

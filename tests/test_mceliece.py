@@ -1,12 +1,14 @@
 """McEliece keygen, encryption, decryption, and the size/work calculators."""
 
+import dataclasses
 import random
 
 import pytest
 
-from pqlab import kat
+from pqlab import f2linalg, kat
 from pqlab.errors import DecodingFailure, DimensionError, UnknownParams
 from pqlab.f2linalg import BinMatrix, BinVector, mat_mul, rank, vec_mat_mul
+from pqlab.formats import parse_file, serialize_mceliece_private
 from pqlab.goppa import GoppaCode, LinearCode
 from pqlab.mceliece import (
     PRESETS,
@@ -174,6 +176,41 @@ def test_decrypt_verifies_reencryption(rng):
             c2 = vec_mat_mul(m, kp.public.g_hat)
             assert (junk + c2).weight() <= kp.t
     assert failures > 0
+
+
+def test_decrypt_checks_against_the_key_solver(rng):
+    # a solver for another key's G_hat leaves c + e outside its row space
+    kp, other = keygen(5, 3, rng), keygen(5, 3, rng)
+    mixed = dataclasses.replace(kp, solver=other.solver)
+    c = encrypt(kp.public, BinVector(kp.k, rng.randrange(1 << kp.k)), rng=rng)
+    with pytest.raises(DecodingFailure, match="re-encryption check failed"):
+        decrypt(mixed, c)
+
+
+def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
+    # every block is solved by the key's one RowSolver; S is never inverted
+    calls = {"invert": 0, "solver": 0}
+    real_invert, real_init = f2linalg.invert, f2linalg.RowSolver.__init__
+
+    def counting_invert(a):
+        calls["invert"] += 1
+        return real_invert(a)
+
+    def counting_init(self, g):
+        calls["solver"] += 1
+        real_init(self, g)
+
+    monkeypatch.setattr(f2linalg, "invert", counting_invert)
+    monkeypatch.setattr(f2linalg.RowSolver, "__init__", counting_init)
+    kp = keygen(4, 2, rng)
+    _, _, loaded = parse_file(serialize_mceliece_private(kp))
+    assert calls == {"invert": 0, "solver": 2}
+    data = rng.randbytes(5)
+    blocks = encrypt_long(kp.public, data, rng)
+    assert len(blocks) == 6
+    assert decrypt_long(kp, blocks) == data
+    assert decrypt_long(loaded, blocks) == data
+    assert calls == {"invert": 0, "solver": 2}
 
 
 # -- systematic mode --
