@@ -76,17 +76,16 @@ def nearest_codeword_bruteforce(g: BinMatrix, w: BinVector) -> BinVector:
     if w.n != g.cols:
         raise DimensionError("target length mismatch")
     wb = w.bits
-    k = g.rows
-
-    def msg_key(m: int) -> tuple[int, ...]:
-        return tuple((m >> i) & 1 for i in range(k))
-
     best_idx = 0
     best_word = 0
-    best_dist = (wb ^ 0).bit_count()
+    best_dist = wb.bit_count()
     for msg, word in _gray_codewords(g):
         d = (word ^ wb).bit_count()
-        if d < best_dist or (d == best_dist and msg_key(msg) < msg_key(best_idx)):
+        # on a tie, msg comes first iff it has a 0 at the lowest bit where
+        # it differs from best_idx
+        if d < best_dist or (
+            d == best_dist and not msg & (msg ^ best_idx) & -(msg ^ best_idx)
+        ):
             best_dist = d
             best_idx = msg
             best_word = word

@@ -34,6 +34,7 @@ from .errors import (
     UnknownParams,
 )
 from .f2linalg import BinMatrix, BinVector
+from .gf2m import MODULI
 from .goppa import bruteforce_decode
 from .ntru import NtruParams
 
@@ -71,6 +72,13 @@ def _int_csv(text: str, count: int, what: str) -> list[int]:
         raise UnknownParams("--params must be comma-separated integers") from None
 
 
+def _ntru_params(n: int, p: int, q: int, d_f: int) -> NtruParams:
+    try:
+        return NtruParams(n, p, q, d_f)
+    except ValueError as exc:
+        raise UnknownParams(f"invalid ntru parameters: {exc}") from None
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -94,6 +102,10 @@ def _cmd_keygen(args) -> int:
     if args.scheme == "mceliece":
         if args.params:
             m, t = _int_csv(args.params, 2, "mceliece (m,t)")
+            if m not in MODULI or t < 1:
+                raise UnknownParams(
+                    f"mceliece needs 2 <= m <= 13 and t >= 1, got m={m}, t={t}"
+                )
             n = None
         else:
             params = mceliece.preset(args.preset or "toy")
@@ -105,8 +117,7 @@ def _cmd_keygen(args) -> int:
         _write_text(priv_path, formats.serialize_mceliece_private(kp))
     else:
         if args.params:
-            n, p, q, d_f = _int_csv(args.params, 4, "ntru (n,p,q,d_f)")
-            params = NtruParams(n, p, q, d_f)
+            params = _ntru_params(*_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
         else:
             params = ntru.preset(args.preset or "toy11")
         kp = ntru.keygen(params, rng)
@@ -263,7 +274,7 @@ def _cmd_demo_example(args) -> int:
 
 
 def _cmd_demo_attack(args) -> int:
-    params = NtruParams(args.n, args.p, args.q, args.d_f)
+    params = _ntru_params(args.n, args.p, args.q, args.d_f)
     report = analysis.run_attack_trials(params, list(range(args.seeds)))
     for line in report.csv_rows():
         print(line)

@@ -42,7 +42,10 @@ class MessageRangeError(PqlabError, ValueError):
 
 
 class UnknownParams(PqlabError, KeyError):
-    """Parameter preset name is not recognized."""
+    """Parameter preset name or custom parameter values are not accepted."""
+
+    # KeyError.__str__ would quote the message
+    __str__ = Exception.__str__
 
 
 class FormatError(PqlabError, ValueError):

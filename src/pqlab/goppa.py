@@ -6,8 +6,11 @@ codewords are the binary vectors whose rational syndrome
 
     s(x) = sum over set bits i of 1/(x - alpha_i)  (mod g)
 
-is zero.  The parity-check matrix is assembled in the classic X*Y*Z product
-form and expanded bit-wise over GF(2); the generator is its null space.
+is zero.  Each code computes the table of position inverses
+(x - alpha_j)^-1 mod g once, by synthetic division; the syndrome sums its
+entries.  Coefficient t-1-r of (x - alpha_j)^-1 is entry (r, j) of the
+classic X*Y*Z parity-check product, so the binary parity-check matrix is
+that table expanded bit-wise over GF(2); the generator is its null space.
 Decoding of up to t errors uses Patterson's split of the key equation, with
 an exhaustive decoder available as a desk-scale oracle.
 """
@@ -26,63 +29,48 @@ from .gf2m import FieldCtx, FieldPoly, poly_eea_partial, poly_inv_mod, sqrt_mod_
 def build_parity_check(
     g: FieldPoly, support: Sequence[int]
 ) -> tuple[list[list[int]], BinMatrix]:
-    """H = X*Y*Z over GF(2^m) and its GF(2) expansion.
+    """Position inverses (x - alpha_j)^-1 mod g and the binary parity check.
 
-    X is t x t lower triangular holding g's coefficients (row r has
-    g_t .. g_{t-r} ending on the diagonal), Y is the t x n matrix of powers
-    alpha_j^i, Z the diagonal of 1/g(alpha_j).  The binary expansion maps
-    each field entry to its m bits, giving an (m*t) x n matrix whose kernel
-    is exactly the kernel of the rational syndrome.
+    Synthetic division g(x) = (x - a) q(x) + g(a) gives (x - a)^-1 = q(x) /
+    g(a) mod g, so g(a) = 0 marks a root of g.  Coefficient t-1-r of that
+    inverse is entry (r, j) of the classic H = X*Y*Z: X is t x t lower
+    triangular holding g's coefficients (row r has g_t .. g_{t-r} ending on
+    the diagonal), Y the t x n matrix of powers alpha_j^i, Z the diagonal of
+    1/g(alpha_j).  Bit b of that coefficient is bit j of binary row r*m + b,
+    giving an (m*t) x n matrix whose kernel is exactly the kernel of the
+    rational syndrome.
     """
     ctx = g.ctx
+    mul = ctx.mul
+    gc = g.coeffs
     t = g.degree
+    m = ctx.m
     n = len(support)
     if len(set(support)) != n:
         raise SupportError("support elements must be distinct")
-    gvals = []
-    for a in support:
-        v = g.eval(a)
-        if v == 0:
-            raise SupportError(f"support element {a} is a root of g")
-        gvals.append(v)
-    zinv = [ctx.inv(v) for v in gvals]
-
-    mul = ctx.mul
-    # column j of Y*Z: (alpha_j^i / g(alpha_j)) for i = 0..t-1
-    yz_cols = []
+    inverses = []
+    rows = [0] * (m * t)
     for j, a in enumerate(support):
-        col = []
-        acc = zinv[j]
-        for _ in range(t):
-            col.append(acc)
-            acc = mul(acc, a)
-        yz_cols.append(col)
-
-    # H[r][j] = sum_{i=0..r} X[r][i] * (YZ)[i][j], X[r][i] = g_{t-r+i}
-    h_field = []
-    for r in range(t):
-        row = []
-        xrow = [g[t - r + i] for i in range(r + 1)]
-        for j in range(n):
-            col = yz_cols[j]
-            acc = 0
-            for i, xc in enumerate(xrow):
-                if xc:
-                    acc ^= mul(xc, col[i])
-            row.append(acc)
-        h_field.append(row)
-
-    m = ctx.m
-    bin_rows = []
-    for r in range(t):
-        hrow = h_field[r]
-        for b in range(m):
-            bits = 0
-            for j in range(n):
-                if (hrow[j] >> b) & 1:
-                    bits |= 1 << j
-            bin_rows.append(bits)
-    return h_field, BinMatrix(m * t, n, bin_rows)
+        q = [0] * t
+        acc = gc[t]
+        for i in range(t - 1, -1, -1):
+            q[i] = acc
+            acc = mul(acc, a) ^ gc[i]
+        if acc == 0:
+            raise SupportError(f"support element {a} is a root of g")
+        scale = ctx.inv(acc)
+        inv = [mul(scale, c) for c in q]
+        inverses.append(inv)
+        bit = 1 << j
+        for r in range(t):
+            c = inv[t - 1 - r]
+            b = r * m
+            while c:
+                if c & 1:
+                    rows[b] |= bit
+                c >>= 1
+                b += 1
+    return inverses, BinMatrix(m * t, n, rows)
 
 
 class GoppaCode:
@@ -96,10 +84,9 @@ class GoppaCode:
         self.support = tuple(support)
         self.t = g.degree
         self.n = len(self.support)
-        self.h_field, self.h_bin = build_parity_check(g, self.support)
+        self.inverses, self.h_bin = build_parity_check(g, self.support)
         self.generator = f2linalg.null_space(self.h_bin)
         self.k = self.generator.rows
-        self._pos_inverses: list[FieldPoly] | None = None
         self._solver: f2linalg.RowSolver | None = None
 
     @classmethod
@@ -115,37 +102,16 @@ class GoppaCode:
     def is_codeword(self, word: BinVector) -> bool:
         return f2linalg.mat_vec_mul(self.h_bin, word).bits == 0
 
-    def _position_inverses(self) -> list[FieldPoly]:
-        """(x - alpha_i)^-1 mod g for every support position, via synthetic
-        division: g(x) = (x - a) q(x) + g(a) gives (x-a)^-1 = q(x) / g(a)."""
-        if self._pos_inverses is None:
-            ctx = self.ctx
-            mul = ctx.mul
-            gc = self.g.coeffs
-            t = self.t
-            out = []
-            for a in self.support:
-                q = [0] * t
-                acc = gc[t]
-                for i in range(t - 1, -1, -1):
-                    q[i] = acc
-                    acc = mul(acc, a) ^ gc[i]
-                # acc is now g(a), nonzero by the support invariant
-                scale = ctx.inv(acc)
-                out.append(FieldPoly([mul(scale, c) for c in q], ctx))
-            self._pos_inverses = out
-        return self._pos_inverses
-
     def syndrome(self, word: BinVector) -> FieldPoly:
         """Sum of (x - alpha_i)^-1 mod g over the set bits of word."""
         if word.n != self.n:
             raise DimensionError("word length mismatch")
-        inv = self._position_inverses()
+        inv = self.inverses
         acc = [0] * self.t
         bits = word.bits
         while bits:
             i = (bits & -bits).bit_length() - 1
-            for d, c in enumerate(inv[i].coeffs):
+            for d, c in enumerate(inv[i]):
                 acc[d] ^= c
             bits &= bits - 1
         return FieldPoly(acc, self.ctx)

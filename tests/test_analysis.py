@@ -128,6 +128,14 @@ def test_nearest_tie_breaks_to_smallest_message():
     assert nearest_codeword_bruteforce(g, BinVector.from_bits([1, 0])) == BinVector(2, 0)
 
 
+def test_nearest_tie_breaks_on_lowest_message_bit():
+    # messages 1 and 2 give 00111 and 11001, both at distance 2 from 01011;
+    # the order compares bit 0 first, so message 2 (bits 0,1) beats
+    # message 1 (bits 1,0) although 1 < 2 as integers
+    g = BinMatrix(2, 5, [0b00111, 0b11001])
+    assert nearest_codeword_bruteforce(g, BinVector(5, 0b01011)) == BinVector(5, 0b11001)
+
+
 def test_nearest_validation():
     g = BinMatrix.from_rows([[1, 1]])
     with pytest.raises(DimensionError):

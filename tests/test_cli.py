@@ -161,6 +161,25 @@ def test_bad_custom_params(tmp_path, capsys):
     assert "needs 4 integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["keygen", "--scheme", "ntru", "--params", "13,3,40,2"],
+     "invalid ntru parameters: q must be prime or a power of two"),
+    (["keygen", "--scheme", "ntru", "--params", "13,3,41,9"],
+     "invalid ntru parameters: ternary shape does not fit the ring degree"),
+    (["keygen", "--scheme", "mceliece", "--params", "20,2"],
+     "mceliece needs 2 <= m <= 13 and t >= 1, got m=20, t=2"),
+    (["keygen", "--scheme", "mceliece", "--params", "4,0"],
+     "mceliece needs 2 <= m <= 13 and t >= 1, got m=4, t=0"),
+    (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "40", "--seeds", "2"],
+     "invalid ntru parameters: q must be prime or a power of two"),
+], ids=["ntru-q", "ntru-shape", "mceliece-m", "mceliece-t", "attack-q"])
+def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
+    if argv[0] == "keygen":
+        argv = [*argv, "--out", str(tmp_path), "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: {reason}"
+
+
 # -- worked-example replays --
 
 
@@ -236,8 +255,13 @@ def test_info_rec443(capsys):
 
 
 def test_info_unknown(capsys):
-    assert main(["info", "--params", "quantum9000"]) == 1
-    assert "unknown preset" in capsys.readouterr().err
+    from pqlab.mceliece import PRESETS as MCE
+    from pqlab.ntru import PRESETS as NTRU
+
+    assert main(["info", "--params", "nope"]) == 1
+    choices = ", ".join(sorted(MCE) + sorted(NTRU))
+    # printed without the quotes KeyError.__str__ would add
+    assert capsys.readouterr().err == f"pqlab: unknown preset 'nope'; choices: {choices}\n"
 
 
 # -- decrypt-time guards --

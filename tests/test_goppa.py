@@ -30,8 +30,49 @@ def test_parity_check_shape_m4_t2():
     code = make_code(4, 2)
     assert code.h_bin.rows == 8  # m*t = 4*2
     assert code.h_bin.cols == 16
-    assert len(code.h_field) == 2
-    assert all(len(row) == 16 for row in code.h_field)
+    assert len(code.inverses) == 16
+    assert all(len(inv) == 2 for inv in code.inverses)
+
+
+def random_code(m, seed, partial):
+    """A random code over GF(2^m) with m*t < n; partial picks a sorted
+    subset of the field as support."""
+    ctx = FieldCtx(m)
+    rng = random.Random(seed)
+    t = rng.randrange(2, (ctx.order - 1) // m + 1)
+    g = random_irreducible(ctx, t, rng)
+    support = range(ctx.order)
+    if partial:
+        support = sorted(rng.sample(support, rng.randrange(m * t + 1, ctx.order)))
+    return GoppaCode(ctx, g, support)
+
+
+def xyz_reference(code):
+    """Binary rows of H = X*Y*Z, built from the textbook definition: X is
+    lower triangular with X[r][i] = g_{t-r+i}, Y[i][j] = alpha_j^i and Z the
+    diagonal of 1/g(alpha_j).  Bit b of entry (r, j) is bit j of row r*m + b."""
+    ctx, g, t = code.ctx, code.g, code.t
+    h = [[0] * code.n for _ in range(t)]
+    for j, a in enumerate(code.support):
+        z = ctx.inv(g.eval(a))
+        for r in range(t):
+            for i in range(r + 1):
+                y = ctx.pow(a, i)
+                h[r][j] ^= ctx.mul(g[t - r + i], ctx.mul(y, z))
+    rows = []
+    for r in range(t):
+        for b in range(ctx.m):
+            rows.append(sum(((h[r][j] >> b) & 1) << j for j in range(code.n)))
+    return rows
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_parity_check_equals_xyz_product(m, partial):
+    for seed in range(2):
+        code = random_code(m, 10 * m + seed, partial)
+        assert code.h_bin.rows == m * code.t
+        assert code.h_bin.data == xyz_reference(code)
 
 
 def test_dimension_bound():
@@ -120,13 +161,17 @@ def test_syndrome_linearity(rng):
 
 
 def test_syndrome_matches_binary_parity_check(rng):
-    # rational syndrome zero iff H_bin annihilates the word
-    code = make_code(4, 2)
-    for _ in range(100):
-        v = BinVector(code.n, rng.randrange(1 << code.n))
-        assert code.syndrome(v).is_zero() == (
-            mat_vec_mul(code.h_bin, v).bits == 0
-        )
+    # bit b of coefficient t-1-r of s(x) is parity bit r*m + b, so the
+    # rational syndrome is zero iff H_bin annihilates the word
+    for code in [make_code(4, 2)] + [random_code(m, m, True) for m in (3, 5, 8)]:
+        m, t = code.ctx.m, code.t
+        for _ in range(30):
+            v = BinVector(code.n, rng.randrange(1 << code.n))
+            coeffs = list(code.syndrome(v).coeffs) + [0] * t
+            bits = 0
+            for r in range(t):
+                bits |= coeffs[t - 1 - r] << (r * m)
+            assert mat_vec_mul(code.h_bin, v).bits == bits
 
 
 # -- encoding --

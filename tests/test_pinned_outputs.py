@@ -1,9 +1,10 @@
 """SHA-256 pins of CLI outputs under fixed seeds.
 
 Covers the desk-scale presets, systematic keygen and toy11 byte encryption,
-none of which the benchmark's digests reach.  A refactor must leave every
-key file and ciphertext here byte-identical; re-pin only for an intended
-format or algorithm change.
+none of which the benchmark's digests reach, and a custom m=8, t=10 key
+(n=256, the benchmark's mce-stream shape) so the test suite alone pins a
+code of that size.  A refactor must leave every key file and ciphertext here
+byte-identical; re-pin only for an intended format or algorithm change.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ KEYGENS = {
         "mc",
     ),
     "ntru-toy11": (["--scheme", "ntru", "--preset", "toy11", "--seed", "24"], "nt"),
+    "mce-m8-t10": (["--scheme", "mceliece", "--params", "8,10", "--seed", "25"], "mc"),
 }
 
 SIZES = (0, 1, 100)
@@ -41,6 +43,11 @@ DIGESTS = {
     "mce-toy-systematic/0.ct": "a825d7a1a112c17333220b83b6e28561a7d3584ba0df7a90fcd1b0927192a9a8",
     "mce-toy-systematic/1.ct": "fb127607834f4bf3db1d87f564fb718e91f16d33929b08b25d7588d54da7f145",
     "mce-toy-systematic/100.ct": "f71390c74fd999f407ec9ac0c74535f9a80d974183f2e386e354197afc906e6e",
+    "mce-m8-t10/key.mcpub": "7952961718402c1b2f5b37e3b45ddb992495a939b5d46190d4929fa17a0c9ad3",
+    "mce-m8-t10/key.mcpriv": "883cb7de6f2f22bd973a03559e6f9b8e6d0c519643ee155039257819b57e7100",
+    "mce-m8-t10/0.ct": "391b35ee5fd5a3aa5d9b555e67928be7ed28869b5333fd410e09578250c4cfbf",
+    "mce-m8-t10/1.ct": "8074ef25cd710073ebb621caeb481a3d33c32ffc4abd9f843c2de2eb7dc5bf55",
+    "mce-m8-t10/100.ct": "4569a71a13c4655c1db5837a61ecae655030a001771fda50049abe3566341ed9",
     "ntru-toy11/key.ntpub": "f10fecb935d0533e59861318acdcff8888411c46014aaab759f8fbcc5a672ff1",
     "ntru-toy11/key.ntpriv": "925f826facc9836c35eb1b0b603fb974c1d7a3015f5e1c8ee66af8b2edb2858d",
     "ntru-toy11/0.ct": "b6d35a7a181cae2720e1675a9b4fca4252da63ef8caad2465aec05a000223a12",
