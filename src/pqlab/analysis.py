@@ -155,6 +155,10 @@ def _try_candidate_key(
     return ntru.decrypt(candidate, c) == m
 
 
+# largest ring degree N the attack demo accepts
+ATTACK_MAX_N = 12
+
+
 def ntru_lll_attack(
     h: list[int], params: NtruParams, rng: random.Random, seed_label: int = 0
 ) -> AttackReport:
@@ -168,8 +172,8 @@ def ntru_lll_attack(
     keys in their own right.
     """
     n = params.n
-    if n > 12:
-        raise DimensionError("attack demo limited to N <= 12")
+    if n > ATTACK_MAX_N:
+        raise DimensionError(f"attack demo limited to N <= {ATTACK_MAX_N}")
     start = time.monotonic()
     basis = build_public_basis(h, params.q)
     reduced = lll_reduce(basis)

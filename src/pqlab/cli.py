@@ -102,9 +102,10 @@ def _cmd_keygen(args) -> int:
     if args.scheme == "mceliece":
         if args.params:
             m, t = _int_csv(args.params, 2, "mceliece (m,t)")
-            if m not in MODULI or t < 1:
+            # full support n = 2^m: t = 1 puts the root of g on the support
+            if m not in MODULI or t < 2 or m * t >= 2**m:
                 raise UnknownParams(
-                    f"mceliece needs 2 <= m <= 13 and t >= 1, got m={m}, t={t}"
+                    f"mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m={m}, t={t}"
                 )
             n = None
         else:
@@ -275,6 +276,12 @@ def _cmd_demo_example(args) -> int:
 
 def _cmd_demo_attack(args) -> int:
     params = _ntru_params(args.n, args.p, args.q, args.d_f)
+    if args.n > analysis.ATTACK_MAX_N:
+        raise UnknownParams(
+            f"attack demo limited to N <= {analysis.ATTACK_MAX_N}, got N={args.n}"
+        )
+    if args.seeds < 1:
+        raise UnknownParams(f"--seeds must be at least 1, got {args.seeds}")
     report = analysis.run_attack_trials(params, list(range(args.seeds)))
     for line in report.csv_rows():
         print(line)

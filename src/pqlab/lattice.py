@@ -4,8 +4,9 @@ Vectors are rows throughout: a basis is a list of integer row vectors, and
 a lattice point is an integer combination of rows.  The NTRU public basis
 pairs each unit row e_i with the i-th cyclic shift of h, so row
 combinations produce exactly the pairs (a, a*h + q*k), the membership set
-{(a, b) : a*h = b (mod q)}.  LLL runs on exact rationals (Fractions) so
-every acceptance run is deterministic.
+{(a, b) : a*h = b (mod q)}.  LLL runs in exact integer arithmetic, so
+every acceptance run is deterministic; the rational Gram-Schmidt data
+(Fractions) serves only as the independent check of its output.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ class ConvModLattice:
         prod_ = conv_mul(list(a), list(self.c))
         return all((x - y) % self.q == 0 for x, y in zip(prod_, b))
 
-    def contains_vector(self, v: Sequence[int]) -> bool:
-        if len(v) != 2 * self.n:
-            raise DimensionError("member vectors have length 2N")
-        return self.contains(v[: self.n], v[self.n :])
-
 
 def build_public_basis(h: Sequence[int], q: int) -> IntMatrix:
     """2N x 2N row basis [[I, C(h)], [0, q*I]] with C(h) rows = shifts x^i*h.
@@ -125,10 +121,6 @@ class NtruLatticeKey:
     f: tuple[int, ...]
     g: tuple[int, ...]
     h: tuple[int, ...]
-
-    @property
-    def public_basis(self) -> IntMatrix:
-        return build_public_basis(list(self.h), self.params.q)
 
 
 def lattice_keygen(params, rng: random.Random, max_tries: int = 100) -> NtruLatticeKey:
@@ -239,14 +231,20 @@ def lovasz_holds(mu: list[list[Fraction]], bnorm: list[Fraction], delta: Fractio
 
 
 def lll_reduce(basis: IntMatrix, delta: Fraction | float = Fraction(3, 4)) -> IntMatrix:
-    """LLL reduction with exact rational bookkeeping.
+    """LLL reduction in exact integer arithmetic (integral LLL, Cohen,
+    GTM 138, Alg. 2.6.7).
 
-    Output rows span the same lattice (only integer row operations and
-    swaps are applied), are size-reduced (|mu| <= 1/2), and satisfy the
-    Lovasz condition for the given delta.  RankError on dependent rows.
+    The state is d[0] = 1, d[i+1] = d[i] * ||b*_i||^2 and, for j < i,
+    lam[i][j] = d[j+1] * mu[i][j]; all are integers for an integer basis,
+    and every division below is exact.  Row k is reduced by row l iff
+    |mu[k][l]| > 1/2, by q = mu[k][l] rounded half to even, so each step is
+    the one rational LLL would take.  Output rows span the same lattice, are
+    size-reduced (|mu| <= 1/2), and satisfy the Lovasz condition for the
+    given delta.  RankError on dependent rows.
     """
     delta = Fraction(delta).limit_denominator(10**6) if not isinstance(delta, Fraction) else delta
-    if not Fraction(1, 4) < delta < 1:
+    num, den = delta.numerator, delta.denominator
+    if not den < 4 * num < 4 * den:
         raise ValueError("delta must lie in (1/4, 1)")
     b = [list(row) for row in basis]
     n = len(b)
@@ -256,62 +254,50 @@ def lll_reduce(basis: IntMatrix, delta: Fraction | float = Fraction(3, 4)) -> In
     if any(len(row) != dim for row in b):
         raise DimensionError("ragged basis")
 
-    # incremental GS state: mu[i][j] for j < i, B[i] = ||b*_i||^2
-    mu: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    B: list[Fraction] = [Fraction(0)] * n
-
-    def compute_gs_row(i: int) -> None:
-        # recompute mu[i][0..i-1] and B[i] from b and earlier GS rows;
-        # runs without materializing b* by the standard inner-product recurrence
-        d = [Fraction(0)] * (i + 1)  # d[j] = <b_i, b*_j>
-        for j in range(i + 1):
-            dot = Fraction(sum(x * y for x, y in zip(b[i], b[j])))
-            for k in range(j):
-                dot -= mu[j][k] * d[k]
-            d[j] = dot
-            if j < i:
-                if B[j] == 0:
-                    raise RankError("dependent rows in basis")
-                mu[i][j] = dot / B[j]
-        B[i] = d[i]  # <b_i, b*_i> = ||b*_i||^2
-        if B[i] <= 0:
-            raise RankError("dependent rows in basis")
-
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        compute_gs_row(i)
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise RankError("dependent rows in basis")
+            else:
+                d[i + 1] = u
 
     def size_reduce(k: int, l: int) -> None:
-        if abs(mu[k][l]) <= Fraction(1, 2):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
             return
-        r = int(round(mu[k][l]))
-        if r == 0:
-            return
-        b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+        q, r = divmod(lam[k][l], d[l + 1])
+        if 2 * r > d[l + 1] or (2 * r == d[l + 1] and q % 2):
+            q += 1
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
         for j in range(l):
-            mu[k][j] -= r * mu[l][j]
-        mu[k][l] -= r
+            lam[k][j] -= q * lam[l][j]
+        lam[k][l] -= q * d[l + 1]
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        lk = lam[k][k - 1]
+        if den * (d[k + 1] * d[k - 1] + lk * lk) >= num * d[k] * d[k]:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
         else:
-            # swap rows k-1, k and patch the GS state in place
-            m_ = mu[k][k - 1]
-            new_bk1 = B[k] + m_ * m_ * B[k - 1]
-            mu[k][k - 1] = m_ * B[k - 1] / new_bk1
-            B[k] = B[k - 1] * B[k] / new_bk1
-            B[k - 1] = new_bk1
+            # swap rows k-1, k; lam[k][k-1] is unchanged by the swap
             b[k - 1], b[k] = b[k], b[k - 1]
             for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m_ * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = new_dk
             k = max(k - 1, 1)
     return b
 

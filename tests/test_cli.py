@@ -167,12 +167,23 @@ def test_bad_custom_params(tmp_path, capsys):
     (["keygen", "--scheme", "ntru", "--params", "13,3,41,9"],
      "invalid ntru parameters: ternary shape does not fit the ring degree"),
     (["keygen", "--scheme", "mceliece", "--params", "20,2"],
-     "mceliece needs 2 <= m <= 13 and t >= 1, got m=20, t=2"),
+     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=20, t=2"),
     (["keygen", "--scheme", "mceliece", "--params", "4,0"],
-     "mceliece needs 2 <= m <= 13 and t >= 1, got m=4, t=0"),
+     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=4, t=0"),
+    (["keygen", "--scheme", "mceliece", "--params", "2,1"],
+     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=2, t=1"),
+    (["keygen", "--scheme", "mceliece", "--params", "4,5"],
+     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=4, t=5"),
     (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "40", "--seeds", "2"],
      "invalid ntru parameters: q must be prime or a power of two"),
-], ids=["ntru-q", "ntru-shape", "mceliece-m", "mceliece-t", "attack-q"])
+    (["demo", "attack", "--scheme", "ntru", "--n", "13", "--q", "41", "--seeds", "2"],
+     "attack demo limited to N <= 12, got N=13"),
+    (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "-2"],
+     "--seeds must be at least 1, got -2"),
+], ids=[
+    "ntru-q", "ntru-shape", "mceliece-m", "mceliece-t", "mceliece-t1",
+    "mceliece-mt", "attack-q", "attack-n", "attack-seeds",
+])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
     if argv[0] == "keygen":
         argv = [*argv, "--out", str(tmp_path), "--seed", "1"]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqlab import kat
 from pqlab.convring import center_mod, conv_mul, invert_mod, ring_one, sample_ternary
@@ -89,11 +91,10 @@ def test_membership_definition(rng):
     bad = list(b)
     bad[0] += 1
     assert not lat.contains(a, bad)
-    assert lat.contains_vector(a + b)
     with pytest.raises(DimensionError):
         lat.contains(a, b + [0])
     with pytest.raises(DimensionError):
-        lat.contains_vector(a)
+        lat.contains(a, [])
 
 
 def test_public_basis_rows_are_members(rng):
@@ -102,7 +103,7 @@ def test_public_basis_rows_are_members(rng):
     lat = ConvModLattice(tuple(h), 41)
     assert len(basis) == 14
     for row in basis:
-        assert lat.contains_vector(row)
+        assert lat.contains(row[:7], row[7:])
 
 
 def test_public_basis_determinant_is_q_to_n():
@@ -124,7 +125,7 @@ def test_lattice_keygen_congruences(rng):
     # (f, g) is a member for c = h
     assert ConvModLattice(key.h, q).contains(list(key.f), list(key.g))
     # public basis has the right shape
-    assert len(key.public_basis) == 2 * n
+    assert len(build_public_basis(list(key.h), q)) == 2 * n
 
 
 def test_lattice_encrypt_trivial_cases(rng):
@@ -304,6 +305,87 @@ def test_lll_validation():
 
 def test_lll_accepts_float_delta():
     assert lll_reduce([[1, 0], [0, 1]], delta=0.75) == [[1, 0], [0, 1]]
+
+
+# Exact outputs, recorded with the rational-arithmetic LLL.  The first case
+# meets the Lovasz condition with equality (|b0|^2 = 4, |b1|^2 = 3,
+# mu = 1/2), so it must be kept as it is.  Each other case has a
+# size-reduction tie (mu = k + 1/2), which LLL rounds half to even as
+# round(Fraction) does; rounding half up gives a different basis on all of
+# them (on [[2, 0], [5, 1]] it gives [[-1, 1], [1, 1]]).
+PINNED_LLL = [
+    ([[2, 0, 0], [1, 1, 1]], Fraction(3, 4), [[2, 0, 0], [1, 1, 1]]),
+    ([[2, 0], [5, 1]], Fraction(3, 4), [[1, 1], [1, -1]]),
+    ([[-3, -6], [3, 1]], Fraction(3, 4), [[3, 1], [3, -4]]),
+    (
+        [[3, -1, -2], [-4, -4, 4], [-6, -1, 2]], Fraction(3, 4),
+        [[3, -1, -2], [0, -3, -2], [2, -3, 2]],
+    ),
+    (
+        [[-2, 4, 2], [4, -1, -4], [0, -6, -1]], Fraction(3, 4),
+        [[0, 1, -1], [2, 1, 0], [-2, 3, 3]],
+    ),
+    (
+        [[-5, -6, 3], [-2, 0, 0], [2, -1, -4]], Fraction(3, 4),
+        [[-2, 0, 0], [0, -1, -4], [-1, -6, 3]],
+    ),
+    (
+        [[3, 2, -6], [-3, -2, 4], [4, 4, -3]], Fraction(3, 4),
+        [[0, 0, -2], [-2, 0, 1], [-1, 2, 0]],
+    ),
+    (
+        [[3, -1, -2], [-4, -4, 4], [-6, -1, 2]], Fraction(99, 100),
+        [[0, -3, -2], [3, 2, 0], [2, -3, 2]],
+    ),
+    (
+        [[6, 2, -2, -6], [5, 0, 4, -3], [-1, -3, -5, 5], [2, -4, -4, 4]],
+        Fraction(99, 100),
+        [[0, 0, 0, 2], [1, -2, -2, -1], [3, -1, 1, -1], [3, 3, -3, 1]],
+    ),
+]
+
+
+@pytest.mark.parametrize("basis, delta, expected", PINNED_LLL)
+def test_lll_pinned_outputs(basis, delta, expected):
+    assert lll_reduce(basis, delta) == expected
+
+
+@st.composite
+def int_bases(draw, max_dim=5):
+    """Integer bases with rows <= columns; a product through a narrow inner
+    dimension makes dependent rows common."""
+    cols = draw(st.integers(1, max_dim))
+    rows = draw(st.integers(1, cols))
+    inner = draw(st.integers(1, cols))
+    entry = st.integers(-6, 6)
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return [
+        [sum(a * right[i][j] for i, a in enumerate(row)) for j in range(cols)]
+        for row in left
+    ]
+
+
+DELTAS = [Fraction(1, 3) + Fraction(1, 10**6), Fraction(3, 4), 0.75, Fraction(99, 100)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_bases(), st.sampled_from(DELTAS))
+def test_lll_matches_the_rational_oracle(basis, delta):
+    try:
+        gram_schmidt(basis)
+    except RankError:
+        with pytest.raises(RankError):
+            lll_reduce(basis, delta)
+        return
+    reduced = lll_reduce(basis, delta)
+    mu, bnorm = gram_schmidt(reduced)
+    assert is_size_reduced(mu)
+    assert lovasz_holds(mu, bnorm, Fraction(delta))
+    for row in basis:
+        assert solve_integer(reduced, row) is not None
+    for row in reduced:
+        assert solve_integer(basis, row) is not None
 
 
 # -- enumeration oracles --

@@ -3,8 +3,10 @@
 Covers the desk-scale presets, systematic keygen and toy11 byte encryption,
 none of which the benchmark's digests reach, and a custom m=8, t=10 key
 (n=256, the benchmark's mce-stream shape) so the test suite alone pins a
-code of that size.  A refactor must leave every key file and ciphertext here
-byte-identical; re-pin only for an intended format or algorithm change.
+code of that size.  The LLL attack report (stdout of `demo attack`) is
+pinned for N = 7, 9 and 11.  A refactor must leave every key file,
+ciphertext and attack report here byte-identical; re-pin only for an
+intended format or algorithm change.
 """
 
 import hashlib
@@ -87,3 +89,21 @@ def test_pinned_keys_and_ciphertexts(tmp_path, name):
         ]) == 0
         got[f"{name}/{size}.ct"] = _sha256(ct)
     assert got == {k: v for k, v in DIGESTS.items() if k.startswith(name + "/")}
+
+
+# N -> stdout of `demo attack --scheme ntru --n N --q 41 --seeds 10`
+ATTACK_DIGESTS = {
+    7: "f97d5714594f0db11f55328e294691e8247d49ebb0a2d4522b38fd64f6e645ab",
+    9: "f03fd0ed349dca2ddf1f8355ee6e3f682ea21a19c4cc9d6bd9d47c4f26d7c5b3",
+    11: "1b572e3070060e50b296fcc58277922f185405640295bb9b3079c8fab999f91e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ATTACK_DIGESTS))
+def test_pinned_attack_report(capsys, n):
+    assert main([
+        "demo", "attack", "--scheme", "ntru",
+        "--n", str(n), "--q", "41", "--seeds", "10",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ATTACK_DIGESTS[n]
