@@ -9,6 +9,7 @@ Hensel lifting, covering the power-of-two q used at recommended sizes.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -73,18 +74,6 @@ def conv_mul(f: Coeffs, g: Coeffs, q: int | None = None) -> list[int]:
         i = k if k < n else k - n
         out[i] += slot
     return [center(c, q) for c in out]
-
-
-def ring_add(f: Coeffs, g: Coeffs) -> list[int]:
-    if len(f) != len(g):
-        raise DimensionError("ring degree mismatch")
-    return [a + b for a, b in zip(f, g)]
-
-
-def ring_one(n: int) -> list[int]:
-    out = [0] * n
-    out[0] = 1
-    return out
 
 
 def is_zero(f: Coeffs) -> bool:
@@ -185,26 +174,26 @@ def invert_mod_prime_power(f: Coeffs, p: int, e: int) -> list[int]:
     return b
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p, or None if q is not a prime power
+    (q < 2 included)."""
+    if q < 2:
+        return None
+    # the smallest divisor >= 2 is the only prime p^e can have
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
 def invert_mod(f: Coeffs, q: int) -> list[int]:
     """Inverse mod q for q prime or a prime power (covers powers of two)."""
-    if q < 2:
-        raise ValueError("modulus must be >= 2")
-    # factor q as p^e for prime p
-    p = None
-    for cand in range(2, int(q**0.5) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return invert_mod_prime(f, q)
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    pe = prime_power(q)
+    if pe is None:
         raise ValueError(f"modulus {q} is not a prime power")
-    return invert_mod_prime_power(f, p, e)
+    return invert_mod_prime_power(f, *pe)
 
 
 def sample_ternary(

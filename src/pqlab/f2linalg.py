@@ -10,7 +10,8 @@ the cryptosystem equations are written.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, RankError, SingularMatrix
 
@@ -122,17 +123,11 @@ class BinMatrix:
     def zero(cls, rows: int, cols: int) -> "BinMatrix":
         return cls(rows, cols, [0] * rows)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
     def row(self, i: int) -> BinVector:
         return BinVector(self.cols, self.data[i])
 
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
-
-    def copy(self) -> "BinMatrix":
-        return BinMatrix(self.rows, self.cols, list(self.data))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -145,15 +140,6 @@ class BinMatrix:
     def __repr__(self) -> str:
         return f"BinMatrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "BinMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[j] |= 1 << i
-                r &= r - 1
-        return BinMatrix(self.cols, self.rows, out)
-
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix shape mismatch")
@@ -165,34 +151,46 @@ class BinMatrix:
         return all(r == 0 for r in self.data)
 
 
+def gather(indices: Sequence[int], n: int) -> Callable[[int], int]:
+    """Bit picker: maps an n-bit int to the int whose bit i is bit
+    indices[i] of the input.
+
+    The input is formatted once as an n-character bit string (most
+    significant bit first), one itemgetter picks the characters, and
+    int(..., 2) parses them back, so no Python loop runs per bit.
+    """
+    if not indices:
+        return lambda bits: 0
+    # output bit i is string position n-1-indices[i]; the string built from
+    # the picks is read most significant first, so pick in reverse order
+    pick = itemgetter(*[n - 1 - j for j in reversed(indices)])
+    fmt = f"0{n}b"
+    join = "".join  # one pick is a 1-char str, which joins like a tuple
+    return lambda bits: int(join(pick(format(bits, fmt))), 2)
+
+
+def _xor_rows(rows: Sequence[int], bits: int) -> int:
+    """XOR of rows[j] over the set bits j of `bits`."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     """A x B: row i of the product XORs the rows of B selected by row i of A."""
     if a.cols != b.rows:
         raise DimensionError(f"inner dimensions {a.cols} != {b.rows}")
-    brows = b.data
-    out = []
-    for r in a.data:
-        acc = 0
-        rr = r
-        while rr:
-            j = (rr & -rr).bit_length() - 1
-            acc ^= brows[j]
-            rr &= rr - 1
-        out.append(acc)
-    return BinMatrix(a.rows, b.cols, out)
+    return BinMatrix(a.rows, b.cols, [_xor_rows(b.data, r) for r in a.data])
 
 
 def vec_mat_mul(v: BinVector, a: BinMatrix) -> BinVector:
     """v . A with v a row vector."""
     if v.n != a.rows:
         raise DimensionError(f"vector length {v.n} != row count {a.rows}")
-    acc = 0
-    bits = v.bits
-    while bits:
-        j = (bits & -bits).bit_length() - 1
-        acc ^= a.data[j]
-        bits &= bits - 1
-    return BinVector(a.cols, acc)
+    return BinVector(a.cols, _xor_rows(a.data, v.bits))
 
 
 def mat_vec_mul(a: BinMatrix, v: BinVector) -> BinVector:
@@ -300,13 +298,18 @@ class PermMatrix:
     For a row vector v, (v . P)[perm[i]] = v[i].
     """
 
-    __slots__ = ("perm",)
+    __slots__ = ("perm", "_fwd", "_bwd")
 
     def __init__(self, perm: Sequence[int]):
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise DimensionError("not a permutation of 0..n-1")
         self.perm = tuple(perm)
+        inv = [0] * n
+        for i, j in enumerate(self.perm):
+            inv[j] = i
+        self._fwd = gather(inv, n)  # v . P: bit j of the result is v[inv[j]]
+        self._bwd = gather(self.perm, n)  # v . P^-1: bit i is v[perm[i]]
 
     @classmethod
     def identity(cls, n: int) -> "PermMatrix":
@@ -327,57 +330,23 @@ class PermMatrix:
     def n(self) -> int:
         return len(self.perm)
 
-    def inverse(self) -> "PermMatrix":
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return PermMatrix(inv)
-
     def apply_vec(self, v: BinVector) -> BinVector:
         """v . P"""
         if v.n != self.n:
             raise DimensionError("length mismatch")
-        bits = 0
-        vb = v.bits
-        for i, j in enumerate(self.perm):
-            if (vb >> i) & 1:
-                bits |= 1 << j
-        return BinVector(self.n, bits)
+        return BinVector(self.n, self._fwd(v.bits))
 
     def apply_vec_inverse(self, v: BinVector) -> BinVector:
         """v . P^-1 (= v . P^T)"""
         if v.n != self.n:
             raise DimensionError("length mismatch")
-        bits = 0
-        vb = v.bits
-        for i, j in enumerate(self.perm):
-            if (vb >> j) & 1:
-                bits |= 1 << i
-        return BinVector(self.n, bits)
+        return BinVector(self.n, self._bwd(v.bits))
 
     def apply_mat(self, a: BinMatrix) -> BinMatrix:
         """A x P (permute columns: new column perm[i] = old column i)."""
         if a.cols != self.n:
             raise DimensionError("column count mismatch")
-        out = []
-        for r in a.data:
-            bits = 0
-            rr = r
-            while rr:
-                i = (rr & -rr).bit_length() - 1
-                bits |= 1 << self.perm[i]
-                rr &= rr - 1
-            out.append(bits)
-        return BinMatrix(a.rows, a.cols, out)
-
-    def to_matrix(self) -> BinMatrix:
-        return BinMatrix(self.n, self.n, [1 << j for j in self.perm])
-
-    def compose(self, other: "PermMatrix") -> "PermMatrix":
-        """self x other as matrices (apply self first to a row vector)."""
-        if self.n != other.n:
-            raise DimensionError("size mismatch")
-        return PermMatrix(tuple(other.perm[j] for j in self.perm))
+        return BinMatrix(a.rows, a.cols, list(map(self._fwd, a.data)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PermMatrix) and other.perm == self.perm
@@ -397,15 +366,14 @@ class RowSolver:
         self.g = g
         self.pivots = pivots
         self.u = BinMatrix(g.rows, g.rows, u)
+        self._pick = gather(pivots, g.cols)
 
     def solve(self, y: BinVector) -> BinVector:
-        """Return v with v . G = y; raises RankError if y is outside the row space."""
-        # y = w . rref(G) with w read off the pivot columns, then v = w . U
-        w = 0
-        for idx, col in enumerate(self.pivots):
-            if (y.bits >> col) & 1:
-                w |= 1 << idx
-        v = vec_mat_mul(BinVector(self.g.rows, w), self.u)
+        """Return v with v . G = y; raises RankError if y is outside the row
+        space or its length is not G's column count."""
+        # y = w . rref(G) with w read off the pivot columns, then v = w . U;
+        # the re-encryption check also catches a y of the wrong length
+        v = vec_mat_mul(BinVector(self.g.rows, self._pick(y.bits)), self.u)
         if vec_mat_mul(v, self.g) != y:
             raise RankError("vector is not in the row space")
         return v

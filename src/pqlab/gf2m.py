@@ -72,10 +72,6 @@ class FieldCtx:
 
     # -- element operations (elements are ints in [0, 2^m)) --
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -86,9 +82,6 @@ class FieldCtx:
             raise DivisionByZero("inverse of zero field element")
         return self.exp[self.order - 1 - self.log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -98,9 +91,6 @@ class FieldCtx:
             return 0
         n1 = self.order - 1
         return self.exp[(self.log[a] * e) % n1]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -141,10 +131,6 @@ class FieldPoly:
     @classmethod
     def x(cls, ctx: FieldCtx) -> "FieldPoly":
         return cls((0, 1), ctx)
-
-    @classmethod
-    def monomial(cls, ctx: FieldCtx, coef: int, deg: int) -> "FieldPoly":
-        return cls((0,) * deg + (coef,), ctx)
 
     # -- basic queries --
 
@@ -297,17 +283,6 @@ def poly_inv_mod(p: FieldPoly, mod: FieldPoly) -> FieldPoly:
     if r.is_zero():
         raise DivisionByZero("polynomial is not invertible modulo the given modulus")
     return v.scale(p.ctx.inv(r.coeffs[0]))
-
-
-def poly_powmod(base: FieldPoly, e: int, mod: FieldPoly) -> FieldPoly:
-    result = FieldPoly.one(base.ctx)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
 
 
 def is_irreducible(p: FieldPoly) -> bool:

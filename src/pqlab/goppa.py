@@ -89,12 +89,6 @@ class GoppaCode:
         self.k = self.generator.rows
         self._solver: f2linalg.RowSolver | None = None
 
-    @classmethod
-    def full_support(cls, ctx: FieldCtx, g: FieldPoly) -> "GoppaCode":
-        """Support = every field element, ordered by integer value (g of
-        degree >= 2 irreducible has no roots in the base field)."""
-        return cls(ctx, g, range(ctx.order))
-
     @property
     def params(self) -> tuple[int, int, int]:
         return (self.n, self.k, self.t)

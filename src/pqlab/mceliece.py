@@ -57,6 +57,9 @@ PRESETS = {
     "pq128": McElieceParams(6960, 5413, 119),  # hours of keygen at this size
 }
 
+# Permutations drawn before systematic keygen gives up on an invertible tail
+SYSTEMATIC_TRIES = 100
+
 
 @dataclass(frozen=True)
 class McEliecePublicKey:
@@ -101,7 +104,6 @@ def keygen(
     rng: random.Random,
     n: int | None = None,
     systematic: bool = False,
-    max_tries: int = 100,
 ) -> McElieceKeyPair:
     """Generate a key pair over a fresh Goppa code with parameters (m, t).
 
@@ -119,7 +121,7 @@ def keygen(
     code = GoppaCode(ctx, g, range(n))
     k = code.k
     if systematic:
-        for _ in range(max_tries):
+        for _ in range(SYSTEMATIC_TRIES):
             p = f2linalg.random_permutation(n, rng)
             gp = p.apply_mat(code.generator)
             tail = BinMatrix(k, k, [r >> (n - k) for r in gp.data])

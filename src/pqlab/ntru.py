@@ -26,15 +26,6 @@ from .convring import center, center_mod, conv_mul, invert_mod, sample_ternary
 from .packing import pack, unpack
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class NtruParams:
     n: int
@@ -45,11 +36,14 @@ class NtruParams:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("ring degree too small")
+        if convring.prime_power(self.p) is None:
+            raise ValueError("p must be a prime power >= 2")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("p and q must be coprime")
         if self.p >= self.q:
             raise ValueError("p must be smaller than q")
-        if not (_is_prime(self.q) or (self.q & (self.q - 1)) == 0):
+        q_pe = convring.prime_power(self.q)
+        if q_pe is None or not (q_pe[1] == 1 or q_pe[0] == 2):
             raise ValueError("q must be prime or a power of two")
         if 2 * self.d_f + 1 > self.n:
             raise ValueError("ternary shape does not fit the ring degree")
@@ -239,4 +233,6 @@ def preset(name: str) -> NtruParams:
     try:
         return PRESETS[name]
     except KeyError:
-        raise UnknownParams(f"unknown parameter preset {name!r}") from None
+        raise UnknownParams(
+            f"unknown ntru preset {name!r}; choices: {', '.join(PRESETS)}"
+        ) from None

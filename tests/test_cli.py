@@ -138,6 +138,17 @@ def test_unknown_preset(tmp_path, capsys):
     assert "unknown mceliece preset" in capsys.readouterr().err
 
 
+def test_unknown_ntru_preset_lists_choices(tmp_path, capsys):
+    rc = main([
+        "keygen", "--scheme", "ntru", "--preset", "nope",
+        "--out", str(tmp_path), "--seed", "1",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pqlab: unknown ntru preset 'nope'; choices: toy11, attack7, rec443"
+    )
+
+
 @pytest.mark.parametrize("name", ["toy", "demo"])
 def test_keygen_preset_matches_registry(tmp_path, capsys, name):
     from pqlab.formats import load_file
@@ -166,6 +177,10 @@ def test_bad_custom_params(tmp_path, capsys):
      "invalid ntru parameters: q must be prime or a power of two"),
     (["keygen", "--scheme", "ntru", "--params", "13,3,41,9"],
      "invalid ntru parameters: ternary shape does not fit the ring degree"),
+    (["keygen", "--scheme", "ntru", "--params", "11,6,41,2"],
+     "invalid ntru parameters: p must be a prime power >= 2"),
+    (["keygen", "--scheme", "ntru", "--params", "11,1,41,2"],
+     "invalid ntru parameters: p must be a prime power >= 2"),
     (["keygen", "--scheme", "mceliece", "--params", "20,2"],
      "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=20, t=2"),
     (["keygen", "--scheme", "mceliece", "--params", "4,0"],
@@ -180,9 +195,11 @@ def test_bad_custom_params(tmp_path, capsys):
      "attack demo limited to N <= 12, got N=13"),
     (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "-2"],
      "--seeds must be at least 1, got -2"),
+    (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "1", "--p", "6"],
+     "invalid ntru parameters: p must be a prime power >= 2"),
 ], ids=[
-    "ntru-q", "ntru-shape", "mceliece-m", "mceliece-t", "mceliece-t1",
-    "mceliece-mt", "attack-q", "attack-n", "attack-seeds",
+    "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "mceliece-m", "mceliece-t", "mceliece-t1",
+    "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
 ])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
     if argv[0] == "keygen":

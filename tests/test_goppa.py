@@ -20,7 +20,7 @@ from pqlab.goppa import (
 def make_code(m, t, seed=1):
     ctx = FieldCtx(m)
     g = random_irreducible(ctx, t, random.Random(seed))
-    return GoppaCode.full_support(ctx, g)
+    return GoppaCode(ctx, g, range(ctx.order))
 
 
 # -- construction --

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqlab import kat
-from pqlab.convring import center_mod, conv_mul, invert_mod, ring_one, sample_ternary
+from pqlab.convring import center_mod, conv_mul, invert_mod, sample_ternary
 from pqlab.errors import DimensionError, MessageRangeError, RankError
 from pqlab.lattice import (
     ConvModLattice,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,16 @@ from pqlab.mceliece import (
     preset,
     work_factor_log2,
 )
+
+
+# -- the README session --
+
+
+def test_readme_quick_session_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    session = readme.split("A quick session:", 1)[1]
+    code = session.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 # -- keygen --
