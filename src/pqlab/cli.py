@@ -119,6 +119,8 @@ def _cmd_keygen(args) -> int:
     else:
         if args.params:
             params = _ntru_params(*_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
+            if params.p != 3:
+                raise UnknownParams(f"ntru keys need p = 3 for byte encryption, got p={params.p}")
         else:
             params = ntru.preset(args.preset or "toy11")
         kp = ntru.keygen(params, rng)
@@ -276,6 +278,10 @@ def _cmd_demo_example(args) -> int:
 
 def _cmd_demo_attack(args) -> int:
     params = _ntru_params(args.n, args.p, args.q, args.d_f)
+    if params.p < 3:
+        raise UnknownParams(
+            f"attack trials draw ternary messages, so p must be >= 3, got p={params.p}"
+        )
     if args.n > analysis.ATTACK_MAX_N:
         raise UnknownParams(
             f"attack demo limited to N <= {analysis.ATTACK_MAX_N}, got N={args.n}"

@@ -37,10 +37,11 @@ def conv_mul(f: Coeffs, g: Coeffs, q: int | None = None) -> list[int]:
     """Cyclic convolution h_k = sum over i+j = k (mod N) of f_i g_j.
 
     Exact over the integers when q is None; otherwise reduced to centered
-    representatives mod q.  The modular path packs both operands into one
-    big integer with fixed-width slots so a single bignum multiply performs
-    the whole convolution; the plain path is a sparse schoolbook loop, which
-    is fast for the ternary operands the cryptosystem uses.
+    representatives mod q.  Both operands are packed into one big integer
+    with fixed-width slots so a single bignum multiply performs the whole
+    convolution.  An exact product is the product mod Q = 2B + 2, where
+    B = N * max|f_i| * max|g_j| bounds every |h_k|: the centered residues
+    in (-Q/2, Q/2] cover [-B, B], so they are the integer coefficients.
     """
     n = len(f)
     if len(g) != n:
@@ -48,113 +49,52 @@ def conv_mul(f: Coeffs, g: Coeffs, q: int | None = None) -> list[int]:
     if n == 0:
         return []
     if q is None:
-        out = [0] * n
-        for i, fi in enumerate(f):
-            if fi:
-                for j, gj in enumerate(g):
-                    if gj:
-                        k = i + j
-                        if k >= n:
-                            k -= n
-                        out[k] += fi * gj
-        return out
-    # pack: slot width large enough for n * (q-1)^2 plus carry headroom
+        q = 2 * n * max(map(abs, f)) * max(map(abs, g)) + 2
+    # slot width large enough for n * (q-1)^2 plus carry headroom
     width = (n * (q - 1) * (q - 1)).bit_length() + 1
     mask = (1 << width) - 1
-    fa = 0
+    fa = ga = 0
     for i in range(n - 1, -1, -1):
         fa = (fa << width) | (f[i] % q)
-    ga = 0
-    for i in range(n - 1, -1, -1):
         ga = (ga << width) | (g[i] % q)
     prod = fa * ga
-    out = [0] * n
-    for k in range(2 * n - 1):
-        slot = (prod >> (k * width)) & mask
-        i = k if k < n else k - n
-        out[i] += slot
-    return [center(c, q) for c in out]
-
-
-def is_zero(f: Coeffs) -> bool:
-    return all(c == 0 for c in f)
-
-
-# -- GF(p)[x] helpers for ring inversion (coefficients in [0, p)) --
-
-
-def _gfp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gfp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    b = _gfp_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c == 0:
-            a[i] = 0
-            continue
-        qc = (c * inv_lead) % p
-        quo[i - db] = qc
-        for j, bc in enumerate(b):
-            a[i - db + j] = (a[i - db + j] - qc * bc) % p
-    return _gfp_trim(quo), _gfp_trim(a)
-
-
-def _gfp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                out[i + j] = (out[i + j] + ac * bc) % p
-    return _gfp_trim(out)
-
-
-def _gfp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _gfp_trim(out)
+    # x^N = 1: add the high N slots onto the low N (no slot overflows)
+    prod = (prod & ((1 << (n * width)) - 1)) + (prod >> (n * width))
+    return [center((prod >> (k * width)) & mask, q) for k in range(n)]
 
 
 def invert_mod_prime(f: Coeffs, p: int) -> list[int]:
     """Inverse of f in (Z/p)[x]/(x^N - 1) via the extended Euclidean
-    algorithm against x^N - 1.  Coefficients returned in [0, p)."""
+    algorithm against x^N - 1.  Coefficients returned in [0, p).
+
+    The loop keeps u0*f = r0 and u1*f = r1 (mod x^N - 1) with deg r0 >=
+    deg r1.  Each step cancels the leading term of r0 with c*x^s*r1 and
+    makes the same move on the cofactor, where x^s*u1 is a cyclic shift of
+    the length-N list; the pair swaps once r0 drops below r1.  When r1 is a
+    nonzero constant, u1/r1 is the inverse; when it reaches zero, r0 is the
+    gcd with x^N - 1.
+    """
     n = len(f)
-    modulus = [0] * n + [1]
-    modulus[0] = p - 1  # x^N - 1 over GF(p)
-    a = _gfp_trim([c % p for c in f])
-    if not a:
+    r1 = [c % p for c in f]
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    if not r1:
         raise NotInvertible("zero is not invertible")
-    # EEA tracking only the f-side cofactor: u*f = r (mod x^N - 1)
-    r0, r1 = modulus, a
-    u0: list[int] = []
-    u1: list[int] = [1]
-    while r1:
-        quo, rem = _gfp_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _gfp_sub(u0, _gfp_mul(quo, u1, p), p)
-    if len(r0) != 1:
+    r0 = [p - 1] + [0] * (n - 1) + [1]  # x^N - 1 over GF(p)
+    u0, u1 = [0] * n, [1] + [0] * (n - 1)
+    while len(r1) > 1:
+        s = len(r0) - len(r1)
+        c = r0[-1] * pow(r1[-1], -1, p) % p
+        r0[s:] = [(a - c * b) % p for a, b in zip(r0[s:], r1)]
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        u0 = [(a - c * b) % p for a, b in zip(u0, u1[n - s:] + u1[:n - s])]
+        if len(r0) < len(r1):
+            r0, r1, u0, u1 = r1, r0, u1, u0
+    if not r1:
         raise NotInvertible(f"gcd with x^{n} - 1 has degree {len(r0) - 1}")
-    scale = pow(r0[0], -1, p)
-    inv = [(c * scale) % p for c in u0]
-    _, inv = _gfp_divmod(inv, modulus, p)
-    out = [0] * n
-    for i, c in enumerate(inv):
-        out[i] = c
-    return out
+    scale = pow(r1[0], -1, p)
+    return [c * scale % p for c in u1]
 
 
 def invert_mod_prime_power(f: Coeffs, p: int, e: int) -> list[int]:
@@ -167,9 +107,8 @@ def invert_mod_prime_power(f: Coeffs, p: int, e: int) -> list[int]:
     mod = p
     while mod < target:
         mod = min(mod * mod, target)
-        fb = conv_mul(f, b, mod)
-        two_minus = [-c % mod for c in fb]
-        two_minus[0] = (two_minus[0] + 2) % mod
+        two_minus = [-c for c in conv_mul(f, b, mod)]
+        two_minus[0] += 2
         b = [c % mod for c in conv_mul(b, two_minus, mod)]
     return b
 

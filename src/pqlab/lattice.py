@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from . import ntru
 from .errors import (
     DimensionError,
     MessageRangeError,
@@ -117,16 +118,16 @@ class NtruLatticeKey:
     mod p, which is what lets decryption strip the blinding term.
     """
 
-    params: object  # NtruParams (duck-typed to avoid an import cycle)
+    params: ntru.NtruParams
     f: tuple[int, ...]
     g: tuple[int, ...]
     h: tuple[int, ...]
 
 
-def lattice_keygen(params, rng: random.Random, max_tries: int = 100) -> NtruLatticeKey:
+def lattice_keygen(params, rng: random.Random) -> NtruLatticeKey:
     n, p, q = params.n, params.p, params.q
     d_plus, d_minus = params.shape
-    for _ in range(max_tries):
+    for _ in range(ntru.KEYGEN_TRIES):
         t_f = sample_ternary(n, d_plus, d_minus, rng)
         f = [p * c for c in t_f]
         f[0] += 1
@@ -138,7 +139,7 @@ def lattice_keygen(params, rng: random.Random, max_tries: int = 100) -> NtruLatt
         g = [p * c for c in t_g]
         h = conv_mul(f_q_inv, g, q)
         return NtruLatticeKey(params, tuple(f), tuple(g), tuple(h))
-    raise SamplingExhausted(f"no invertible f in {max_tries} draws")
+    raise SamplingExhausted(f"no invertible f in {ntru.KEYGEN_TRIES} draws")
 
 
 def _check_ternary_bounded(v: Sequence[int], shape: tuple[int, int], label: str) -> None:

@@ -78,12 +78,16 @@ class NtruKeyPair:
         return self.public.params
 
 
-def keygen(params: NtruParams, rng: random.Random, max_tries: int = 100) -> NtruKeyPair:
+# Draws of f before keygen gives up; lattice.lattice_keygen shares the budget
+KEYGEN_TRIES = 100
+
+
+def keygen(params: NtruParams, rng: random.Random) -> NtruKeyPair:
     """Sample ternary f until invertible mod p and mod q, sample ternary g,
     publish h = f_q^-1 * g mod q."""
     n = params.n
     d_plus, d_minus = params.shape
-    for _ in range(max_tries):
+    for _ in range(KEYGEN_TRIES):
         f = sample_ternary(n, d_plus, d_minus, rng)
         try:
             f_p_inv = invert_mod(f, params.p)
@@ -97,7 +101,7 @@ def keygen(params: NtruParams, rng: random.Random, max_tries: int = 100) -> Ntru
             f=tuple(f),
             f_p_inv=tuple(f_p_inv),
         )
-    raise SamplingExhausted(f"no invertible f in {max_tries} draws")
+    raise SamplingExhausted(f"no invertible f in {KEYGEN_TRIES} draws")
 
 
 def keypair_from_values(

@@ -181,6 +181,8 @@ def test_bad_custom_params(tmp_path, capsys):
      "invalid ntru parameters: p must be a prime power >= 2"),
     (["keygen", "--scheme", "ntru", "--params", "11,1,41,2"],
      "invalid ntru parameters: p must be a prime power >= 2"),
+    (["keygen", "--scheme", "ntru", "--params", "11,5,41,2"],
+     "ntru keys need p = 3 for byte encryption, got p=5"),
     (["keygen", "--scheme", "mceliece", "--params", "20,2"],
      "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=20, t=2"),
     (["keygen", "--scheme", "mceliece", "--params", "4,0"],
@@ -197,9 +199,12 @@ def test_bad_custom_params(tmp_path, capsys):
      "--seeds must be at least 1, got -2"),
     (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "1", "--p", "6"],
      "invalid ntru parameters: p must be a prime power >= 2"),
+    (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "2", "--p", "2"],
+     "attack trials draw ternary messages, so p must be >= 3, got p=2"),
 ], ids=[
-    "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "mceliece-m", "mceliece-t", "mceliece-t1",
-    "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
+    "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "ntru-p5", "mceliece-m", "mceliece-t",
+    "mceliece-t1", "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
+    "attack-p2",
 ])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
     if argv[0] == "keygen":

@@ -1,6 +1,8 @@
 """Cyclic convolution ring Z[x]/(x^N - 1) and its modular inverses."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from pqlab.convring import (
     invert_mod,
     invert_mod_prime,
     invert_mod_prime_power,
-    is_zero,
     poly_to_text,
     prime_power,
     sample_ternary,
@@ -97,11 +98,13 @@ def conv_oracle(f, g):
 
 
 def test_conv_matches_multiply_then_fold(rng):
-    for _ in range(50):
+    for _ in range(100):
         n = rng.randrange(1, 10)
-        f = [rng.randrange(-9, 10) for _ in range(n)]
-        g = [rng.randrange(-9, 10) for _ in range(n)]
+        bound = rng.choice([9, 10**12])
+        f = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+        g = [rng.randrange(-bound, bound + 1) for _ in range(n)]
         assert conv_mul(f, g) == conv_oracle(f, g)
+        assert conv_mul(f, [0] * n) == conv_mul([0] * n, g) == [0] * n
 
 
 def test_conv_modular_path_matches_plain(rng):
@@ -135,11 +138,6 @@ def test_ring_axioms(fgh):
     assert conv_mul(f, g_plus_h) == [a + b for a, b in zip(conv_mul(f, g), conv_mul(f, h))]
 
 
-def test_ring_helpers():
-    assert is_zero([0, 0])
-    assert not is_zero([0, 1])
-
-
 # -- inverses --
 
 
@@ -170,6 +168,26 @@ def test_invert_not_invertible():
         invert_mod(f, 41)
     with pytest.raises(NotInvertible):
         invert_mod_prime([0] * 5, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_invert_matches_exhaustive_search(n, p):
+    # every f in (Z/p)^N against every g: the products f*g fill the ideal
+    # (f), which has p^(N - d) elements for d = deg gcd(f, x^N - 1), and f is
+    # a unit exactly when one g gives f*g = 1
+    ring = list(product(range(p), repeat=n))
+    one = (1,) + (0,) * (n - 1)
+    for f in ring:
+        products = {tuple(c % p for c in conv_oracle(f, g)): list(g) for g in ring}
+        if one in products:
+            assert invert_mod_prime(list(f), p) == products[one]
+            continue
+        d = n - round(math.log(len(products), p))
+        reason = f"gcd with x^{n} - 1 has degree {d}" if any(f) else "zero is not invertible"
+        with pytest.raises(NotInvertible) as err:
+            invert_mod_prime(list(f), p)
+        assert str(err.value) == reason
 
 
 def test_invert_random_prime_moduli(rng):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pqlab import kat
+from pqlab import kat, ntru
 from pqlab.convring import (
     center_mod,
     conv_mul,
@@ -293,7 +293,7 @@ def test_bytes_requires_p3(rng):
 # -- sampling exhaustion --
 
 
-def test_keygen_exhaustion_with_degenerate_rng():
+def test_keygen_exhaustion_with_degenerate_rng(monkeypatch):
     # an rng pinned to one specific draw: +1 at {0,1,3}, -1 at {2,5} gives
     # 1 + x - x^2 + x^3 - x^5, which shares a factor with x^11 - 1 mod 3,
     # so every retry hits NotInvertible and the budget runs out
@@ -301,5 +301,6 @@ def test_keygen_exhaustion_with_degenerate_rng():
         def sample(self, population, k):
             return [0, 1, 3, 2, 5][:k]
 
+    monkeypatch.setattr(ntru, "KEYGEN_TRIES", 5)
     with pytest.raises(SamplingExhausted):
-        keygen(TOY, Pinned(), max_tries=5)
+        keygen(TOY, Pinned())

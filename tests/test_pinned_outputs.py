@@ -1,7 +1,8 @@
 """SHA-256 pins of CLI outputs under fixed seeds.
 
 Covers the desk-scale presets, systematic keygen and toy11 byte encryption,
-none of which the benchmark's digests reach, and a custom m=8, t=10 key
+none of which the benchmark's digests reach, a rec443 key (power-of-two q,
+so the mod-2 inversion and its Hensel lift), and a custom m=8, t=10 key
 (n=256, the benchmark's mce-stream shape) so the test suite alone pins a
 code of that size.  The LLL attack report (stdout of `demo attack`) is
 pinned for N = 7, 9 and 11.  A refactor must leave every key file,
@@ -25,6 +26,7 @@ KEYGENS = {
     ),
     "ntru-toy11": (["--scheme", "ntru", "--preset", "toy11", "--seed", "24"], "nt"),
     "mce-m8-t10": (["--scheme", "mceliece", "--params", "8,10", "--seed", "25"], "mc"),
+    "ntru-rec443": (["--scheme", "ntru", "--preset", "rec443", "--seed", "26"], "nt"),
 }
 
 SIZES = (0, 1, 100)
@@ -55,6 +57,11 @@ DIGESTS = {
     "ntru-toy11/0.ct": "b6d35a7a181cae2720e1675a9b4fca4252da63ef8caad2465aec05a000223a12",
     "ntru-toy11/1.ct": "1cd3881b2db6da2237adae797443fd6fd8d9b1ca31d1ea7d006822e86bc119b4",
     "ntru-toy11/100.ct": "68a724b157ee7eb8a1e0dcf8f264a6946cbe22db85a00e8bcee5796f8db7a6a5",
+    "ntru-rec443/key.ntpub": "92bb4490202b117cfaa4a08d2eff5b8f0fbce117caa4395b56ee07931ad26a9e",
+    "ntru-rec443/key.ntpriv": "ed96757c430f2ff18785751e93f949af2c41e6d6f4e5e801de74216fa6299f6b",
+    "ntru-rec443/0.ct": "0e5500b2133162902bf6f2aa8c90c5b6a94cf7c63e652fdbc60005e051ef5334",
+    "ntru-rec443/1.ct": "271de56f9eb1ade9bc5da304d710980dd8c7178bb6493629c924bb5150005379",
+    "ntru-rec443/100.ct": "d3848ff0cd737a7222554ecce075f9ab758e459401eb4c93781cfa7396003a76",
 }
 
 
