@@ -98,7 +98,6 @@ def _read_bytes(path: str) -> bytes:
 def _cmd_keygen(args) -> int:
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
-    os.makedirs(args.out, exist_ok=True)
     if args.scheme == "mceliece":
         if args.params:
             m, t = _int_csv(args.params, 2, "mceliece (m,t)")
@@ -112,10 +111,10 @@ def _cmd_keygen(args) -> int:
             params = mceliece.preset(args.preset or "toy")
             m, t, n = params.m, params.t, params.n
         kp = mceliece.keygen(m, t, rng, n=n, systematic=args.systematic)
-        pub_path = os.path.join(args.out, "key.mcpub")
-        priv_path = os.path.join(args.out, "key.mcpriv")
-        _write_text(pub_path, formats.serialize_mceliece_public(kp.public))
-        _write_text(priv_path, formats.serialize_mceliece_private(kp))
+        files = {
+            "key.mcpub": formats.serialize_mceliece_public(kp.public),
+            "key.mcpriv": formats.serialize_mceliece_private(kp),
+        }
     else:
         if args.params:
             params = _ntru_params(*_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
@@ -124,12 +123,16 @@ def _cmd_keygen(args) -> int:
         else:
             params = ntru.preset(args.preset or "toy11")
         kp = ntru.keygen(params, rng)
-        pub_path = os.path.join(args.out, "key.ntpub")
-        priv_path = os.path.join(args.out, "key.ntpriv")
-        _write_text(pub_path, formats.serialize_ntru_public(kp.public))
-        _write_text(priv_path, formats.serialize_ntru_private(kp))
-    print(f"wrote {pub_path}", file=sys.stderr)
-    print(f"wrote {priv_path}", file=sys.stderr)
+        files = {
+            "key.ntpub": formats.serialize_ntru_public(kp.public),
+            "key.ntpriv": formats.serialize_ntru_private(kp),
+        }
+    # only a valid request creates the output directory
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        path = os.path.join(args.out, name)
+        _write_text(path, text)
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

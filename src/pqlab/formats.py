@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import mceliece as mce
 from .convring import conv_mul
-from .errors import FormatError, RankError
+from .errors import DivisionByZero, FormatError, RankError
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
 from .goppa import GoppaCode
@@ -167,7 +167,10 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
     p.expect_end()
     if g.degree != params["t"]:
         raise FormatError(f"param t {params['t']} != deg g {g.degree}")
-    code = GoppaCode(ctx, g, support)
+    try:
+        code = GoppaCode(ctx, g, support)
+    except DivisionByZero:
+        raise FormatError("Goppa polynomial g is not squarefree: gcd(g, g') != 1") from None
     if code.k != params["k"] or code.n != params["n"]:
         raise FormatError("code parameters do not match the stored key")
     try:

@@ -2,9 +2,17 @@
 
 Field elements are plain machine integers in polynomial basis: bit i is the
 coefficient of x^i.  A FieldCtx fixes the extension degree m and the
-irreducible modulus, and carries log/antilog tables for fast multiplication.
-Polynomials over the field are FieldPoly values: an immutable coefficient
-tuple, lowest degree first, with no trailing zeros.
+irreducible modulus, and carries log/antilog tables and a table of square
+roots.  Polynomials over the field are FieldPoly values: an immutable
+coefficient tuple, lowest degree first, with no trailing zeros.  Their
+product, division and square index the log/antilog tables directly, taking
+each operand's logs once per call.
+
+Square roots modulo g use Huber's identity: split u = U0^2 + x*U1^2 by
+field square roots of u's even and odd coefficients, then
+sqrt(u) = U0 + sqrt(x)*U1 (mod g), with sqrt(x) = G0/G1 (mod g) from the
+same split of g (Huber, Electronics Letters 32, 1996; Bernstein, Chou and
+Schwabe, "McBits", CHES 2013).
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ class FieldCtx:
             exp[n1 + i] = exp[i]
         self.exp = exp
         self.log = log
+        # sqrt(x^i) = x^(i/2), with i + n1 in place of an odd i (n1 is odd)
+        self.sqrt = [0] + [exp[(i + (i & 1) * n1) >> 1] for i in log[1:]]
 
     # -- element operations (elements are ints in [0, 2^m)) --
 
@@ -175,16 +185,17 @@ class FieldPoly:
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
-        if self.is_zero() or other.is_zero():
-            return FieldPoly.zero(self.ctx)
         ctx = self.ctx
-        mul = ctx.mul
+        if self.is_zero() or other.is_zero():
+            return FieldPoly.zero(ctx)
+        exp, log = ctx.exp, ctx.log
+        logs = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] ^= mul(a, b)
+                la = log[a]
+                for j, lb in logs:
+                    out[i + j] ^= exp[la + lb]
         return FieldPoly(out, ctx)
 
     def scale(self, c: int) -> "FieldPoly":
@@ -201,21 +212,27 @@ class FieldPoly:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         ctx = self.ctx
-        mul, inv = ctx.mul, ctx.inv
-        dlead = inv(other.coeffs[-1])
+        exp, log = ctx.exp, ctx.log
+        n1 = ctx.order - 1
         dd = other.degree
+        # the leading term cancels by construction, so only the lower terms
+        # are subtracted and the remainder is what is left below degree dd
+        logs = [(j, log[b]) for j, b in enumerate(other.coeffs[:-1]) if b]
+        inv_lead = n1 - log[other.coeffs[-1]]
         rem = list(self.coeffs)
         quo = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            q = mul(c, dlead)
-            quo[i - dd] = q
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    rem[i - dd + j] ^= mul(q, b)
-        return FieldPoly(quo, ctx), FieldPoly(rem, ctx)
+            lq = log[c] + inv_lead
+            if lq >= n1:
+                lq -= n1
+            base = i - dd
+            quo[base] = exp[lq]
+            for j, lb in logs:
+                rem[base + j] ^= exp[lq + lb]
+        return FieldPoly(quo, ctx), FieldPoly(rem[:dd], ctx)
 
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
         return self.divmod(other)[1]
@@ -234,11 +251,23 @@ class FieldPoly:
     def square(self) -> "FieldPoly":
         # Frobenius: (sum a_i x^i)^2 = sum a_i^2 x^(2i) in characteristic 2
         ctx = self.ctx
+        exp, log = ctx.exp, ctx.log
         out = [0] * (2 * len(self.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
-                out[2 * i] = ctx.mul(a, a)
+                out[2 * i] = exp[2 * log[a]]
         return FieldPoly(out, ctx)
+
+    def sqrt_split(self) -> tuple["FieldPoly", "FieldPoly"]:
+        """(U0, U1) with self = U0^2 + x*U1^2: U0 takes the field square
+        roots of the even coefficients, U1 those of the odd ones."""
+        ctx = self.ctx
+        sq = ctx.sqrt
+        cs = self.coeffs
+        return (
+            FieldPoly([sq[a] for a in cs[0::2]], ctx),
+            FieldPoly([sq[a] for a in cs[1::2]], ctx),
+        )
 
     def eval(self, x: int) -> int:
         ctx = self.ctx
@@ -327,13 +356,23 @@ def random_irreducible(ctx: FieldCtx, t: int, rng: random.Random) -> FieldPoly:
             return p
 
 
-def sqrt_mod_g(u: FieldPoly, g: FieldPoly) -> FieldPoly:
-    """Square root of u modulo an irreducible g: u^(2^(mt-1)) mod g.
+def sqrt_x_mod_g(g: FieldPoly) -> FieldPoly:
+    """sqrt(x) modulo a squarefree g.
 
-    The quotient field has 2^(mt) elements, so squaring is a bijection and
-    mt-1 further squarings of u yield its square root.
+    From g = G0^2 + x*G1^2 = 0 (mod g), x = (G0/G1)^2 (mod g).  G1^2 is the
+    derivative g', so G1 is invertible mod g exactly when gcd(g, g') = 1;
+    otherwise poly_inv_mod raises DivisionByZero.
     """
-    r = u % g
-    for _ in range(g.ctx.m * g.degree - 1):
-        r = r.square() % g
-    return r
+    g0, g1 = g.sqrt_split()
+    return g0 * poly_inv_mod(g1, g) % g
+
+
+def sqrt_mod_g(u: FieldPoly, g: FieldPoly, sqrt_x: FieldPoly) -> FieldPoly:
+    """Square root of u modulo g, given sqrt_x = sqrt_x_mod_g(g).
+
+    With u = U0^2 + x*U1^2, sqrt(u) = U0 + sqrt(x)*U1 (mod g).  The root is
+    unique when g is irreducible: squaring is then a bijection of the
+    quotient field GF(2^(mt)).
+    """
+    u0, u1 = (u % g).sqrt_split()
+    return (u0 + sqrt_x * u1) % g

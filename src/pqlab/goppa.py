@@ -12,7 +12,10 @@ entries.  Coefficient t-1-r of (x - alpha_j)^-1 is entry (r, j) of the
 classic X*Y*Z parity-check product, so the binary parity-check matrix is
 that table expanded bit-wise over GF(2); the generator is its null space.
 Decoding of up to t errors uses Patterson's split of the key equation, with
-an exhaustive decoder available as a desk-scale oracle.
+an exhaustive decoder available as a desk-scale oracle.  Each code also keeps
+sqrt(x) mod g, so Patterson's square root mod g is one split and one
+product (Huber's identity, see gf2m); computing it rejects a g that is not
+squarefree.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from typing import Sequence
 from . import f2linalg
 from .errors import DecodingFailure, DimensionError, SupportError
 from .f2linalg import BinMatrix, BinVector
-from .gf2m import FieldCtx, FieldPoly, poly_eea_partial, poly_inv_mod, sqrt_mod_g
+from .gf2m import (
+    FieldCtx,
+    FieldPoly,
+    poly_eea_partial,
+    poly_inv_mod,
+    sqrt_mod_g,
+    sqrt_x_mod_g,
+)
 
 
 def build_parity_check(
@@ -81,6 +91,7 @@ class GoppaCode:
             raise DimensionError("polynomial context mismatch")
         self.ctx = ctx
         self.g = g
+        self.sqrt_x = sqrt_x_mod_g(g)
         self.support = tuple(support)
         self.t = g.degree
         self.n = len(self.support)
@@ -142,7 +153,7 @@ def patterson_decode(
     if T == x:
         sigma = x
     else:
-        r = sqrt_mod_g(T + x, g)
+        r = sqrt_mod_g(T + x, g, code.sqrt_x)
         a, b = poly_eea_partial(g, r, t // 2)
         sigma = a.square() + b.square().shift(1)
     if sigma.is_zero():

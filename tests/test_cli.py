@@ -207,10 +207,13 @@ def test_bad_custom_params(tmp_path, capsys):
     "attack-p2",
 ])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
+    out = tmp_path / "X"
     if argv[0] == "keygen":
-        argv = [*argv, "--out", str(tmp_path), "--seed", "1"]
+        argv = [*argv, "--out", str(out), "--seed", "1"]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: {reason}"
+    # a rejected keygen leaves no output directory behind
+    assert not out.exists()
 
 
 # -- worked-example replays --
@@ -387,6 +390,27 @@ def test_singular_scramble_key_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert _encrypt_then_decrypt_with(tmp_path, keys, "mc", duplicate_first_row_of_s) == 2
     assert "format error" in capsys.readouterr().err
+
+
+def test_non_squarefree_goppa_key_rejected(tmp_path, capsys):
+    import random
+
+    from pqlab.gf2m import FieldCtx, random_irreducible
+
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--params", "5,4", "--seed", "1")
+    # h has degree t/2 = 2 and no root in GF(2^5), so g = h^2 keeps degree t
+    # and has no root on the support
+    ctx = FieldCtx(5)
+    h = random_irreducible(ctx, 2, random.Random(3))
+
+    def square_g(lines):
+        assert f"param modulus {ctx.modulus}" in lines
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("poly g "))
+        lines[idx] = "poly g " + " ".join(str(c) for c in h.square().coeffs)
+
+    capsys.readouterr()
+    assert _encrypt_then_decrypt_with(tmp_path, keys, "mc", square_g) == 2
+    assert "g is not squarefree" in capsys.readouterr().err
 
 
 def test_bad_f_p_inv_key_rejected(tmp_path, capsys):

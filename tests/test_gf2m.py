@@ -16,6 +16,7 @@ from pqlab.gf2m import (
     random_irreducible,
     random_poly,
     sqrt_mod_g,
+    sqrt_x_mod_g,
 )
 
 
@@ -306,24 +307,132 @@ def test_random_irreducible_deterministic():
         random_irreducible(ctx, 0, random.Random(7))
 
 
+# -- log-domain kernels against a per-term schoolbook --
+
+
+def _schoolbook_mul(p, q):
+    ctx = p.ctx
+    out = [0] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] ^= ctx.mul(a, b)
+    return FieldPoly(out, ctx)
+
+
+def _schoolbook_divmod(p, d):
+    ctx = p.ctx
+    dd = d.degree
+    lead_inv = ctx.inv(d.coeffs[-1])
+    rem = list(p.coeffs)
+    quo = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        q = ctx.mul(rem[i], lead_inv)
+        quo[i - dd] = q
+        for j, b in enumerate(d.coeffs):
+            rem[i - dd + j] ^= ctx.mul(q, b)
+    return FieldPoly(quo, ctx), FieldPoly(rem, ctx)
+
+
+def _any_poly(ctx, deg, rng):
+    """Degree exactly deg (zero for deg < 0), any nonzero leading
+    coefficient, and zero inner coefficients about a third of the time."""
+    if deg < 0:
+        return FieldPoly.zero(ctx)
+    cs = [rng.randrange(ctx.order) if rng.random() < 0.67 else 0 for _ in range(deg)]
+    return FieldPoly(cs + [rng.randrange(1, ctx.order)], ctx)
+
+
+@pytest.mark.parametrize("m", sorted(MODULI))
+def test_kernels_match_schoolbook(m):
+    ctx = FieldCtx(m)
+    rng = random.Random(1000 + m)
+    zero = FieldPoly.zero(ctx)
+    for trial in range(40):
+        p = _any_poly(ctx, rng.randrange(-1, 12), rng)
+        q = _any_poly(ctx, rng.randrange(-1, 12), rng)
+        # every fourth divisor is one term c*x^k; most divisors are not monic
+        if trial % 4 == 0:
+            d = _any_poly(ctx, 0, rng).shift(rng.randrange(0, 4))
+        else:
+            d = _any_poly(ctx, rng.randrange(0, 8), rng)
+        assert p * q == _schoolbook_mul(p, q)
+        assert p * zero == zero * p == zero
+        assert p.square() == _schoolbook_mul(p, p)
+        quo, rem = p.divmod(d)
+        assert (quo, rem) == _schoolbook_divmod(p, d)
+        assert quo * d + rem == p
+        assert rem.degree < d.degree
+    assert zero.square() == zero
+    assert zero.divmod(FieldPoly([rng.randrange(1, ctx.order)], ctx)) == (zero, zero)
+
+
 # -- square roots mod g --
+
+
+def _sqrt_by_squaring(u, g):
+    """Independent oracle: u^(2^(mt-1)) mod an irreducible g.  The quotient
+    field has 2^(mt) elements, so mt-1 further squarings of u give its
+    square root."""
+    r = u % g
+    for _ in range(g.ctx.m * g.degree - 1):
+        r = r.square() % g
+    return r
+
+
+@pytest.mark.parametrize("m", sorted(MODULI))
+def test_field_sqrt_table(m):
+    ctx = FieldCtx(m)
+    assert len(ctx.sqrt) == ctx.order
+    for a in range(ctx.order):
+        assert ctx.mul(ctx.sqrt[a], ctx.sqrt[a]) == a
+
+
+@pytest.mark.parametrize("m, t, seed, count", [
+    (4, 3, 1, 40), (5, 4, 2, 40), (8, 10, 3, 20), (10, 50, 4, 2),
+])
+def test_sqrt_mod_g_matches_oracle(m, t, seed, count):
+    ctx = FieldCtx(m)
+    rng = random.Random(seed)
+    g = random_irreducible(ctx, t, rng)
+    sqrt_x = sqrt_x_mod_g(g)
+    assert sqrt_x.square() % g == FieldPoly.x(ctx)
+    for _ in range(count):
+        u = _any_poly(ctx, rng.randrange(-1, 2 * t), rng)
+        r = sqrt_mod_g(u, g, sqrt_x)
+        assert r == _sqrt_by_squaring(u, g)
+        assert r.square() % g == u % g
+
+
+def test_sqrt_x_needs_squarefree_g(rng):
+    # g = h^2 is a square (G1 = 0); g = h^2 * k has G1 != 0 but shares h with g'
+    ctx = FieldCtx(5)
+    h = random_irreducible(ctx, 2, rng)
+    k = random_irreducible(ctx, 3, rng)
+    for g in (h.square(), h.square() * k):
+        with pytest.raises(DivisionByZero):
+            sqrt_x_mod_g(g)
+    # squarefree but reducible is enough for sqrt(x)
+    sqrt_x = sqrt_x_mod_g(h * k)
+    assert sqrt_x.square() % (h * k) == FieldPoly.x(ctx)
 
 
 def test_sqrt_mod_g_roundtrip(rng):
     ctx = FieldCtx(4)
     g = random_irreducible(ctx, 3, rng)
+    sqrt_x = sqrt_x_mod_g(g)
     for _ in range(50):
         u = random_poly(ctx, rng.randrange(0, 3), rng)
-        s = sqrt_mod_g(u, g)
+        s = sqrt_mod_g(u, g, sqrt_x)
         assert s.square() % g == u % g
 
 
 def test_sqrt_mod_g_of_square(rng):
     ctx = FieldCtx(5)
     g = random_irreducible(ctx, 4, rng)
+    sqrt_x = sqrt_x_mod_g(g)
     for _ in range(20):
         w = random_poly(ctx, rng.randrange(0, 4), rng)
         sq = w.square() % g
-        s = sqrt_mod_g(sq, g)
+        s = sqrt_mod_g(sq, g, sqrt_x)
         # squaring is a bijection mod irreducible g, so the root is unique
         assert s == w % g
