@@ -79,9 +79,12 @@ def _ntru_params(n: int, p: int, q: int, d_f: int) -> NtruParams:
         raise UnknownParams(f"invalid ntru parameters: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UnknownParams(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _read_bytes(path: str) -> bytes:
@@ -96,6 +99,10 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _cmd_keygen(args) -> int:
+    if args.preset and args.params:
+        raise UnknownParams("--preset and --params are mutually exclusive")
+    if args.systematic and args.scheme != "mceliece":
+        raise UnknownParams("--systematic applies to mceliece keys only")
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     if args.scheme == "mceliece":
@@ -128,10 +135,13 @@ def _cmd_keygen(args) -> int:
             "key.ntpriv": formats.serialize_ntru_private(kp),
         }
     # only a valid request creates the output directory
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UnknownParams(f"cannot write {args.out}: {exc.strerror}") from None
     for name, text in files.items():
         path = os.path.join(args.out, name)
-        _write_text(path, text)
+        _write(path, text.encode("ascii"))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 
@@ -152,7 +162,7 @@ def _cmd_encrypt(args) -> int:
     else:
         blocks = ntru.encrypt_bytes(key, data, rng)
         text = formats.serialize_ciphertext_ntru(key.params, blocks)
-    _write_text(args.out, text)
+    _write(args.out, text.encode("ascii"))
     return 0
 
 
@@ -179,8 +189,7 @@ def _cmd_decrypt(args) -> int:
         data = mceliece.decrypt_long(key, ct.blocks)
     else:
         data = ntru.decrypt_bytes(key, ct.blocks)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    _write(args.out, data)
     return 0
 
 

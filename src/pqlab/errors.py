@@ -42,7 +42,8 @@ class MessageRangeError(PqlabError, ValueError):
 
 
 class UnknownParams(PqlabError, KeyError):
-    """Parameter preset name or custom parameter values are not accepted."""
+    """Usage error: a preset name, parameter values, flag combination or
+    output path that is not accepted."""
 
     # KeyError.__str__ would quote the message
     __str__ = Exception.__str__

@@ -312,10 +312,6 @@ class PermMatrix:
         self._bwd = gather(self.perm, n)  # v . P^-1: bit i is v[perm[i]]
 
     @classmethod
-    def identity(cls, n: int) -> "PermMatrix":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def from_cols(cls, cols: Sequence[int]) -> "PermMatrix":
         """Build from the column description: column j of the matrix is
         basis vector e_cols[j] (an identity matrix with columns scrambled).

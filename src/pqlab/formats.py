@@ -165,6 +165,10 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
     g = FieldPoly(p.int_list("poly", "g"), ctx)
     support = p.int_list("support", "l")
     p.expect_end()
+    for field, values in (("poly g coefficient", g.coeffs), ("support l element", support)):
+        for v in values:
+            if not 0 <= v < ctx.order:
+                raise FormatError(f"{field} {v} outside [0, {ctx.order})")
     if g.degree != params["t"]:
         raise FormatError(f"param t {params['t']} != deg g {g.degree}")
     try:

@@ -6,11 +6,10 @@ codewords are the binary vectors whose rational syndrome
 
     s(x) = sum over set bits i of 1/(x - alpha_i)  (mod g)
 
-is zero.  Each code computes the table of position inverses
-(x - alpha_j)^-1 mod g once, by synthetic division; the syndrome sums its
-entries.  Coefficient t-1-r of (x - alpha_j)^-1 is entry (r, j) of the
-classic X*Y*Z parity-check product, so the binary parity-check matrix is
-that table expanded bit-wise over GF(2); the generator is its null space.
+is zero.  Coefficient t-1-r of (x - alpha_j)^-1 mod g is entry (r, j) of
+the classic X*Y*Z parity-check product, so each code builds that matrix
+once, expanded bit-wise over GF(2), with one division of g per position;
+the syndrome is H.v and the generator is the null space of H.
 Decoding of up to t errors uses Patterson's split of the key equation, with
 an exhaustive decoder available as a desk-scale oracle.  Each code also keeps
 sqrt(x) mod g, so Patterson's square root mod g is one split and one
@@ -36,13 +35,11 @@ from .gf2m import (
 )
 
 
-def build_parity_check(
-    g: FieldPoly, support: Sequence[int]
-) -> tuple[list[list[int]], BinMatrix]:
-    """Position inverses (x - alpha_j)^-1 mod g and the binary parity check.
+def build_parity_check(g: FieldPoly, support: Sequence[int]) -> BinMatrix:
+    """The binary parity check H of C(g, L); the syndrome is H.v.
 
-    Synthetic division g(x) = (x - a) q(x) + g(a) gives (x - a)^-1 = q(x) /
-    g(a) mod g, so g(a) = 0 marks a root of g.  Coefficient t-1-r of that
+    Division gives g(x) = (x - a) q(x) + g(a), so (x - a)^-1 = q(x) / g(a)
+    mod g, and g(a) = 0 marks a root of g.  Coefficient t-1-r of that
     inverse is entry (r, j) of the classic H = X*Y*Z: X is t x t lower
     triangular holding g's coefficients (row r has g_t .. g_{t-r} ending on
     the diagonal), Y the t x n matrix of powers alpha_j^i, Z the diagonal of
@@ -51,36 +48,22 @@ def build_parity_check(
     rational syndrome.
     """
     ctx = g.ctx
-    mul = ctx.mul
-    gc = g.coeffs
-    t = g.degree
-    m = ctx.m
     n = len(support)
     if len(set(support)) != n:
         raise SupportError("support elements must be distinct")
-    inverses = []
-    rows = [0] * (m * t)
-    for j, a in enumerate(support):
-        q = [0] * t
-        acc = gc[t]
-        for i in range(t - 1, -1, -1):
-            q[i] = acc
-            acc = mul(acc, a) ^ gc[i]
-        if acc == 0:
+    fmt = f"0{ctx.m}b"
+    cols = []
+    for a in support:
+        q, rem = g.divmod(FieldPoly((a, 1), ctx))
+        if rem.is_zero():
             raise SupportError(f"support element {a} is a root of g")
-        scale = ctx.inv(acc)
-        inv = [mul(scale, c) for c in q]
-        inverses.append(inv)
-        bit = 1 << j
-        for r in range(t):
-            c = inv[t - 1 - r]
-            b = r * m
-            while c:
-                if c & 1:
-                    rows[b] |= bit
-                c >>= 1
-                b += 1
-    return inverses, BinMatrix(m * t, n, rows)
+        # column bits, most significant first: row m*t-1 down to row 0
+        cols.append("".join(format(c, fmt) for c in q.scale(ctx.inv(rem[0])).coeffs))
+    # with column n-1 leading, character i of each transposed tuple is row
+    # m*t-1-i read most significant first
+    rows = [int("".join(bits), 2) for bits in zip(*reversed(cols))]
+    rows.reverse()
+    return BinMatrix(ctx.m * g.degree, n, rows)
 
 
 class GoppaCode:
@@ -95,7 +78,7 @@ class GoppaCode:
         self.support = tuple(support)
         self.t = g.degree
         self.n = len(self.support)
-        self.inverses, self.h_bin = build_parity_check(g, self.support)
+        self.h_bin = build_parity_check(g, self.support)
         self.generator = f2linalg.null_space(self.h_bin)
         self.k = self.generator.rows
         self._solver: f2linalg.RowSolver | None = None
@@ -108,18 +91,15 @@ class GoppaCode:
         return f2linalg.mat_vec_mul(self.h_bin, word).bits == 0
 
     def syndrome(self, word: BinVector) -> FieldPoly:
-        """Sum of (x - alpha_i)^-1 mod g over the set bits of word."""
+        """s(x) read off H.v: coefficient t-1-r is bits r*m .. r*m+m-1."""
         if word.n != self.n:
             raise DimensionError("word length mismatch")
-        inv = self.inverses
-        acc = [0] * self.t
-        bits = word.bits
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            for d, c in enumerate(inv[i]):
-                acc[d] ^= c
-            bits &= bits - 1
-        return FieldPoly(acc, self.ctx)
+        bits = f2linalg.mat_vec_mul(self.h_bin, word).bits
+        m = self.ctx.m
+        mask = (1 << m) - 1
+        return FieldPoly(
+            [(bits >> (r * m)) & mask for r in reversed(range(self.t))], self.ctx
+        )
 
     def message_of(self, codeword: BinVector) -> BinVector:
         """Recover v with v . G = codeword."""

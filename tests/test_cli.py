@@ -201,14 +201,35 @@ def test_bad_custom_params(tmp_path, capsys):
      "invalid ntru parameters: p must be a prime power >= 2"),
     (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "2", "--p", "2"],
      "attack trials draw ternary messages, so p must be >= 3, got p=2"),
+    (["keygen", "--scheme", "mceliece", "--preset", "toy", "--params", "4,2"],
+     "--preset and --params are mutually exclusive"),
+    (["keygen", "--scheme", "ntru", "--systematic"],
+     "--systematic applies to mceliece keys only"),
+    (["keygen", "--scheme", "mceliece", "--seed", "1", "--out", "{tmp}/m.bin/X"],
+     "cannot write {tmp}/m.bin/X: Not a directory"),
+    (["encrypt", "--pub", "{tmp}/k/key.mcpub", "--in", "{tmp}/m.bin", "--out", "{tmp}/X/m.ct"],
+     "cannot write {tmp}/X/m.ct: No such file or directory"),
+    (["decrypt", "--priv", "{tmp}/k/key.mcpriv", "--in", "{tmp}/m.ct", "--out", "{tmp}/X/m.out"],
+     "cannot write {tmp}/X/m.out: No such file or directory"),
 ], ids=[
     "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "ntru-p5", "mceliece-m", "mceliece-t",
     "mceliece-t1", "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
-    "attack-p2",
+    "attack-p2", "preset-and-params", "ntru-systematic", "keygen-out-under-file",
+    "encrypt-out-missing-dir", "decrypt-out-missing-dir",
 ])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
     out = tmp_path / "X"
-    if argv[0] == "keygen":
+    if any("{tmp}" in a for a in argv):
+        # the output rows need a key pair, a plaintext file and a ciphertext
+        keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
+        (tmp_path / "m.bin").write_bytes(b"x")
+        assert main([
+            "encrypt", "--pub", str(keys / "key.mcpub"),
+            "--in", str(tmp_path / "m.bin"), "--out", str(tmp_path / "m.ct"), "--seed", "2",
+        ]) == 0
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        reason = reason.replace("{tmp}", str(tmp_path))
+    elif argv[0] == "keygen":
         argv = [*argv, "--out", str(out), "--seed", "1"]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: {reason}"
@@ -411,6 +432,29 @@ def test_non_squarefree_goppa_key_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert _encrypt_then_decrypt_with(tmp_path, keys, "mc", square_g) == 2
     assert "g is not squarefree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag, index, value, field", [
+    ("support l", 15, -1, "support l element"),
+    ("support l", 3, -1, "support l element"),
+    ("poly g", 0, -1, "poly g coefficient"),
+    ("support l", 15, 16, "support l element"),
+], ids=["support-15-neg", "support-3-neg", "g-neg", "support-16"])
+def test_out_of_field_goppa_key_rejected(tmp_path, capsys, tag, index, value, field):
+    # a negative value would index the field's log table from the end
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
+
+    def put_value(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith(tag + " "))
+        parts = lines[idx].split()
+        parts[2 + index] = str(value)
+        lines[idx] = " ".join(parts)
+
+    capsys.readouterr()
+    assert _encrypt_then_decrypt_with(tmp_path, keys, "mc", put_value) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: {field} {value} outside [0, 16)"
+    )
 
 
 def test_bad_f_p_inv_key_rejected(tmp_path, capsys):
