@@ -326,12 +326,6 @@ class PermMatrix:
     def n(self) -> int:
         return len(self.perm)
 
-    def apply_vec(self, v: BinVector) -> BinVector:
-        """v . P"""
-        if v.n != self.n:
-            raise DimensionError("length mismatch")
-        return BinVector(self.n, self._fwd(v.bits))
-
     def apply_vec_inverse(self, v: BinVector) -> BinVector:
         """v . P^-1 (= v . P^T)"""
         if v.n != self.n:
@@ -360,7 +354,6 @@ class RowSolver:
         if len(pivots) != g.rows:
             raise RankError("generator does not have full row rank")
         self.g = g
-        self.pivots = pivots
         self.u = BinMatrix(g.rows, g.rows, u)
         self._pick = gather(pivots, g.cols)
 

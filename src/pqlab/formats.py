@@ -121,6 +121,9 @@ def serialize_mceliece_public(pub: mce.McEliecePublicKey) -> str:
 def _parse_mceliece_public(p: _Parser) -> mce.McEliecePublicKey:
     params = p.params()
     n, k, t = params["n"], params["k"], params["t"]
+    # a t-error-correcting code has distance 2t + 1 <= n - k + 1 (Singleton)
+    if not 1 <= t <= (n - k) // 2:
+        raise FormatError(f"param t {t} outside [1, {(n - k) // 2}]")
     systematic = bool(params.get("systematic", 0))
     if systematic:
         a = p.matrix("a")
@@ -147,7 +150,7 @@ def serialize_mceliece_private(kp: mce.McElieceKeyPair) -> str:
         f"param t {kp.t}",
         f"param m {code.ctx.m}",
         f"param modulus {code.ctx.modulus}",
-        f"param systematic {int(kp.public.systematic)}",
+        f"param systematic {int(kp.systematic)}",
     ]
     lines.extend(_matrix_lines("s", kp.s))
     lines.append("perm p " + " ".join(str(i) for i in kp.p.perm))
@@ -178,7 +181,7 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
     if code.k != params["k"] or code.n != params["n"]:
         raise FormatError("code parameters do not match the stored key")
     try:
-        return mce.assemble(s, code, perm, code.t, bool(params.get("systematic", 0)))
+        return mce.McElieceKeyPair(s, code, perm, code.t, bool(params.get("systematic", 0)))
     except RankError:
         raise FormatError("scramble matrix s is singular") from None
 

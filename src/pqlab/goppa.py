@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import f2linalg
-from .errors import DecodingFailure, DimensionError, SupportError
+from .errors import DecodingFailure, DimensionError, RankError, SupportError
 from .f2linalg import BinMatrix, BinVector
 from .gf2m import (
     FieldCtx,
@@ -81,7 +81,9 @@ class GoppaCode:
         self.h_bin = build_parity_check(g, self.support)
         self.generator = f2linalg.null_space(self.h_bin)
         self.k = self.generator.rows
-        self._solver: f2linalg.RowSolver | None = None
+        # the free column of each null-space basis row is its top bit
+        free = [row.bit_length() - 1 for row in self.generator.data]
+        self._read_message = f2linalg.gather(free, self.n)
 
     @property
     def params(self) -> tuple[int, int, int]:
@@ -102,10 +104,11 @@ class GoppaCode:
         )
 
     def message_of(self, codeword: BinVector) -> BinVector:
-        """Recover v with v . G = codeword."""
-        if self._solver is None:
-            self._solver = f2linalg.RowSolver(self.generator)
-        return self._solver.solve(codeword)
+        """v with v . G = codeword, read off the free columns, where G holds an
+        identity; RankError if the word is not a codeword."""
+        if not self.is_codeword(codeword):
+            raise RankError("word is not a codeword")
+        return BinVector(self.k, self._read_message(codeword.bits))
 
     def encode(self, message: BinVector) -> BinVector:
         return f2linalg.vec_mat_mul(message, self.generator)

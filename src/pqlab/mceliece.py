@@ -1,17 +1,18 @@
 """The McEliece public-key cryptosystem over binary Goppa codes.
 
 Key generation hides a decodable code G behind an invertible scramble S and
-a column permutation P: the public matrix is G_hat = S x G x P.  Encryption
-adds a secret weight-t error to m . G_hat; decryption unwinds P, decodes the
-error e, and solves m . G_hat = c + e.  Includes the key-size and
-work-factor calculators for the standard parameter sets and block encryption
-for byte streams.
+a column permutation P: the private key is (S, g, L, P), and the public
+matrix G_hat = S x G x P is derived from it.  Encryption adds a secret
+weight-t error to m . G_hat; decryption unwinds P, decodes the error, reads
+v = m . S off the codeword and returns v . S^-1.  Includes the key-size and
+work-factor calculators and block encryption for byte streams.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import f2linalg, goppa
 from .errors import (
@@ -78,24 +79,34 @@ class McEliecePublicKey:
 
 @dataclass(frozen=True)
 class McElieceKeyPair:
-    public: McEliecePublicKey
+    """The private key (S, code, P) and t; S must be an invertible k x k."""
+
     s: BinMatrix
     code: GoppaCode | LinearCode
     p: PermMatrix
-    # solves m . G_hat = y: the whole of unscrambling, built once per key
-    solver: RowSolver = field(repr=False, compare=False)
+    t: int
+    systematic: bool = False
+    # solves v = m . S: the whole of unscrambling, built once per key pair
+    solver: RowSolver = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.s.rows, self.s.cols) != (self.code.k, self.code.k):
+            raise DimensionError(f"scramble matrix must be {self.code.k} x {self.code.k}")
+        object.__setattr__(self, "solver", RowSolver(self.s))
+
+    @cached_property
+    def public(self) -> McEliecePublicKey:
+        """G_hat = S x G x P, formed on first use only."""
+        g_hat = self.p.apply_mat(f2linalg.mat_mul(self.s, self.code.generator))
+        return McEliecePublicKey(g_hat, self.t, self.systematic)
 
     @property
     def n(self) -> int:
-        return self.public.n
+        return self.code.n
 
     @property
     def k(self) -> int:
-        return self.public.k
-
-    @property
-    def t(self) -> int:
-        return self.public.t
+        return self.code.k
 
 
 def keygen(
@@ -123,8 +134,7 @@ def keygen(
     if systematic:
         for _ in range(SYSTEMATIC_TRIES):
             p = f2linalg.random_permutation(n, rng)
-            gp = p.apply_mat(code.generator)
-            tail = BinMatrix(k, k, [r >> (n - k) for r in gp.data])
+            tail = BinMatrix(k, k, [r >> (n - k) for r in p.apply_mat(code.generator).data])
             try:
                 s = f2linalg.invert(tail)
             except SingularMatrix:
@@ -135,24 +145,15 @@ def keygen(
     else:
         s = f2linalg.random_invertible(k, rng)
         p = f2linalg.random_permutation(n, rng)
-    return assemble(s, code, p, t, systematic)
-
-
-def assemble(
-    s: BinMatrix, code: GoppaCode | LinearCode, p: PermMatrix, t: int, systematic=False
-) -> McElieceKeyPair:
-    """Key pair with G_hat = S x G x P; RankError if S is singular."""
-    g_hat = p.apply_mat(f2linalg.mat_mul(s, code.generator))
-    public = McEliecePublicKey(g_hat, t, systematic)
-    return McElieceKeyPair(public, s, code, p, RowSolver(g_hat))
+    return McElieceKeyPair(s, code, p, t, systematic)
 
 
 def from_components(
     s: BinMatrix, generator: BinMatrix, p: PermMatrix, t: int
 ) -> McElieceKeyPair:
-    """Assemble a key pair from explicit (S, G, P) with G treated as an
-    opaque linear code (decoding falls back to the exhaustive oracle)."""
-    return assemble(s, LinearCode(generator), p, t)
+    """Key pair from explicit (S, G, P) with G treated as an opaque linear
+    code (decoding falls back to the exhaustive oracle)."""
+    return McElieceKeyPair(s, LinearCode(generator), p, t)
 
 
 def encrypt(
@@ -174,8 +175,8 @@ def encrypt(
 
 
 def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
-    """Unwind P, decode the error e, solve m . G_hat = c + e.  The solve is
-    the re-encryption check: a misdecode leaves c + e outside the row space."""
+    """Unwind P, decode e, read v off the codeword c.P^-1 + e; m = v . S^-1.
+    S is invertible, so message_of's codeword check is the re-encryption check."""
     if c.n != kp.n:
         raise DimensionError(f"ciphertext length {c.n} != n {kp.n}")
     c_hat = kp.p.apply_vec_inverse(c)
@@ -185,7 +186,7 @@ def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
         _, e_hat = goppa.bruteforce_decode(kp.code, c_hat, kp.t)
     if e_hat.weight() <= kp.t:
         try:
-            return kp.solver.solve(c + kp.p.apply_vec(e_hat))
+            return kp.solver.solve(kp.code.message_of(c_hat + e_hat))
         except RankError:
             pass
     raise DecodingFailure("re-encryption check failed")

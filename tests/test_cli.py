@@ -362,6 +362,24 @@ def test_scheme_mismatch(tmp_path, rng, capsys):
     assert "does not match key scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", [0, -1, 100])
+def test_out_of_range_public_t_rejected(tmp_path, capsys, t):
+    # t = 0 would encrypt m.G_hat in the clear; t beyond (n - k) / 2 cannot
+    # be corrected by any code of this size
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
+    pub = keys / "key.mcpub"
+    pub.write_text(pub.read_text().replace("param t 2\n", f"param t {t}\n"))
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(b"abc")
+    capsys.readouterr()
+    assert main([
+        "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: param t {t} outside [1, 4]"
+    )
+
+
 def test_key_kind_checks(tmp_path, capsys):
     keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
     plain = tmp_path / "m.bin"

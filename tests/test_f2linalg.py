@@ -167,17 +167,17 @@ def test_perm_vec_roundtrip(rng):
     for _ in range(20):
         p = random_permutation(8, rng)
         v = BinVector(8, rng.randrange(256))
-        assert p.apply_vec_inverse(p.apply_vec(v)) == v
-        assert p.apply_vec(p.apply_vec_inverse(v)) == v
-        # matrix route agrees
-        assert vec_mat_mul(v, BinMatrix(8, 8, [1 << j for j in p.perm])) == p.apply_vec(v)
+        forward = vec_mat_mul(v, BinMatrix(8, 8, [1 << j for j in p.perm]))  # v . P
+        assert p.apply_vec_inverse(forward) == v
+        # the one-row permuted matrix is v . P
+        assert p.apply_mat(BinMatrix(1, 8, [v.bits])).data == [forward.bits]
 
 
 def test_perm_preserves_weight(rng):
     p = random_permutation(10, rng)
     for _ in range(20):
         v = BinVector(10, rng.randrange(1 << 10))
-        assert p.apply_vec(v).weight() == v.weight()
+        assert p.apply_vec_inverse(v).weight() == v.weight()
 
 
 def test_perm_apply_mat_is_matrix_product(rng):
@@ -307,9 +307,9 @@ def test_perm_moves_match_the_per_bit_rule(n, data):
     # (v . P)[perm[i]] = v[i], written out bit by bit
     forward = sum(((v.bits >> i) & 1) << perm[i] for i in range(n))
     backward = sum(((v.bits >> perm[i]) & 1) << i for i in range(n))
-    assert p.apply_vec(v).bits == forward
+    assert p.apply_mat(BinMatrix(1, n, [v.bits])).data == [forward]
     assert p.apply_vec_inverse(v).bits == backward
-    assert p.apply_vec_inverse(p.apply_vec(v)) == v
+    assert p.apply_vec_inverse(BinVector(n, forward)) == v
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
     expected = [sum(((r >> i) & 1) << perm[i] for i in range(n)) for r in rows]
     assert p.apply_mat(BinMatrix(len(rows), n, rows)).data == expected

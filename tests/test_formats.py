@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from pqlab import mceliece, ntru
+from pqlab import kat, mceliece, ntru
 from pqlab.errors import FormatError
 from pqlab.f2linalg import BinVector
 from pqlab.formats import (
@@ -252,6 +252,32 @@ def test_private_t_must_match_goppa_degree(mce_kp):
     assert "param t 2" in text and mce_kp.code.g.degree == 2
     with pytest.raises(FormatError):
         parse_file(text.replace("param t 2", "param t 3", 1))
+
+
+def test_private_scramble_must_be_k_by_k(mce_kp):
+    # drop the last row of S: a 7 x 8 scramble has full row rank but no inverse
+    lines = serialize_mceliece_private(mce_kp).splitlines()
+    idx = lines.index("matrix s 8 8")
+    lines[idx] = "matrix s 7 8"
+    del lines[idx + 8]
+    with pytest.raises(FormatError, match="scramble matrix must be 8 x 8"):
+        parse_file("\n".join(lines) + "\n")
+
+
+KAT_PARAMS = mceliece.McElieceParams(kat.MCE_G_HAT.cols, kat.MCE_G_HAT.rows, kat.MCE_T)
+
+
+@pytest.mark.parametrize(
+    "params", [*mceliece.PRESETS.values(), KAT_PARAMS], ids=[*mceliece.PRESETS, "kat"]
+)
+def test_every_preset_t_passes_the_public_range_check(params):
+    # 1 <= t and 2t <= n - k; a header-only file gets past the check to the
+    # missing matrix
+    n, k, t = params.n, params.k, params.t
+    assert 1 <= t and 2 * t <= n - k
+    text = f"PQLAB1 mceliece public\nparam n {n}\nparam k {k}\nparam t {t}\nend\n"
+    with pytest.raises(FormatError, match="expected matrix g_hat"):
+        parse_file(text)
 
 
 def test_ciphertext_block_count_must_match(ntru_kp):

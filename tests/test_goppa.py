@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from pqlab.errors import DecodingFailure, DimensionError, SupportError
+from pqlab.errors import DecodingFailure, DimensionError, RankError, SupportError
 from pqlab.f2linalg import BinMatrix, BinVector, mat_vec_mul, rank
 from pqlab.gf2m import FieldCtx, FieldPoly, poly_inv_mod, random_irreducible
 from pqlab.goppa import (
@@ -178,12 +178,18 @@ def test_syndrome_equals_sum_of_position_inverses(rng):
 
 
 def test_encode_message_roundtrip(rng):
-    code = make_code(4, 2)
-    for _ in range(20):
-        msg = BinVector(code.k, rng.randrange(1 << code.k))
-        word = code.encode(msg)
-        assert code.is_codeword(word)
-        assert code.message_of(word) == msg
+    # message_of reads G's identity columns: check it on full and partial
+    # supports, and that a word off the code is refused, not misread
+    codes = [make_code(4, 2)] + [random_code(m, seed, True) for m in (3, 5, 8) for seed in (1, 2)]
+    for code in codes:
+        for _ in range(20):
+            msg = BinVector(code.k, rng.randrange(1 << code.k))
+            word = code.encode(msg)
+            assert code.is_codeword(word)
+            assert code.message_of(word) == msg
+            flipped = word + BinVector.from_support(code.n, [rng.randrange(code.n)])
+            with pytest.raises(RankError):
+                code.message_of(flipped)
 
 
 # -- Patterson decoding --

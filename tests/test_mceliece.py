@@ -1,13 +1,14 @@
 """McEliece keygen, encryption, decryption, and the size/work calculators."""
 
-import dataclasses
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pqlab import f2linalg, kat
-from pqlab.errors import DecodingFailure, DimensionError, UnknownParams
+from pqlab import f2linalg, goppa, kat
+from pqlab.errors import DecodingFailure, DimensionError, PqlabError, UnknownParams
 from pqlab.f2linalg import BinMatrix, BinVector, mat_mul, rank, vec_mat_mul
 from pqlab.formats import parse_file, serialize_mceliece_private
 from pqlab.goppa import GoppaCode, LinearCode
@@ -189,13 +190,29 @@ def test_decrypt_verifies_reencryption(rng):
     assert failures > 0
 
 
-def test_decrypt_checks_against_the_key_solver(rng):
-    # a solver for another key's G_hat leaves c + e outside its row space
-    kp, other = keygen(5, 3, rng), keygen(5, 3, rng)
-    mixed = dataclasses.replace(kp, solver=other.solver)
+def test_decrypt_checks_against_the_key_solver(monkeypatch, rng):
+    # a decoder that hands back a wrong error of weight t: c.P^-1 + e is then
+    # no codeword, and reading the message off it refuses before S is solved
+    kp = keygen(5, 3, rng)
     c = encrypt(kp.public, BinVector(kp.k, rng.randrange(1 << kp.k)), rng=rng)
+    real_decode = goppa.patterson_decode
+
+    def misdecode(code, word):
+        _, e = real_decode(code, word)
+        free = next(i for i in range(code.n) if not e[i])
+        wrong = BinVector(code.n, e.bits ^ (e.bits & -e.bits) | 1 << free)
+        assert wrong.weight() == kp.t
+        return word + wrong, wrong
+
+    monkeypatch.setattr(goppa, "patterson_decode", misdecode)
     with pytest.raises(DecodingFailure, match="re-encryption check failed"):
-        decrypt(mixed, c)
+        decrypt(kp, c)
+    # a heavy "error" onto the zero codeword reads a message but fails the
+    # weight check
+    monkeypatch.setattr(goppa, "patterson_decode", lambda code, word: (BinVector(code.n), word))
+    assert kp.p.apply_vec_inverse(c).weight() > kp.t
+    with pytest.raises(DecodingFailure, match="re-encryption check failed"):
+        decrypt(kp, c)
 
 
 def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
@@ -222,6 +239,67 @@ def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
     assert decrypt_long(kp, blocks) == data
     assert decrypt_long(loaded, blocks) == data
     assert calls == {"invert": 0, "solver": 2}
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+def test_private_key_load_forms_no_public_matrix(monkeypatch, rng, systematic):
+    # loading and decrypting go through S alone: G_hat = S.G.P is formed only
+    # when the public key is asked for, and then equals the generated one
+    kp = keygen(4, 2, rng, systematic=systematic)
+    data = rng.randbytes(5)
+    blocks = encrypt_long(kp.public, data, rng)
+    calls = {"mat_mul": 0, "apply_mat": 0}
+    real_mat_mul, real_apply_mat = f2linalg.mat_mul, f2linalg.PermMatrix.apply_mat
+
+    def counting_mat_mul(a, b):
+        calls["mat_mul"] += 1
+        return real_mat_mul(a, b)
+
+    def counting_apply_mat(self, a):
+        calls["apply_mat"] += 1
+        return real_apply_mat(self, a)
+
+    monkeypatch.setattr(f2linalg, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(f2linalg.PermMatrix, "apply_mat", counting_apply_mat)
+    _, _, loaded = parse_file(serialize_mceliece_private(kp))
+    assert decrypt_long(loaded, blocks) == data
+    assert calls == {"mat_mul": 0, "apply_mat": 0}
+    assert loaded.public.g_hat == kp.public.g_hat
+    assert loaded.public.systematic == kp.public.systematic == systematic
+    assert calls == {"mat_mul": 1, "apply_mat": 1}
+
+
+# bit flips on ciphertexts of the toy Goppa key and the opaque KAT key
+_FLIP_KEYS = {
+    "goppa": keygen(4, 2, random.Random(5)),
+    "kat": from_components(kat.MCE_S, kat.MCE_G, kat.MCE_P, kat.MCE_T),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_FLIP_KEYS)),
+    st.integers(0, 255),
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 15), max_size=8),
+)
+def test_flipped_ciphertext_decrypts_or_raises_pqlab_error(name, msg, err_seed, flips):
+    # every outcome is the plaintext, a message within distance t of the
+    # flipped word, or a PqlabError; within distance t of m it must be m
+    kp = _FLIP_KEYS[name]
+    assert (kp.n, kp.k) == (16, 8)
+    m = BinVector(kp.k, msg)
+    c = encrypt(kp.public, m, rng=random.Random(err_seed))
+    for i in flips:
+        c += BinVector(kp.n, 1 << i)
+    near = (c + vec_mat_mul(m, kp.public.g_hat)).weight() <= kp.t
+    try:
+        out = decrypt(kp, c)
+    except PqlabError:
+        assert not near
+        return
+    assert (c + vec_mat_mul(out, kp.public.g_hat)).weight() <= kp.t
+    assert out == m or not near
 
 
 # -- systematic mode --
