@@ -13,12 +13,21 @@ field square roots of u's even and odd coefficients, then
 sqrt(u) = U0 + sqrt(x)*U1 (mod g), with sqrt(x) = G0/G1 (mod g) from the
 same split of g (Huber, Electronics Letters 32, 1996; Bernstein, Chou and
 Schwabe, "McBits", CHES 2013).
+
+A vector of n field elements can also be bit-sliced into m Python ints:
+bit j of slice b is bit b of element j, so one AND or XOR acts on all n
+lanes.  The sliced product is m^2 ANDs into 2m-1 partial slices, the high
+ones folded down through the taps of the modulus; the sliced inverse is
+r^(2^m - 2) by that product; and a constant is added by XORing the all-ones
+lane mask into the slices of its set bits.  Horner's rule on sliced vectors
+divides a polynomial by x - a and evaluates it at every lane a at once
+(McBits' bitsliced field arithmetic and root finding).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DivisionByZero
 
@@ -52,6 +61,8 @@ class FieldCtx:
         self.modulus = MODULI[m] if modulus is None else modulus
         if self.modulus.bit_length() != m + 1:
             raise ValueError("modulus degree does not match m")
+        # x^m = sum of x^i over these i: the fold of a sliced product
+        self.taps = [i for i in range(m) if self.modulus >> i & 1]
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -269,14 +280,6 @@ class FieldPoly:
             FieldPoly([sq[a] for a in cs[1::2]], ctx),
         )
 
-    def eval(self, x: int) -> int:
-        ctx = self.ctx
-        mul = ctx.mul
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = mul(acc, x) ^ c
-        return acc
-
 
 def poly_gcd(p: FieldPoly, q: FieldPoly) -> FieldPoly:
     while not q.is_zero():
@@ -376,3 +379,77 @@ def sqrt_mod_g(u: FieldPoly, g: FieldPoly, sqrt_x: FieldPoly) -> FieldPoly:
     """
     u0, u1 = (u % g).sqrt_split()
     return (u0 + sqrt_x * u1) % g
+
+
+# -- bit-sliced vectors of field elements --
+
+
+def slice_elements(ctx: FieldCtx, elements: Sequence[int]) -> list[int]:
+    """The m slices of a vector of elements in [0, 2^m): bit j of slice b
+    is bit b of element j."""
+    m = ctx.m
+    fmt = f"0{m}b"
+    # the last element leads, each written most significant bit first, so
+    # character m-1-b of every m-character group is bit b of its element
+    bits = "".join([format(a, fmt) for a in reversed(elements)])
+    return [int("0" + bits[m - 1 - b :: m], 2) for b in range(m)]
+
+
+def sliced_mul(ctx: FieldCtx, a: list[int], b: list[int]) -> list[int]:
+    """Lane-by-lane product of two sliced vectors: m^2 ANDs into 2m-1
+    partial slices, the ones of degree >= m then folded down through the
+    taps of the modulus."""
+    m = ctx.m
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                prod[k] ^= ai & bj
+    taps = ctx.taps
+    for k in range(2 * m - 2, m - 1, -1):
+        high = prod[k]
+        if high:
+            for i in taps:
+                prod[k - m + i] ^= high
+    del prod[m:]
+    return prod
+
+
+def sliced_inv(ctx: FieldCtx, a: list[int]) -> list[int]:
+    """a^(2^m - 2) lane by lane: the inverse of every nonzero lane, and 0
+    on a zero lane.  2^m - 2 = 2 + 4 + ... + 2^(m-1), so the power is the
+    product of m-1 repeated squares."""
+    square = sliced_mul(ctx, a, a)
+    out = square
+    for _ in range(ctx.m - 2):
+        square = sliced_mul(ctx, square, square)
+        out = sliced_mul(ctx, out, square)
+    return out
+
+
+def sliced_horner(
+    p: FieldPoly, alpha: list[int], full: int
+) -> tuple[list[list[int]], list[int]]:
+    """Synthetic division of p by (x - a) for every lane a of alpha at once.
+
+    Horner's steps q_{d-1} = p_d, q_{i-1} = p_i + a*q_i are the quotient's
+    coefficients, returned highest first, and the last step p_0 + a*q_0 is
+    the remainder p(a).  full has a set bit for every lane; adding a
+    constant XORs it into the slices of the constant's set bits.
+    """
+    ctx = p.ctx
+    acc = [0] * ctx.m
+    steps = []
+    for c in reversed(p.coeffs):
+        acc = sliced_mul(ctx, acc, alpha)
+        acc = [s ^ full if c >> b & 1 else s for b, s in enumerate(acc)]
+        steps.append(acc)
+    value = steps.pop() if steps else acc
+    return steps, value
+
+
+def sliced_zeros(a: list[int], full: int) -> int:
+    """The lanes of a sliced vector that hold 0, as a mask within full."""
+    for s in a:
+        full &= ~s
+    return full

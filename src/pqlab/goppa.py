@@ -8,13 +8,15 @@ codewords are the binary vectors whose rational syndrome
 
 is zero.  Coefficient t-1-r of (x - alpha_j)^-1 mod g is entry (r, j) of
 the classic X*Y*Z parity-check product, so each code builds that matrix
-once, expanded bit-wise over GF(2), with one division of g per position;
-the syndrome is H.v and the generator is the null space of H.
+once, expanded bit-wise over GF(2), from one bit-sliced synthetic division
+of g by x - alpha_j for every position at once (see gf2m); the syndrome is
+H.v and the generator is the null space of H.
 Decoding of up to t errors uses Patterson's split of the key equation, with
 an exhaustive decoder available as a desk-scale oracle.  Each code also keeps
 sqrt(x) mod g, so Patterson's square root mod g is one split and one
 product (Huber's identity, see gf2m); computing it rejects a g that is not
-squarefree.
+squarefree.  Each code keeps its support bit-sliced too, so the error
+locator is evaluated over the whole support in one sliced Horner pass.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ from .gf2m import (
     FieldPoly,
     poly_eea_partial,
     poly_inv_mod,
+    slice_elements,
+    sliced_horner,
+    sliced_inv,
+    sliced_mul,
+    sliced_zeros,
     sqrt_mod_g,
     sqrt_x_mod_g,
 )
@@ -46,23 +53,28 @@ def build_parity_check(g: FieldPoly, support: Sequence[int]) -> BinMatrix:
     1/g(alpha_j).  Bit b of that coefficient is bit j of binary row r*m + b,
     giving an (m*t) x n matrix whose kernel is exactly the kernel of the
     rational syndrome.
+
+    The support is bit-sliced (see gf2m), so one sliced synthetic division
+    divides g by every x - alpha_j at once, one sliced inverse gives every
+    1/g(alpha_j), and slice b of the scaled quotient coefficient t-1-r is
+    binary row r*m + b as it stands.
     """
     ctx = g.ctx
     n = len(support)
     if len(set(support)) != n:
         raise SupportError("support elements must be distinct")
-    fmt = f"0{ctx.m}b"
-    cols = []
-    for a in support:
-        q, rem = g.divmod(FieldPoly((a, 1), ctx))
-        if rem.is_zero():
-            raise SupportError(f"support element {a} is a root of g")
-        # column bits, most significant first: row m*t-1 down to row 0
-        cols.append("".join(format(c, fmt) for c in q.scale(ctx.inv(rem[0])).coeffs))
-    # with column n-1 leading, character i of each transposed tuple is row
-    # m*t-1-i read most significant first
-    rows = [int("".join(bits), 2) for bits in zip(*reversed(cols))]
-    rows.reverse()
+    if n and not (0 <= min(support) and max(support) < ctx.order):
+        raise SupportError(f"support elements must lie in [0, {ctx.order})")
+    full = (1 << n) - 1
+    quotient, g_alpha = sliced_horner(g, slice_elements(ctx, support), full)
+    roots = sliced_zeros(g_alpha, full)
+    if roots:
+        first = support[(roots & -roots).bit_length() - 1]
+        raise SupportError(f"support element {first} is a root of g")
+    z = sliced_inv(ctx, g_alpha)
+    rows = []
+    for q in quotient:
+        rows.extend(sliced_mul(ctx, q, z))
     return BinMatrix(ctx.m * g.degree, n, rows)
 
 
@@ -79,6 +91,7 @@ class GoppaCode:
         self.t = g.degree
         self.n = len(self.support)
         self.h_bin = build_parity_check(g, self.support)
+        self.support_slices = slice_elements(ctx, self.support)
         self.generator = f2linalg.null_space(self.h_bin)
         self.k = self.generator.rows
         # the free column of each null-space basis row is its top bit
@@ -141,12 +154,11 @@ def patterson_decode(
         sigma = a.square() + b.square().shift(1)
     if sigma.is_zero():
         raise DecodingFailure("error locator degenerated to zero")
-    err_bits = 0
-    nroots = 0
-    for i, alpha in enumerate(code.support):
-        if sigma.eval(alpha) == 0:
-            err_bits |= 1 << i
-            nroots += 1
+    # sigma at every support element at once: the error bits are the lanes
+    # where it vanishes
+    full = (1 << code.n) - 1
+    err_bits = sliced_zeros(sliced_horner(sigma, code.support_slices, full)[1], full)
+    nroots = err_bits.bit_count()
     if nroots != sigma.degree:
         raise DecodingFailure(
             f"locator of degree {sigma.degree} has {nroots} support roots"

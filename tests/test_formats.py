@@ -1,11 +1,14 @@
 """Round-trip and rejection tests for the versioned text file formats."""
 
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqlab import kat, mceliece, ntru
-from pqlab.errors import FormatError
+from pqlab.errors import FormatError, PqlabError
 from pqlab.f2linalg import BinVector
 from pqlab.formats import (
     load_file,
@@ -278,6 +281,51 @@ def test_every_preset_t_passes_the_public_range_check(params):
     text = f"PQLAB1 mceliece public\nparam n {n}\nparam k {k}\nparam t {t}\nend\n"
     with pytest.raises(FormatError, match="expected matrix g_hat"):
         parse_file(text)
+
+
+# a demo-preset private key and a fixed ciphertext under it; the fuzz below
+# edits the integers of its param, poly g and support l lines
+_DEMO = mceliece.preset("demo")
+_DEMO_KP = mceliece.keygen(_DEMO.m, _DEMO.t, random.Random(21), n=_DEMO.n)
+_DEMO_LINES = serialize_mceliece_private(_DEMO_KP).splitlines()
+_DEMO_BLOCKS = mceliece.encrypt_long(_DEMO_KP.public, b"fuzz", random.Random(22))
+_FUZZ_LINES = [
+    i for i, line in enumerate(_DEMO_LINES)
+    if line.startswith(("param ", "poly g ", "support l "))
+]
+_FUZZ_INTS = st.integers(-3, 40) | st.sampled_from([-(1 << 13), 63, 64, 1 << 13, 1 << 40])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_private_key_loads_or_raises_format_error(data):
+    lines = list(_DEMO_LINES)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.sampled_from(_FUZZ_LINES))
+        tokens = lines[i].split()
+        head, values = tokens[:2], tokens[2:]
+        ops = ["insert", "change", "duplicate", "drop"] if values else ["insert"]
+        op = data.draw(st.sampled_from(ops))
+        if op == "insert":
+            values.insert(data.draw(st.integers(0, len(values))), str(data.draw(_FUZZ_INTS)))
+        else:
+            j = data.draw(st.integers(0, len(values) - 1))
+            if op == "change":
+                values[j] = str(data.draw(_FUZZ_INTS))
+            elif op == "duplicate":
+                values.insert(j, values[j])
+            else:
+                del values[j]
+        lines[i] = " ".join(head + values)
+    try:
+        _, _, kp = parse_file("\n".join(lines) + "\n")
+    except FormatError:
+        return
+    try:
+        out = mceliece.decrypt_long(kp, _DEMO_BLOCKS)
+    except PqlabError:
+        return
+    assert isinstance(out, bytes)
 
 
 def test_ciphertext_block_count_must_match(ntru_kp):

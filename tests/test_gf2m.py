@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqlab.errors import DivisionByZero
 from pqlab.gf2m import (
@@ -15,9 +17,16 @@ from pqlab.gf2m import (
     poly_inv_mod,
     random_irreducible,
     random_poly,
+    slice_elements,
+    sliced_horner,
+    sliced_inv,
+    sliced_mul,
+    sliced_zeros,
     sqrt_mod_g,
     sqrt_x_mod_g,
 )
+
+from oracles import poly_eval
 
 
 # -- field contexts --
@@ -188,7 +197,7 @@ def test_poly_eval():
     p = FieldPoly([1, 3, 1], ctx)
     for y in range(16):
         expected = ctx.mul(y, y) ^ ctx.mul(3, y) ^ 1
-        assert p.eval(y) == expected
+        assert poly_eval(p, y) == expected
 
 
 def test_poly_gcd_divides_both(rng):
@@ -276,7 +285,7 @@ def test_quadratic_irreducibility_against_root_oracle():
     for a in range(16):
         for b in range(16):
             p = FieldPoly([b, a, 1], ctx)
-            has_root = any(p.eval(y) == 0 for y in range(ctx.order))
+            has_root = any(poly_eval(p, y) == 0 for y in range(ctx.order))
             assert is_irreducible(p) == (not has_root)
 
 
@@ -285,7 +294,7 @@ def test_cubic_irreducibility_against_root_oracle(rng):
     ctx = FieldCtx(4)
     for _ in range(200):
         p = random_poly(ctx, 3, rng)
-        has_root = any(p.eval(y) == 0 for y in range(ctx.order))
+        has_root = any(poly_eval(p, y) == 0 for y in range(ctx.order))
         assert is_irreducible(p) == (not has_root)
 
 
@@ -436,3 +445,92 @@ def test_sqrt_mod_g_of_square(rng):
         s = sqrt_mod_g(sq, g, sqrt_x)
         # squaring is a bijection mod irreducible g, so the root is unique
         assert s == w % g
+
+
+# -- bit-sliced vectors against the scalar field --
+
+
+def _unslice(slices, n):
+    """Lane j of a sliced vector: bit b is bit j of slice b."""
+    return [sum((s >> j & 1) << b for b, s in enumerate(slices)) for j in range(n)]
+
+
+def _lane_vectors(ctx, rng):
+    """Vectors of 1, 2 and odd lengths up to 101: random lanes, all-zero
+    lanes, all-ones lanes (the element 2^m - 1), and random lanes sprinkled
+    with both."""
+    top = ctx.order - 1
+    for n in (1, 2, 3, 8, 33, 64, 101):
+        rand = [rng.randrange(ctx.order) for _ in range(n)]
+        mixed = [rng.choice((0, top, rng.randrange(ctx.order))) for _ in range(n)]
+        yield [0] * n
+        yield [top] * n
+        yield rand
+        yield mixed
+
+
+@pytest.mark.parametrize("m", sorted(MODULI))
+def test_sliced_mul_and_inv_match_scalar_field(m):
+    ctx = FieldCtx(m)
+    rng = random.Random(3000 + m)
+    vectors = list(_lane_vectors(ctx, rng))
+    for a in vectors:
+        n = len(a)
+        sa = slice_elements(ctx, a)
+        assert len(sa) == m
+        assert _unslice(sa, n) == a
+        assert _unslice(sliced_inv(ctx, sa), n) == [ctx.inv(x) if x else 0 for x in a]
+        for b in vectors:
+            if len(b) != n:
+                continue
+            prod = sliced_mul(ctx, sa, slice_elements(ctx, b))
+            assert all(s >> n == 0 for s in prod)
+            assert _unslice(prod, n) == [ctx.mul(x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_sliced_mul_exhaustive_small_m(m):
+    # every pair of field elements, one pair per lane
+    ctx = FieldCtx(m)
+    a = [x for x in range(ctx.order) for _ in range(ctx.order)]
+    b = [y for _ in range(ctx.order) for y in range(ctx.order)]
+    prod = sliced_mul(ctx, slice_elements(ctx, a), slice_elements(ctx, b))
+    assert _unslice(prod, len(a)) == [ctx.mul(x, y) for x, y in zip(a, b)]
+
+
+@st.composite
+def _locator_and_support(draw):
+    """(sigma, support): a partial support of distinct elements, and sigma =
+    c * prod(x - r) * h with roots r drawn from the support, from the whole
+    field (on or off the support) and from 0; c = 0 gives the zero
+    polynomial, and no roots with a constant h a constant sigma."""
+    m = draw(st.integers(2, 13))
+    ctx = FieldCtx(m)
+    elem = st.integers(0, ctx.order - 1)
+    n = draw(st.integers(1, min(ctx.order, 48)))
+    support = draw(st.lists(elem, min_size=n, max_size=n, unique=True))
+    roots = draw(st.lists(st.sampled_from(support) | elem | st.just(0), max_size=12))
+    sigma = FieldPoly([draw(elem)], ctx)
+    for r in roots:
+        sigma = sigma * FieldPoly([r, 1], ctx)
+    return sigma * FieldPoly(draw(st.lists(elem, max_size=4)) + [1], ctx), support
+
+
+@settings(max_examples=120, deadline=None)
+@given(_locator_and_support())
+def test_sliced_horner_matches_per_position_oracle(case):
+    sigma, support = case
+    ctx, n = sigma.ctx, len(support)
+    full = (1 << n) - 1
+    quotient, value = sliced_horner(sigma, slice_elements(ctx, support), full)
+    values = _unslice(value, n)
+    assert values == [poly_eval(sigma, a) for a in support]
+    roots = [j for j, a in enumerate(support) if poly_eval(sigma, a) == 0]
+    assert sliced_zeros(value, full) == sum(1 << j for j in roots)
+    # the steps before the value are the quotient by x - a, highest first
+    assert len(quotient) == max(sigma.degree, 0)
+    lanes = [_unslice(q, n) for q in reversed(quotient)]
+    for j, a in enumerate(support):
+        quo, rem = sigma.divmod(FieldPoly([a, 1], ctx))
+        assert FieldPoly([q[j] for q in lanes], ctx) == quo
+        assert rem == FieldPoly([values[j]], ctx)

@@ -16,6 +16,8 @@ from pqlab.goppa import (
     patterson_decode,
 )
 
+from oracles import poly_eval
+
 
 def make_code(m, t, seed=1):
     ctx = FieldCtx(m)
@@ -52,7 +54,7 @@ def xyz_reference(code):
     ctx, g, t = code.ctx, code.g, code.t
     h = [[0] * code.n for _ in range(t)]
     for j, a in enumerate(code.support):
-        z = ctx.inv(g.eval(a))
+        z = ctx.inv(poly_eval(g, a))
         for r in range(t):
             for i in range(r + 1):
                 y = ctx.pow(a, i)
@@ -70,6 +72,20 @@ def test_parity_check_equals_xyz_product(m, partial):
     for seed in range(2):
         code = random_code(m, 10 * m + seed, partial)
         assert code.h_bin.rows == m * code.t
+        assert code.h_bin.data == xyz_reference(code)
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 12, 13])
+def test_parity_check_matches_xyz_at_large_m(m):
+    # small partial supports keep the textbook product cheap at large m
+    ctx = FieldCtx(m)
+    rng = random.Random(500 + m)
+    for _ in range(2):
+        t = rng.randrange(2, 5)
+        g = random_irreducible(ctx, t, rng)
+        support = rng.sample(range(ctx.order), m * t + rng.randrange(1, 12))
+        code = GoppaCode(ctx, g, support)
+        assert code.h_bin.rows == m * t
         assert code.h_bin.data == xyz_reference(code)
 
 
@@ -95,15 +111,33 @@ def test_support_with_root_rejected():
     # over the base field GF(2^m), g = x has root 0
     ctx = FieldCtx(4)
     g = FieldPoly([0, 0, 1], ctx)  # x^2, vanishes at 0
-    with pytest.raises(SupportError):
+    with pytest.raises(SupportError, match="support element 0 is a root of g"):
         build_parity_check(g, range(16))
+    # with two roots on the support, the first in support order is named
+    g = FieldPoly([3, 1], ctx) * FieldPoly([9, 1], ctx)
+    with pytest.raises(SupportError, match="support element 9 is a root of g"):
+        build_parity_check(g, [1, 2, 9, 4, 3, 5])
+    with pytest.raises(SupportError, match="support element 3 is a root of g"):
+        build_parity_check(g, [1, 2, 3, 4, 9, 5])
 
 
 def test_repeated_support_rejected():
     ctx = FieldCtx(4)
     g = random_irreducible(ctx, 2, random.Random(1))
-    with pytest.raises(SupportError):
+    with pytest.raises(SupportError, match="distinct"):
         build_parity_check(g, [1, 2, 2, 3])
+    # the repeat is reported even when a root of g is on the support too
+    g = FieldPoly([3, 1], ctx) * FieldPoly([9, 1], ctx)
+    with pytest.raises(SupportError, match="distinct"):
+        build_parity_check(g, [3, 1, 2, 2, 9])
+
+
+def test_support_outside_field_rejected():
+    ctx = FieldCtx(4)
+    g = random_irreducible(ctx, 2, random.Random(1))
+    for support in ([1, 2, 16], [-1, 2, 3]):
+        with pytest.raises(SupportError, match=r"lie in \[0, 16\)"):
+            build_parity_check(g, support)
 
 
 def test_context_mismatch_rejected():
