@@ -179,12 +179,16 @@ def _cmd_decrypt(args) -> int:
         )
     if scheme == "mceliece":
         expected = formats.mceliece_params_hash(key.n, key.k, key.t)
+        n = key.n
     else:
         expected = formats.ntru_params_hash(key.params)
+        n = key.params.n
     if ct.hash != expected:
         raise FormatError(
             f"params-hash mismatch: key expects {expected}, ciphertext has {ct.hash}"
         )
+    if any(len(block) != n for block in ct.blocks):
+        raise FormatError(f"ciphertext block length differs from the key's n = {n}")
     if scheme == "mceliece":
         data = mceliece.decrypt_long(key, ct.blocks)
     else:

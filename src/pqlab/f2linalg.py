@@ -204,54 +204,54 @@ def mat_vec_mul(a: BinMatrix, v: BinVector) -> BinVector:
     return BinVector(a.rows, out)
 
 
-def rank(a: BinMatrix) -> int:
-    rows = [r for r in a.data if r]
-    rk = 0
-    while rows:
-        pivot = rows.pop()
-        rk += 1
-        low = pivot & -pivot
-        rows = [(r ^ pivot if r & low else r) for r in rows]
-        rows = [r for r in rows if r]
-    return rk
+def _echelon(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
+    """Forward elimination on the low `cols` bits: the one elimination loop.
 
-
-def _rref(rows: list[int], cols: int) -> list[int]:
-    """Gauss-Jordan on the low `cols` bits of each row, in place.
-
-    Bits at and above `cols` ride along with their row, so reducing a packed
-    [A | T] reduces A and applies the same row operations to T.  Returns the
-    pivot columns; rows[:len(pivots)] are the pivot rows, and every later row
-    is zero in its low `cols` bits.
+    Pops a row, takes its lowest set bit below `cols` as the pivot and clears
+    that bit from the rows still left.  Bits at and above `cols` ride along
+    with their row, so reducing a packed [A | T] applies the same row
+    operations to T.  Returns (pivot rows in the order taken, rows whose low
+    `cols` bits are zero); each pivot row's pivot is its lowest set bit.
     """
-    pivots = []
-    n = len(rows)
-    r = 0
-    for col in range(cols):
-        if r == n:
-            break
-        mask = 1 << col
-        for i in range(r, n):
-            if rows[i] & mask:
-                break
+    mask = (1 << cols) - 1
+    rows = list(rows)
+    pivots, rest = [], []
+    while rows:
+        pr = rows.pop()
+        if pr & mask:
+            low = pr & -pr
+            rows = [r ^ pr if r & low else r for r in rows]
+            pivots.append(pr)
         else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pr = rows[r]
-        for i in range(n):
-            if i != r and rows[i] & mask:
-                rows[i] ^= pr
-        pivots.append(col)
-        r += 1
-    return pivots
+            rest.append(pr)
+    return pivots, rest
+
+
+def rank(a: BinMatrix) -> int:
+    return len(_echelon(a.data, a.cols)[0])
+
+
+def _rref(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on the low `cols` bits: `_echelon`, then each pivot
+    cleared from the pivot rows taken before it, last first.
+
+    Returns (pivot columns, rows): the rows are the pivot rows in ascending
+    pivot order, then the rows whose low `cols` bits are zero.
+    """
+    pivots, rest = _echelon(rows, cols)
+    for i in range(len(pivots) - 1, 0, -1):
+        pr = pivots[i]
+        low = pr & -pr
+        pivots[:i] = [r ^ pr if r & low else r for r in pivots[:i]]
+    pivots.sort(key=lambda r: r & -r)
+    return [(r & -r).bit_length() - 1 for r in pivots], pivots + rest
 
 
 def _reduce_with_identity(a: BinMatrix) -> tuple[list[int], list[int]]:
     """Reduce A with an identity tagging along; returns (pivots, U) with
-    U x A = rref(A) padded by zero rows."""
+    U x A = rref(A) padded by the tags of the zero rows."""
     shift = a.cols
-    rows = [r | (1 << (shift + i)) for i, r in enumerate(a.data)]
-    pivots = _rref(rows, shift)
+    pivots, rows = _rref([r | (1 << (shift + i)) for i, r in enumerate(a.data)], shift)
     return pivots, [r >> shift for r in rows]
 
 
@@ -267,8 +267,7 @@ def invert(a: BinMatrix) -> BinMatrix:
 
 def rref(a: BinMatrix) -> tuple[BinMatrix, list[int]]:
     """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows = list(a.data)
-    pivots = _rref(rows, a.cols)
+    pivots, rows = _rref(a.data, a.cols)
     return BinMatrix(len(pivots), a.cols, rows[: len(pivots)]), pivots
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import mceliece as mce
 from .convring import conv_mul
-from .errors import DivisionByZero, FormatError, RankError
+from .errors import DivisionByZero, FormatError, SingularMatrix
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
 from .goppa import GoppaCode
@@ -182,7 +182,7 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
         raise FormatError("code parameters do not match the stored key")
     try:
         return mce.McElieceKeyPair(s, code, perm, code.t, bool(params.get("systematic", 0)))
-    except RankError:
+    except SingularMatrix:
         raise FormatError("scramble matrix s is singular") from None
 
 

@@ -132,10 +132,10 @@ def patterson_decode(
 ) -> tuple[BinVector, BinVector]:
     """Decode up to t errors; returns (codeword, error) or DecodingFailure.
 
-    Key equation split: with T = 1/s mod g, either T = x (error locator x)
-    or R = sqrt(T + x) is split by a partial EEA into a = b*R (mod g) with
-    deg a <= t/2, deg b <= (t-1)/2, giving sigma = a^2 + x b^2 whose roots
-    over the support mark the error positions.
+    Key equation split: with T = 1/s mod g, R = sqrt(T + x) is split by a
+    partial EEA into a = b*R (mod g) with deg a <= t/2, deg b <= (t-1)/2,
+    giving sigma = a^2 + x b^2 whose roots over the support mark the error
+    positions.  T = x needs no branch: R = 0 splits as (0, 1), so sigma = x.
     """
     if received.n != code.n:
         raise DimensionError("received word length mismatch")
@@ -146,12 +146,9 @@ def patterson_decode(
     t = code.t
     x = FieldPoly.x(code.ctx)
     T = poly_inv_mod(s, g)
-    if T == x:
-        sigma = x
-    else:
-        r = sqrt_mod_g(T + x, g, code.sqrt_x)
-        a, b = poly_eea_partial(g, r, t // 2)
-        sigma = a.square() + b.square().shift(1)
+    r = sqrt_mod_g(T + x, g, code.sqrt_x)
+    a, b = poly_eea_partial(g, r, t // 2)
+    sigma = a.square() + b.square().shift(1)
     if sigma.is_zero():
         raise DecodingFailure("error locator degenerated to zero")
     # sigma at every support element at once: the error bits are the lanes

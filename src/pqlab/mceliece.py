@@ -4,8 +4,9 @@ Key generation hides a decodable code G behind an invertible scramble S and
 a column permutation P: the private key is (S, g, L, P), and the public
 matrix G_hat = S x G x P is derived from it.  Encryption adds a secret
 weight-t error to m . G_hat; decryption unwinds P, decodes the error, reads
-v = m . S off the codeword and returns v . S^-1.  Includes the key-size and
-work-factor calculators and block encryption for byte streams.
+v = m . S off the codeword and returns m = v . S^-1, with S^-1 formed by one
+`invert` per key pair.  Includes the key-size and work-factor calculators and
+block encryption for byte streams.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     SingularMatrix,
     UnknownParams,
 )
-from .f2linalg import BinMatrix, BinVector, PermMatrix, RowSolver
+from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, random_irreducible
 from .goppa import GoppaCode, LinearCode
 from .packing import pack, unpack
@@ -79,20 +80,23 @@ class McEliecePublicKey:
 
 @dataclass(frozen=True)
 class McElieceKeyPair:
-    """The private key (S, code, P) and t; S must be an invertible k x k."""
+    """The private key (S, code, P) and t; S must be an invertible k x k
+    and P a permutation of the code's n positions."""
 
     s: BinMatrix
     code: GoppaCode | LinearCode
     p: PermMatrix
     t: int
     systematic: bool = False
-    # solves v = m . S: the whole of unscrambling, built once per key pair
-    solver: RowSolver = field(init=False, repr=False, compare=False)
+    # S^-1: unscrambling is m = v . S^-1, one invert per key pair
+    s_inv: BinMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.s.rows, self.s.cols) != (self.code.k, self.code.k):
             raise DimensionError(f"scramble matrix must be {self.code.k} x {self.code.k}")
-        object.__setattr__(self, "solver", RowSolver(self.s))
+        if self.p.n != self.code.n:
+            raise DimensionError(f"permutation must have length {self.code.n}")
+        object.__setattr__(self, "s_inv", f2linalg.invert(self.s))
 
     @cached_property
     def public(self) -> McEliecePublicKey:
@@ -186,7 +190,7 @@ def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
         _, e_hat = goppa.bruteforce_decode(kp.code, c_hat, kp.t)
     if e_hat.weight() <= kp.t:
         try:
-            return kp.solver.solve(kp.code.message_of(c_hat + e_hat))
+            return f2linalg.vec_mat_mul(kp.code.message_of(c_hat + e_hat), kp.s_inv)
         except RankError:
             pass
     raise DecodingFailure("re-encryption check failed")

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from pqlab import cli, errors
 from pqlab.cli import main
 
 
@@ -431,6 +432,20 @@ def test_singular_scramble_key_rejected(tmp_path, capsys):
     assert "format error" in capsys.readouterr().err
 
 
+def test_short_permutation_key_rejected(tmp_path, capsys):
+    # a permutation of 0..14 is well formed on its own but has the wrong
+    # length for the n = 16 code
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
+
+    def drop_15_from_perm(lines):
+        idx = lines.index("perm p 2 9 4 1 5 7 12 11 8 15 13 3 10 6 14 0")
+        lines[idx] = "perm p 2 9 4 1 5 7 12 11 8 13 3 10 6 14 0"
+
+    capsys.readouterr()
+    assert _encrypt_then_decrypt_with(tmp_path, keys, "mc", drop_15_from_perm) == 2
+    assert "permutation must have length 16" in capsys.readouterr().err
+
+
 def test_non_squarefree_goppa_key_rejected(tmp_path, capsys):
     import random
 
@@ -511,6 +526,37 @@ def test_corrupt_ciphertext(tmp_path, capsys):
     assert "format error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme, preset, ext, n, grow", [
+    ("mceliece", "toy", "mc", 16, 20),
+    ("ntru", "toy11", "nt", 11, 12),
+], ids=["mceliece", "ntru"])
+def test_ciphertext_length_must_match_key(tmp_path, capsys, scheme, preset, ext, n, grow):
+    # the params hash still matches the key; only the header's n (and, for
+    # NTRU, each block's coefficient count) is changed
+    keys = _keygen(tmp_path, "k", "--scheme", scheme, "--preset", preset, "--seed", "1")
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(b"abc")
+    ct = tmp_path / "m.ct"
+    assert main([
+        "encrypt", "--pub", str(keys / f"key.{ext}pub"),
+        "--in", str(plain), "--out", str(ct), "--seed", "2",
+    ]) == 0
+    lines = ct.read_text().splitlines()
+    lines[lines.index(f"param n {n}")] = f"param n {grow}"
+    if scheme == "ntru":
+        lines = [ln + " 0" * (grow - n) if ln.startswith("block ") else ln for ln in lines]
+    ct.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main([
+        "decrypt", "--priv", str(keys / f"key.{ext}priv"),
+        "--in", str(ct), "--out", str(tmp_path / "m.out"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: ciphertext block length differs from the key's n = {n}"
+    )
+
+
 def test_undecodable_blocks(tmp_path, capsys):
     # well-formed ciphertexts whose only block strips to an empty message
     # (the padding marker is missing) or to one stray bit (not a whole byte)
@@ -584,3 +630,40 @@ def test_bad_env_seed(tmp_path, monkeypatch, capsys):
 def test_seed_always_reported(tmp_path, capsys):
     _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "4")
     assert "seed: 4" in capsys.readouterr().err
+
+
+# -- the exit-code contract --
+
+# every PqlabError class in pqlab.errors and its documented exit code:
+# 1 usage error, 2 format/parse error, 3 cryptographic or other failure
+EXIT_CODES = {
+    errors.PqlabError: 3,
+    errors.DivisionByZero: 3,
+    errors.DimensionError: 3,
+    errors.SingularMatrix: 3,
+    errors.RankError: 3,
+    errors.SupportError: 3,
+    errors.DecodingFailure: 3,
+    errors.NotInvertible: 3,
+    errors.SamplingExhausted: 3,
+    errors.MessageRangeError: 3,
+    errors.UnknownParams: 1,
+    errors.FormatError: 2,
+}
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
+    classes = {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.PqlabError)
+    }
+    # a new error class needs a row in the table before it can pass
+    assert classes == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        def raise_it(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_info", raise_it)
+        assert main(["info", "--params", "toy"]) == code, cls.__name__
+        err = capsys.readouterr().err
+        assert err.startswith("pqlab: ") and err.endswith("boom\n"), cls.__name__

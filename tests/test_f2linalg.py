@@ -21,6 +21,7 @@ from pqlab.f2linalg import (
     rref,
     vec_mat_mul,
 )
+from oracles import span_rank
 
 
 # -- vectors --
@@ -247,7 +248,10 @@ def test_row_solver_rank_deficient_matrix():
         RowSolver(g)
 
 
-# -- the eliminator against the independent rank --
+# -- the eliminator against the span-enumeration rank --
+#
+# rank is the eliminator's forward pass, so the checks below count against
+# span_rank, which enumerates the row span and eliminates nothing.
 
 
 @st.composite
@@ -262,9 +266,22 @@ def matrices(draw, max_dim=10):
     return mat_mul(BinMatrix(rows, inner, left), BinMatrix(inner, cols, right))
 
 
+def test_span_rank_oracle():
+    assert span_rank(BinMatrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert span_rank(BinMatrix.zero(3, 4)) == 0
+    assert span_rank(BinMatrix.identity(6)) == 6
+    rows = [[0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]  # row3 = row1 + row2
+    assert span_rank(BinMatrix.from_rows(rows)) == 2
+
+
+@given(matrices())
+def test_rank_matches_span_oracle(a):
+    assert rank(a) == span_rank(a)
+
+
 @given(matrices())
 def test_invert_matches_rank(a):
-    if a.rows != a.cols or rank(a) < a.rows:
+    if a.rows != a.cols or span_rank(a) < a.rows:
         with pytest.raises(SingularMatrix):
             invert(a)
         return
@@ -275,7 +292,7 @@ def test_invert_matches_rank(a):
 
 @given(matrices(), st.data())
 def test_row_solver_matches_rank(g, data):
-    if rank(g) < g.rows:
+    if span_rank(g) < g.rows:
         with pytest.raises(RankError):
             RowSolver(g)
         return
@@ -287,13 +304,13 @@ def test_row_solver_matches_rank(g, data):
 @given(matrices())
 def test_rref_and_null_space_match_rank(a):
     red, pivots = rref(a)
-    assert len(pivots) == red.rows == rank(a)
-    assert rank(red) == red.rows
+    assert len(pivots) == red.rows == span_rank(a)
+    assert span_rank(red) == red.rows
     ns = null_space(a)
     assert ns.rows == a.cols - len(pivots)
     assert all(mat_vec_mul(a, ns.row(i)).bits == 0 for i in range(ns.rows))
     if ns.rows:
-        assert rank(ns) == ns.rows
+        assert span_rank(ns) == ns.rows
 
 
 # -- the bit-gather kernel against the per-bit definition --
@@ -327,7 +344,9 @@ def test_row_solver_on_full_rank_generators(k, extra, rnd, data):
     y = vec_mat_mul(x, g)
     assert solver.solve(y) == x
     outside = data.draw(st.integers(0, (1 << n) - 1))
-    if rank(BinMatrix(k + 1, n, g.data + [outside])) > k:
+    # G holds an identity on cols, so the one candidate message is read there
+    read = sum(((outside >> c) & 1) << i for i, c in enumerate(cols))
+    if vec_mat_mul(BinVector(k, read), g).bits != outside:
         with pytest.raises(RankError):
             solver.solve(BinVector(n, outside))
     wrong_lengths = [BinVector(n + 1, y.bits), BinVector(n + 1, y.bits | 1 << n)]

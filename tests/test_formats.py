@@ -284,14 +284,14 @@ def test_every_preset_t_passes_the_public_range_check(params):
 
 
 # a demo-preset private key and a fixed ciphertext under it; the fuzz below
-# edits the integers of its param, poly g and support l lines
+# edits the integers of its param, perm p, poly g and support l lines
 _DEMO = mceliece.preset("demo")
 _DEMO_KP = mceliece.keygen(_DEMO.m, _DEMO.t, random.Random(21), n=_DEMO.n)
 _DEMO_LINES = serialize_mceliece_private(_DEMO_KP).splitlines()
 _DEMO_BLOCKS = mceliece.encrypt_long(_DEMO_KP.public, b"fuzz", random.Random(22))
 _FUZZ_LINES = [
     i for i, line in enumerate(_DEMO_LINES)
-    if line.startswith(("param ", "poly g ", "support l "))
+    if line.startswith(("param ", "perm p ", "poly g ", "support l "))
 ]
 _FUZZ_INTS = st.integers(-3, 40) | st.sampled_from([-(1 << 13), 63, 64, 1 << 13, 1 << 40])
 

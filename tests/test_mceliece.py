@@ -192,7 +192,7 @@ def test_decrypt_verifies_reencryption(rng):
 
 def test_decrypt_checks_against_the_key_solver(monkeypatch, rng):
     # a decoder that hands back a wrong error of weight t: c.P^-1 + e is then
-    # no codeword, and reading the message off it refuses before S is solved
+    # no codeword, and reading the message off it refuses before S^-1 applies
     kp = keygen(5, 3, rng)
     c = encrypt(kp.public, BinVector(kp.k, rng.randrange(1 << kp.k)), rng=rng)
     real_decode = goppa.patterson_decode
@@ -215,8 +215,9 @@ def test_decrypt_checks_against_the_key_solver(monkeypatch, rng):
         decrypt(kp, c)
 
 
-def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
-    # every block is solved by the key's one RowSolver; S is never inverted
+def test_decrypt_long_one_invert_per_key(monkeypatch, rng):
+    # S is inverted once per key pair, at keygen and at load; every block is
+    # then one product v . S^-1, and no RowSolver is built for S
     calls = {"invert": 0, "solver": 0}
     real_invert, real_init = f2linalg.invert, f2linalg.RowSolver.__init__
 
@@ -231,14 +232,16 @@ def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
     monkeypatch.setattr(f2linalg, "invert", counting_invert)
     monkeypatch.setattr(f2linalg.RowSolver, "__init__", counting_init)
     kp = keygen(4, 2, rng)
+    assert calls == {"invert": 1, "solver": 0}
     _, _, loaded = parse_file(serialize_mceliece_private(kp))
-    assert calls == {"invert": 0, "solver": 2}
+    assert calls == {"invert": 2, "solver": 0}
+    assert loaded.s_inv == kp.s_inv
     data = rng.randbytes(5)
     blocks = encrypt_long(kp.public, data, rng)
     assert len(blocks) == 6
     assert decrypt_long(kp, blocks) == data
     assert decrypt_long(loaded, blocks) == data
-    assert calls == {"invert": 0, "solver": 2}
+    assert calls == {"invert": 2, "solver": 0}
 
 
 @pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
