@@ -5,12 +5,21 @@ of x^i.  Reduction modulo q is always to the centered interval (-q/2, q/2]
 unless a function says otherwise.  Inverses modulo a prime come from the
 extended Euclidean algorithm in GF(p)[x]; prime-power moduli are reached by
 Hensel lifting, covering the power-of-two q used at recommended sizes.
+
+A convolution is one bignum multiply (Kronecker substitution): each operand
+becomes an integer with one fixed-width slot per coefficient, and the slots
+of the product hold the polynomial product.  The slots are 1, 2, 4 or 8
+bytes, or k 8-byte words when a slot is wider than 64 bits, so packing and
+unpacking go through `array` and `int.from_bytes`/`int.to_bytes` in C
+rather than through a Python shift per slot.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from typing import Sequence
 
 from .errors import DimensionError, NotInvertible
@@ -30,18 +39,30 @@ def center_mod(f: Coeffs, q: int) -> list[int]:
     """Coefficient-wise centered reduction; idempotent."""
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    return [center(c, q) for c in f]
+    return [r - q if 2 * (r := c % q) > q else r for c in f]
+
+
+# array typecode for each item size: 1, 2, 4 and 8 bytes
+_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def conv_mul(f: Coeffs, g: Coeffs, q: int | None = None) -> list[int]:
     """Cyclic convolution h_k = sum over i+j = k (mod N) of f_i g_j.
 
     Exact over the integers when q is None; otherwise reduced to centered
-    representatives mod q.  Both operands are packed into one big integer
-    with fixed-width slots so a single bignum multiply performs the whole
-    convolution.  An exact product is the product mod Q = 2B + 2, where
-    B = N * max|f_i| * max|g_j| bounds every |h_k|: the centered residues
-    in (-Q/2, Q/2] cover [-B, B], so they are the integer coefficients.
+    representatives mod q.  An exact product is the product mod Q = 2B + 2,
+    where B = N * max|f_i| * max|g_j| bounds every |h_k|: the centered
+    residues in (-Q/2, Q/2] cover [-B, B], so they are the integer
+    coefficients.
+
+    Both operands' residues go into one big integer, a slot of at least
+    (N * (q-1)^2).bit_length() + 1 bits per coefficient, so one bignum
+    multiply performs the whole convolution and no slot overflows.  A slot
+    is 1, 2, 4 or 8 bytes, or k 8-byte words (low word first) past 64 bits;
+    packing and unpacking go through an `array` of that item size and
+    `int.from_bytes`/`int.to_bytes`, and the high N slots of the product
+    are added onto the low N (x^N = 1).
     """
     n = len(f)
     if len(g) != n:
@@ -50,17 +71,33 @@ def conv_mul(f: Coeffs, g: Coeffs, q: int | None = None) -> list[int]:
         return []
     if q is None:
         q = 2 * n * max(map(abs, f)) * max(map(abs, g)) + 2
-    # slot width large enough for n * (q-1)^2 plus carry headroom
     width = (n * (q - 1) * (q - 1)).bit_length() + 1
-    mask = (1 << width) - 1
-    fa = ga = 0
-    for i in range(n - 1, -1, -1):
-        fa = (fa << width) | (f[i] % q)
-        ga = (ga << width) | (g[i] % q)
-    prod = fa * ga
+    word = min(8, 1 << (max(width, 8) - 1).bit_length() - 3)  # 1, 2, 4 or 8 bytes
+    k = -(-width // (8 * word))  # words per slot: 1 unless the slot is wide
+    code = _CODES[word]
+    size = n * k * word  # bytes of one packed operand
+
+    def pack(a: Coeffs) -> int:
+        words = array(code, bytes(size))
+        res = [c % q for c in a]
+        for j in range(k - 1):
+            words[j::k] = array(code, [r & 0xFFFFFFFFFFFFFFFF for r in res])
+            res = [r >> 64 for r in res]
+        words[k - 1::k] = array(code, res)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
+
+    prod = pack(f) * pack(g)
     # x^N = 1: add the high N slots onto the low N (no slot overflows)
-    prod = (prod & ((1 << (n * width)) - 1)) + (prod >> (n * width))
-    return [center((prod >> (k * width)) & mask, q) for k in range(n)]
+    prod = (prod & ((1 << 8 * size) - 1)) + (prod >> 8 * size)
+    words = array(code, prod.to_bytes(size, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    slots = words[k - 1::k]
+    for j in range(k - 2, -1, -1):
+        slots = [s << 64 | w for s, w in zip(slots, words[j::k])]
+    return [r - q if 2 * (r := s % q) > q else r for s in slots]
 
 
 def invert_mod_prime(f: Coeffs, p: int) -> list[int]:

@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import mceliece as mce
-from .convring import conv_mul
+from .convring import conv_mul, ternary_shape
 from .errors import DivisionByZero, FormatError, SingularMatrix
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
@@ -237,6 +237,10 @@ def _parse_ntru_private(p: _Parser) -> NtruKeyPair:
         raise FormatError("private polynomials have wrong degree")
     if conv_mul(f, f_p_inv, np_.p) != [1] + [0] * (np_.n - 1):
         raise FormatError("f * f_p_inv is not 1 mod p")
+    # g = f * h mod q is ternary for every key keygen writes; an h taken
+    # from another key's file gives a g of full-size residues
+    if ternary_shape(conv_mul(f, h, np_.q)) is None:
+        raise FormatError("f * h is not ternary mod q")
     return NtruKeyPair(
         public=NtruPublicKey(np_, tuple(h)), f=tuple(f), f_p_inv=tuple(f_p_inv)
     )

@@ -504,6 +504,23 @@ def test_bad_f_p_inv_key_rejected(tmp_path, capsys):
     assert "format error" in capsys.readouterr().err
 
 
+def test_swapped_h_key_rejected(tmp_path, capsys):
+    keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
+    other = _keygen(tmp_path, "o", "--scheme", "ntru", "--preset", "toy11", "--seed", "2")
+    other_h = next(
+        ln for ln in (other / "key.ntpriv").read_text().splitlines() if ln.startswith("poly h ")
+    )
+
+    def swap_in_other_h(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("poly h "))
+        assert lines[idx] != other_h
+        lines[idx] = other_h
+
+    capsys.readouterr()
+    assert _encrypt_then_decrypt_with(tmp_path, keys, "nt", swap_in_other_h) == 2
+    assert "f * h is not ternary" in capsys.readouterr().err
+
+
 def test_corrupt_ciphertext(tmp_path, capsys):
     keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
     plain = tmp_path / "m.bin"

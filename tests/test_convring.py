@@ -57,6 +57,7 @@ def test_center_congruent_and_in_range(v, q):
 def test_center_mod_idempotent(f, q):
     once = center_mod(f, q)
     assert center_mod(once, q) == once
+    assert once == [center(c, q) for c in f]
 
 
 def test_center_mod_rejects_tiny_modulus():
@@ -114,6 +115,47 @@ def test_conv_modular_path_matches_plain(rng):
         f = [rng.randrange(-q, q) for _ in range(n)]
         g = [rng.randrange(-q, q) for _ in range(n)]
         assert conv_mul(f, g, q) == center_mod(conv_oracle(f, g), q)
+
+
+def _slot_bytes(n, q):
+    # conv_mul's slot: (n * (q-1)^2).bit_length() + 1 bits, rounded up to
+    # 1, 2, 4 or 8 bytes, or to whole 8-byte words past 64 bits
+    bits = (n * (q - 1) ** 2).bit_length() + 1
+    return next((b for b in (1, 2, 4, 8) if 8 * b >= bits), 8 * -(-bits // 64))
+
+
+@pytest.mark.parametrize(
+    "n, q, bound, slot",
+    [
+        (7, 3, 1, 1),
+        (443, 3, 1, 2),  # f_p^-1 * a at rec443
+        (11, 41, 40, 2),
+        (443, 2048, 1024, 4),  # r * h and f * c at rec443
+        (50, 2**20, 2**20, 8),
+        (59, 10**9 + 7, 10**9, 16),
+        (20, None, 1000, 8),
+        (13, None, 10**12, 24),
+        (5, None, 10**40, 72),
+    ],
+)
+def test_conv_every_slot_width_matches_multiply_then_fold(rng, n, q, bound, slot):
+    f = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+    g = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+    # pin the extremes so an exact product's modulus is 2 * n * bound^2 + 2
+    f[0], g[-1] = bound, -bound
+    exact = conv_oracle(f, g)
+    if q is None:
+        assert _slot_bytes(n, 2 * n * bound * bound + 2) == slot
+        assert conv_mul(f, g) == exact
+    else:
+        assert _slot_bytes(n, q) == slot
+        assert conv_mul(f, g, q) == center_mod(exact, q)
+
+
+def test_conv_modulus_one_is_all_zeros(rng):
+    for n in (1, 5, 443):
+        f = [rng.randrange(-9, 10) for _ in range(n)]
+        assert conv_mul(f, f, 1) == [0] * n
 
 
 coeff_lists = st.integers(1, 8).flatmap(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqlab import kat, mceliece, ntru
-from pqlab.errors import FormatError, PqlabError
+from pqlab.errors import DecodingFailure, FormatError
 from pqlab.f2linalg import BinVector
 from pqlab.formats import (
     load_file,
@@ -321,9 +321,11 @@ def test_mutated_private_key_loads_or_raises_format_error(data):
         _, _, kp = parse_file("\n".join(lines) + "\n")
     except FormatError:
         return
+    # a key that loads is structurally whole: decrypting with it may fail
+    # to decode, but never with a dimension, range or other load-time error
     try:
         out = mceliece.decrypt_long(kp, _DEMO_BLOCKS)
-    except PqlabError:
+    except DecodingFailure:
         return
     assert isinstance(out, bytes)
 
