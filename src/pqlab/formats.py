@@ -3,19 +3,20 @@
 Every file starts with the magic line "PQLAB1 <scheme> <kind>".  Bodies are
 "param <name> <int>" lines followed by typed payload sections: matrices as
 hex-packed rows (bit j of the row integer is column j), polynomials and
-permutations as space-separated integers, and a closing "end" line.
-Serialization is canonical, so identical inputs give byte-identical files;
-ciphertexts carry a hash of the scheme parameters that decryption checks
-before touching any block.
+permutations as space-separated integers, and a closing "end" line.  One
+writer, `_text`, emits that layout and `_Parser` reads it back; each
+serializer is its params plus its body.  Serialization is canonical, so
+identical inputs give byte-identical files; ciphertexts carry a hash of the
+scheme parameters that decryption checks before touching any block.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import mceliece as mce
-from .convring import conv_mul, ternary_shape
+from .convring import conv_mul, poly_to_text, ternary_shape
 from .errors import DivisionByZero, FormatError, SingularMatrix
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
@@ -38,6 +39,13 @@ def _matrix_lines(name: str, m: BinMatrix) -> list[str]:
     out = [f"matrix {name} {m.rows} {m.cols}"]
     out.extend(_hex_row(r, m.cols) for r in m.data)
     return out
+
+
+def _text(head: str, params: dict[str, int], body: list[str]) -> str:
+    """The mirror of _Parser: the magic line, one param line per item in
+    order, the body lines and the end line."""
+    lines = [f"{MAGIC} {head}", *(f"param {k} {v}" for k, v in params.items())]
+    return "\n".join([*lines, *body, "end"]) + "\n"
 
 
 class _Parser:
@@ -99,23 +107,14 @@ class _Parser:
 
 
 def serialize_mceliece_public(pub: mce.McEliecePublicKey) -> str:
-    lines = [
-        f"{MAGIC} mceliece public",
-        f"param n {pub.n}",
-        f"param k {pub.k}",
-        f"param t {pub.t}",
-        f"param systematic {int(pub.systematic)}",
-    ]
+    n, k = pub.n, pub.k
     if pub.systematic:
-        k, n = pub.k, pub.n
-        a = BinMatrix(
-            k, n - k, [r & ((1 << (n - k)) - 1) for r in pub.g_hat.data]
-        )
-        lines.extend(_matrix_lines("a", a))
+        a = BinMatrix(k, n - k, [r & ((1 << (n - k)) - 1) for r in pub.g_hat.data])
+        body = _matrix_lines("a", a)
     else:
-        lines.extend(_matrix_lines("g_hat", pub.g_hat))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+        body = _matrix_lines("g_hat", pub.g_hat)
+    params = {"n": n, "k": k, "t": pub.t, "systematic": int(pub.systematic)}
+    return _text("mceliece public", params, body)
 
 
 def _parse_mceliece_public(p: _Parser) -> mce.McEliecePublicKey:
@@ -143,21 +142,21 @@ def serialize_mceliece_private(kp: mce.McElieceKeyPair) -> str:
     code = kp.code
     if not isinstance(code, GoppaCode):
         raise FormatError("only Goppa-backed private keys can be serialized")
-    lines = [
-        f"{MAGIC} mceliece private",
-        f"param n {kp.n}",
-        f"param k {kp.k}",
-        f"param t {kp.t}",
-        f"param m {code.ctx.m}",
-        f"param modulus {code.ctx.modulus}",
-        f"param systematic {int(kp.systematic)}",
+    params = {
+        "n": kp.n,
+        "k": kp.k,
+        "t": kp.t,
+        "m": code.ctx.m,
+        "modulus": code.ctx.modulus,
+        "systematic": int(kp.systematic),
+    }
+    body = [
+        *_matrix_lines("s", kp.s),
+        f"perm p {poly_to_text(kp.p.perm)}",
+        f"poly g {poly_to_text(code.g.coeffs)}",
+        f"support l {poly_to_text(code.support)}",
     ]
-    lines.extend(_matrix_lines("s", kp.s))
-    lines.append("perm p " + " ".join(str(i) for i in kp.p.perm))
-    lines.append("poly g " + " ".join(str(c) for c in code.g.coeffs))
-    lines.append("support l " + " ".join(str(a) for a in code.support))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _text("mceliece private", params, body)
 
 
 def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
@@ -181,7 +180,9 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
     if code.k != params["k"] or code.n != params["n"]:
         raise FormatError("code parameters do not match the stored key")
     try:
-        return mce.McElieceKeyPair(s, code, perm, code.t, bool(params.get("systematic", 0)))
+        kp = mce.McElieceKeyPair(s, code, perm, code.t, bool(params.get("systematic", 0)))
+        kp.s_inv  # formed here so that a singular S fails at load
+        return kp
     except SingularMatrix:
         raise FormatError("scramble matrix s is singular") from None
 
@@ -189,21 +190,8 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
 # -- NTRU --
 
 
-def _ntru_param_lines(params: NtruParams) -> list[str]:
-    return [
-        f"param n {params.n}",
-        f"param p {params.p}",
-        f"param q {params.q}",
-        f"param d_f {params.d_f}",
-    ]
-
-
 def serialize_ntru_public(pub: NtruPublicKey) -> str:
-    lines = [f"{MAGIC} ntru public"]
-    lines.extend(_ntru_param_lines(pub.params))
-    lines.append("poly h " + " ".join(str(c) for c in pub.h))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _text("ntru public", asdict(pub.params), [f"poly h {poly_to_text(pub.h)}"])
 
 
 def _parse_ntru_public(p: _Parser) -> NtruPublicKey:
@@ -213,17 +201,22 @@ def _parse_ntru_public(p: _Parser) -> NtruPublicKey:
     if len(h) != np_.n:
         raise FormatError("public polynomial has wrong degree")
     p.expect_end()
+    # every writer centers h mod q; h = 0 would send the message in the clear
+    q = np_.q
+    if not all(-q < 2 * c <= q for c in h):
+        raise FormatError(f"public polynomial h is not centered mod {q}")
+    if not any(h):
+        raise FormatError("public polynomial h is zero")
     return NtruPublicKey(np_, tuple(h))
 
 
 def serialize_ntru_private(kp: NtruKeyPair) -> str:
-    lines = [f"{MAGIC} ntru private"]
-    lines.extend(_ntru_param_lines(kp.params))
-    lines.append("poly f " + " ".join(str(c) for c in kp.f))
-    lines.append("poly f_p_inv " + " ".join(str(c) for c in kp.f_p_inv))
-    lines.append("poly h " + " ".join(str(c) for c in kp.public.h))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    body = [
+        f"poly f {poly_to_text(kp.f)}",
+        f"poly f_p_inv {poly_to_text(kp.f_p_inv)}",
+        f"poly h {poly_to_text(kp.public.h)}",
+    ]
+    return _text("ntru private", asdict(kp.params), body)
 
 
 def _parse_ntru_private(p: _Parser) -> NtruKeyPair:
@@ -261,35 +254,22 @@ def mceliece_params_hash(n: int, k: int, t: int) -> str:
 
 
 def ntru_params_hash(params: NtruParams) -> str:
-    return params_hash(
-        "ntru", {"n": params.n, "p": params.p, "q": params.q, "d_f": params.d_f}
-    )
+    return params_hash("ntru", asdict(params))
 
 
 def serialize_ciphertext_mceliece(
     pub: mce.McEliecePublicKey, blocks: list[BinVector]
 ) -> str:
-    lines = [
-        f"{MAGIC} mceliece ciphertext",
-        f"param blocks {len(blocks)}",
-        f"param n {pub.n}",
+    body = [
         f"hash {mceliece_params_hash(pub.n, pub.k, pub.t)}",
+        *(f"block {_hex_row(b.bits, b.n)}" for b in blocks),
     ]
-    lines.extend("block " + _hex_row(b.bits, b.n) for b in blocks)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _text("mceliece ciphertext", {"blocks": len(blocks), "n": pub.n}, body)
 
 
 def serialize_ciphertext_ntru(params: NtruParams, blocks: list[list[int]]) -> str:
-    lines = [
-        f"{MAGIC} ntru ciphertext",
-        f"param blocks {len(blocks)}",
-        f"param n {params.n}",
-        f"hash {ntru_params_hash(params)}",
-    ]
-    lines.extend("block " + " ".join(str(c) for c in b) for b in blocks)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    body = [f"hash {ntru_params_hash(params)}", *(f"block {poly_to_text(b)}" for b in blocks)]
+    return _text("ntru ciphertext", {"blocks": len(blocks), "n": params.n}, body)
 
 
 def _parse_ciphertext(p: _Parser, scheme: str) -> CiphertextFile:

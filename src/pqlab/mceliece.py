@@ -5,14 +5,15 @@ a column permutation P: the private key is (S, g, L, P), and the public
 matrix G_hat = S x G x P is derived from it.  Encryption adds a secret
 weight-t error to m . G_hat; decryption unwinds P, decodes the error, reads
 v = m . S off the codeword and returns m = v . S^-1, with S^-1 formed by one
-`invert` per key pair.  Includes the key-size and work-factor calculators and
-block encryption for byte streams.
+`invert` per key pair, at load or at its first decrypt and never at keygen.
+Includes the key-size and work-factor calculators and block encryption for
+byte streams.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import f2linalg, goppa
@@ -88,15 +89,18 @@ class McElieceKeyPair:
     p: PermMatrix
     t: int
     systematic: bool = False
-    # S^-1: unscrambling is m = v . S^-1, one invert per key pair
-    s_inv: BinMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.s.rows, self.s.cols) != (self.code.k, self.code.k):
             raise DimensionError(f"scramble matrix must be {self.code.k} x {self.code.k}")
         if self.p.n != self.code.n:
             raise DimensionError(f"permutation must have length {self.code.n}")
-        object.__setattr__(self, "s_inv", f2linalg.invert(self.s))
+
+    @cached_property
+    def s_inv(self) -> BinMatrix:
+        """S^-1: unscrambling is m = v . S^-1, one invert per key pair,
+        formed on first use only."""
+        return f2linalg.invert(self.s)
 
     @cached_property
     def public(self) -> McEliecePublicKey:

@@ -126,11 +126,10 @@ def encrypt(
     params = pub.params
     if len(m) != params.n:
         raise DimensionError(f"message degree {len(m)} != N {params.n}")
+    p = params.p
     for c in m:
-        if center(c, params.p) != c:
-            raise MessageRangeError(
-                f"message coefficient {c} not centered mod {params.p}"
-            )
+        if not -p < 2 * c <= p:
+            raise MessageRangeError(f"message coefficient {c} not centered mod {p}")
     if r is None:
         if rng is None:
             raise ValueError("need either an explicit blinding r or an rng")

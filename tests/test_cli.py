@@ -381,6 +381,32 @@ def test_out_of_range_public_t_rejected(tmp_path, capsys, t):
     )
 
 
+@pytest.mark.parametrize(
+    "h, reason",
+    [
+        ("0 0 0 0 0 0 0 0 0 0 0", "public polynomial h is zero"),
+        ("41 82 0 0 0 0 0 0 0 -41 0", "public polynomial h is not centered mod 41"),
+    ],
+    ids=["zero", "multiples-of-q"],
+)
+def test_zero_or_uncentered_public_h_rejected(tmp_path, capsys, h, reason):
+    # both are h = 0 mod q, so c = p.r.h + m = m would carry the message in
+    # the clear; every writer emits h centered mod q and nonzero
+    keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
+    pub = keys / "key.ntpub"
+    lines = pub.read_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("poly h "))
+    lines[idx] = f"poly h {h}"
+    pub.write_text("\n".join(lines) + "\n")
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(b"hello")
+    capsys.readouterr()
+    assert main([
+        "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
+
+
 def test_key_kind_checks(tmp_path, capsys):
     keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
     plain = tmp_path / "m.bin"

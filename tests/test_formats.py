@@ -330,6 +330,78 @@ def test_mutated_private_key_loads_or_raises_format_error(data):
     assert isinstance(out, bytes)
 
 
+# one file of each other kind; the fuzz below edits their tokens and lines
+_NTRU_KP = ntru.keygen(ntru.preset("toy11"), random.Random(23))
+_OTHER_FILES = {
+    "mceliece-public": serialize_mceliece_public(_DEMO_KP.public),
+    "mceliece-public-systematic": serialize_mceliece_public(
+        mceliece.keygen(4, 2, random.Random(24), systematic=True).public
+    ),
+    "ntru-public": serialize_ntru_public(_NTRU_KP.public),
+    "ntru-private": serialize_ntru_private(_NTRU_KP),
+    "mceliece-ciphertext": serialize_ciphertext_mceliece(_DEMO_KP.public, _DEMO_BLOCKS),
+    "ntru-ciphertext": serialize_ciphertext_ntru(
+        _NTRU_KP.params, ntru.encrypt_bytes(_NTRU_KP.public, b"fuzz", random.Random(25))
+    ),
+}
+_FUZZ_TOKENS = _FUZZ_INTS.map(str) | st.sampled_from(["ff", "1g", "-0", "x", "end", "param", "h"])
+_FUZZ_OPS = ["change", "drop", "duplicate", "insert", "drop line", "duplicate line", "insert line"]
+
+
+@pytest.mark.parametrize("kind", list(_OTHER_FILES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_format_error(kind, data):
+    lines = _OTHER_FILES[kind].splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        op = data.draw(st.sampled_from(_FUZZ_OPS if tokens else ["insert", *_FUZZ_OPS[4:]]))
+        if op == "drop line":
+            del lines[i]
+        elif op == "duplicate line":
+            lines.insert(i, lines[i])
+        elif op == "insert line":
+            lines.insert(i, " ".join(data.draw(st.lists(_FUZZ_TOKENS, max_size=3))))
+        elif op == "insert":
+            tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_FUZZ_TOKENS))
+        else:
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            if op == "change":
+                tokens[j] = data.draw(_FUZZ_TOKENS)
+            elif op == "duplicate":
+                tokens.insert(j, tokens[j])
+            else:
+                del tokens[j]
+        if not op.endswith(" line"):
+            lines[i] = " ".join(tokens)
+    try:
+        _, _, obj = parse_file("\n".join(lines) + "\n")
+    except FormatError:
+        return
+    if isinstance(obj, ntru.NtruPublicKey):
+        # a loaded h is as keygen writes it: centered mod q and nonzero
+        q = obj.params.q
+        assert all(-q < 2 * c <= q for c in obj.h) and any(obj.h)
+
+
+@pytest.mark.parametrize("q", [41, 32])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ntru_public_h_loads_only_centered_and_nonzero(q, data):
+    # -q/2 < h_i <= q/2 is the range center_mod gives; h = 0 would encrypt
+    # every message to itself. Draws reach one step past each end
+    near_centered = st.integers(-q // 2 - 1, q // 2 + 1)
+    h = data.draw(st.lists(near_centered, min_size=11, max_size=11))
+    text = serialize_ntru_public(ntru.NtruPublicKey(NtruParams(11, 3, q, 2), tuple(h)))
+    try:
+        parse_file(text)
+        loads = True
+    except FormatError:
+        loads = False
+    assert loads == (all(-q < 2 * c <= q for c in h) and any(h))
+
+
 def test_ciphertext_block_count_must_match(ntru_kp):
     text = serialize_ciphertext_ntru(ntru_kp.params, [[0] * 11])
     with pytest.raises(FormatError):

@@ -216,8 +216,9 @@ def test_decrypt_checks_against_the_key_solver(monkeypatch, rng):
 
 
 def test_decrypt_long_one_invert_per_key(monkeypatch, rng):
-    # S is inverted once per key pair, at keygen and at load; every block is
-    # then one product v . S^-1, and no RowSolver is built for S
+    # S is inverted once per key pair, at load or at its first decrypt and
+    # never at keygen; every block is then one product v . S^-1, and no
+    # RowSolver is built for S
     calls = {"invert": 0, "solver": 0}
     real_invert, real_init = f2linalg.invert, f2linalg.RowSolver.__init__
 
@@ -232,16 +233,49 @@ def test_decrypt_long_one_invert_per_key(monkeypatch, rng):
     monkeypatch.setattr(f2linalg, "invert", counting_invert)
     monkeypatch.setattr(f2linalg.RowSolver, "__init__", counting_init)
     kp = keygen(4, 2, rng)
-    assert calls == {"invert": 1, "solver": 0}
+    assert calls == {"invert": 0, "solver": 0}
     _, _, loaded = parse_file(serialize_mceliece_private(kp))
-    assert calls == {"invert": 2, "solver": 0}
-    assert loaded.s_inv == kp.s_inv
+    assert calls == {"invert": 1, "solver": 0}
     data = rng.randbytes(5)
     blocks = encrypt_long(kp.public, data, rng)
     assert len(blocks) == 6
     assert decrypt_long(kp, blocks) == data
     assert decrypt_long(loaded, blocks) == data
     assert calls == {"invert": 2, "solver": 0}
+    assert loaded.s_inv == kp.s_inv
+    assert calls == {"invert": 2, "solver": 0}
+
+
+def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
+    # each drawn permutation costs one invert of its k x k tail, and S is the
+    # inverse of the last tail; S^-1 (that tail) is formed only on first use
+    inverted, drawn = [], []
+    real_invert, real_permutation = f2linalg.invert, f2linalg.random_permutation
+
+    def recording_invert(a):
+        inverted.append(a)
+        return real_invert(a)
+
+    def recording_permutation(n, r):
+        drawn.append(real_permutation(n, r))
+        return drawn[-1]
+
+    monkeypatch.setattr(f2linalg, "invert", recording_invert)
+    monkeypatch.setattr(f2linalg, "random_permutation", recording_permutation)
+    for seed in range(5):
+        inverted.clear()
+        drawn.clear()
+        kp = keygen(4, 2, random.Random(seed), systematic=True)
+        n, k = kp.n, kp.k
+        tails = [
+            BinMatrix(k, k, [r >> (n - k) for r in p.apply_mat(kp.code.generator).data])
+            for p in drawn
+        ]
+        assert inverted == tails
+        assert kp.p == drawn[-1]
+        assert kp.s == real_invert(tails[-1])
+        assert kp.s_inv == tails[-1]
+        assert len(inverted) == len(drawn) + 1
 
 
 @pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
