@@ -1,10 +1,14 @@
 """Dense linear algebra over GF(2).
 
 Vectors and matrix rows are stored as Python integers: bit j of a row is
-column j.  Bitwise XOR is whole-row addition, which keeps Gauss-Jordan and
-multiplication fast at every size this package touches.  Messages are row
-vectors and multiply matrices from the left, so every formula reads the way
-the cryptosystem equations are written.
+column j.  Bitwise XOR is whole-row addition.  Elimination is one pass of
+the Method of Four Russians (Bard; Albrecht, Bard and Hart): 8 columns at a
+time, a 256-entry table of the window's pivot combinations clears every
+other row with one lookup, and products use the same tables.  Column moves
+(null-space basis, column permutation) go through one transpose of the
+whole matrix packed into a single int.  Messages are row vectors and
+multiply matrices from the left, so every formula reads the way the
+cryptosystem equations are written.
 """
 
 from __future__ import annotations
@@ -179,11 +183,29 @@ def _xor_rows(rows: Sequence[int], bits: int) -> int:
     return acc
 
 
+def _span_table(base: Sequence[int]) -> list[int]:
+    """The 2^len(base) XOR combinations of `base`: entry x is the XOR of
+    base[j] over the set bits j of x, built by doubling."""
+    table = [0]
+    for v in base:
+        table += [u ^ v for u in table] if v else table
+    return table
+
+
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    """A x B: row i of the product XORs the rows of B selected by row i of A."""
+    """A x B: row i of the product XORs the rows of B selected by row i of A.
+
+    Four Russians: each group of 8 rows of B becomes a 256-entry table of
+    its XOR combinations, and one lookup per row of A folds the group in.
+    The tables are built one at a time, so only one is alive.
+    """
     if a.cols != b.rows:
         raise DimensionError(f"inner dimensions {a.cols} != {b.rows}")
-    return BinMatrix(a.rows, b.cols, [_xor_rows(b.data, r) for r in a.data])
+    out = [0] * a.rows
+    for g in range(0, b.rows, 8):
+        table = _span_table(b.data[g : g + 8])
+        out = [o ^ table[(r >> g) & 255] for o, r in zip(out, a.data)]
+    return BinMatrix(a.rows, b.cols, out)
 
 
 def vec_mat_mul(v: BinVector, a: BinMatrix) -> BinVector:
@@ -204,52 +226,107 @@ def mat_vec_mul(a: BinMatrix, v: BinVector) -> BinVector:
     return BinVector(a.rows, out)
 
 
-def _echelon(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
-    """Forward elimination on the low `cols` bits: the one elimination loop.
+def transpose(rows: Sequence[int], cols: int) -> list[int]:
+    """The cols rows of the transpose of the len(rows) x cols matrix `rows`.
 
-    Pops a row, takes its lowest set bit below `cols` as the pivot and clears
-    that bit from the rows still left.  Bits at and above `cols` ride along
-    with their row, so reducing a packed [A | T] applies the same row
-    operations to T.  Returns (pivot rows in the order taken, rows whose low
-    `cols` bits are zero); each pivot row's pivot is its lowest set bit.
+    The rows are packed through int.to_bytes and int.from_bytes into one
+    W x W bit square x, W the smallest power of two >= 8 that fits both
+    sides, with entry (i, j) at bit i*W + j.  For d = W/2, ..., 2, 1 one
+    delta swap trades the off-diagonal d x d blocks: entry (i, j) with bit d
+    clear in i and set in j moves to (i + d, j - d), s = d*(W - 1) bits up.
+    Each level's mask is built from repeated bytes and dropped after use;
+    kept, the masks would hold 1.3 MiB at W = 1024.
     """
-    mask = (1 << cols) - 1
+    if not cols:
+        return []
+    size = max(8, 1 << (max(len(rows), cols) - 1).bit_length())
+    step = size // 8  # bytes per packed row
+    x = int.from_bytes(b"".join([r.to_bytes(step, "little") for r in rows]), "little")
+    d = size // 2
+    while d:
+        reps = size // (2 * d)
+        if d >= 8:
+            row = (bytes(d // 8) + b"\xff" * (d // 8)) * reps
+        else:  # the same byte throughout: its bits j with j & d set
+            row = bytes([sum(1 << j for j in range(8) if j & d)]) * step
+        # that row in the rows i with bit d clear, zero rows between
+        mask = int.from_bytes((row * d + bytes(step * d)) * reps, "little")
+        s = d * (size - 1)
+        t = ((x >> s) ^ x) & mask
+        x ^= t ^ (t << s)
+        d //= 2
+    data = x.to_bytes(step * size, "little")
+    return [int.from_bytes(data[j * step : (j + 1) * step], "little") for j in range(cols)]
+
+
+def _rref(rows: Iterable[int], cols: int, back: bool = True) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on the low `cols` bits by the Method of Four Russians:
+    the one elimination loop.
+
+    The columns go in windows of w = 8 (fewer at the right edge).  The rows
+    not yet pivots are scanned, each reduced by the window's pivots found so
+    far, until the window has w pivots or the rows run out; a row left nonzero in the window becomes
+    a pivot on its lowest window bit and clears that bit from the window's
+    earlier pivots.  The 2^w XOR combinations of the window's pivots then
+    clear the window from every other row with one table lookup each.
+    Bits at and above `cols` ride along with their row, so reducing a
+    packed [A | T] applies the same row operations to T.
+
+    Returns (pivot columns, rows): the rows are the pivot rows in ascending
+    pivot order, then the rows whose low `cols` bits are zero.  back=False
+    clears only the rows below each window's pivots, which leaves an
+    echelon form: enough for the rank.
+    """
     rows = list(rows)
-    pivots, rest = [], []
-    while rows:
-        pr = rows.pop()
-        if pr & mask:
-            low = pr & -pr
-            rows = [r ^ pr if r & low else r for r in rows]
-            pivots.append(pr)
-        else:
-            rest.append(pr)
-    return pivots, rest
+    n = len(rows)
+    pivots: list[int] = []
+    top = 0  # rows[:top] are the pivot rows of the windows done so far
+    for c in range(0, cols, 8):
+        if top == n:
+            break
+        w = min(8, cols - c)
+        mask = (1 << w) - 1
+        window: dict[int, int] = {}  # pivot bit -> pivot row
+        i = top
+        while i < n and len(window) < w:
+            r = rows[i]
+            for bit, p in window.items():
+                if r & bit:
+                    r ^= p
+            x = (r >> c) & mask
+            if x:
+                bit = (x & -x) << c
+                for b, p in window.items():
+                    if p & bit:
+                        window[b] = p ^ r
+                window[bit] = r
+                # park the scanned row from the next pivot slot in row i
+                r = rows[top + len(window) - 1]
+            rows[i] = r
+            i += 1
+        if not window:
+            continue
+        table = _span_table([window.get(1 << j, 0) for j in range(c, c + w)])
+        # rows[top:i] are scanned, so only the rest need the window cleared
+        rows[i:] = [r ^ table[(r >> c) & mask] for r in rows[i:]]
+        if back:
+            rows[:top] = [r ^ table[(r >> c) & mask] for r in rows[:top]]
+        for bit in sorted(window):
+            rows[top] = window[bit]
+            pivots.append(bit.bit_length() - 1)
+            top += 1
+    return pivots, rows
 
 
 def rank(a: BinMatrix) -> int:
-    return len(_echelon(a.data, a.cols)[0])
-
-
-def _rref(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan on the low `cols` bits: `_echelon`, then each pivot
-    cleared from the pivot rows taken before it, last first.
-
-    Returns (pivot columns, rows): the rows are the pivot rows in ascending
-    pivot order, then the rows whose low `cols` bits are zero.
-    """
-    pivots, rest = _echelon(rows, cols)
-    for i in range(len(pivots) - 1, 0, -1):
-        pr = pivots[i]
-        low = pr & -pr
-        pivots[:i] = [r ^ pr if r & low else r for r in pivots[:i]]
-    pivots.sort(key=lambda r: r & -r)
-    return [(r & -r).bit_length() - 1 for r in pivots], pivots + rest
+    return len(_rref(a.data, a.cols, back=False)[0])
 
 
 def _reduce_with_identity(a: BinMatrix) -> tuple[list[int], list[int]]:
     """Reduce A with an identity tagging along; returns (pivots, U) with
-    U x A = rref(A) padded by the tags of the zero rows."""
+    U x A = rref(A) padded by the tags of the zero rows.  Those tags span
+    the left kernel of A; when A has one, which basis comes out is not
+    unique, and neither are the pivot rows' tags."""
     shift = a.cols
     pivots, rows = _rref([r | (1 << (shift + i)) for i, r in enumerate(a.data)], shift)
     return pivots, [r >> shift for r in rows]
@@ -276,18 +353,23 @@ def null_space(a: BinMatrix) -> BinMatrix:
 
     Rows come out in free-column order with an identity pattern on the free
     columns, so solving v . K = y for a kernel matrix K is a column lookup.
+    Basis row k is 1 at free column f_k and carries column f_k of the
+    reduced rows on the pivot columns; three transposes move those columns
+    into place, with no loop per bit.
     """
-    reduced, pivots = rref(a)
+    pivots, rows = _rref(a.data, a.cols)
+    rank_a = len(pivots)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(a.cols) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = fm = 1 << f
-        for r, p in zip(reduced.data, pivots):
-            if r & fm:
-                v |= 1 << p
-        basis.append(v)
-    return BinMatrix(len(basis), a.cols, basis)
+    free = [j for j in range(a.cols) if j not in pivot_set]
+    columns = transpose(rows[:rank_a], a.cols)
+    # z[i]: the free bits of pivot row i, bit k read at free column f_k
+    z = transpose([columns[f] for f in free], rank_a)
+    stacked = [0] * a.cols
+    for p, zi in zip(pivots, z):
+        stacked[p] = zi
+    for k, f in enumerate(free):
+        stacked[f] = 1 << k
+    return BinMatrix(len(free), a.cols, transpose(stacked, len(free)))
 
 
 class PermMatrix:
@@ -297,7 +379,7 @@ class PermMatrix:
     For a row vector v, (v . P)[perm[i]] = v[i].
     """
 
-    __slots__ = ("perm", "_fwd", "_bwd")
+    __slots__ = ("perm", "_inv", "_bwd")
 
     def __init__(self, perm: Sequence[int]):
         n = len(perm)
@@ -307,7 +389,7 @@ class PermMatrix:
         inv = [0] * n
         for i, j in enumerate(self.perm):
             inv[j] = i
-        self._fwd = gather(inv, n)  # v . P: bit j of the result is v[inv[j]]
+        self._inv = tuple(inv)  # column j of A x P is column inv[j] of A
         self._bwd = gather(self.perm, n)  # v . P^-1: bit i is v[perm[i]]
 
     @classmethod
@@ -335,7 +417,9 @@ class PermMatrix:
         """A x P (permute columns: new column perm[i] = old column i)."""
         if a.cols != self.n:
             raise DimensionError("column count mismatch")
-        return BinMatrix(a.rows, a.cols, list(map(self._fwd, a.data)))
+        columns = transpose(a.data, a.cols)
+        moved = [columns[i] for i in self._inv]
+        return BinMatrix(a.rows, a.cols, transpose(moved, a.rows))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PermMatrix) and other.perm == self.perm

@@ -42,8 +42,11 @@ from .gf2m import (
 )
 
 
-def build_parity_check(g: FieldPoly, support: Sequence[int]) -> BinMatrix:
-    """The binary parity check H of C(g, L); the syndrome is H.v.
+def build_parity_check(
+    g: FieldPoly, support: Sequence[int]
+) -> tuple[BinMatrix, list[int]]:
+    """The binary parity check H of C(g, L), whose syndrome is H.v, and the
+    support bit-sliced, which the decoder's root search reuses.
 
     Division gives g(x) = (x - a) q(x) + g(a), so (x - a)^-1 = q(x) / g(a)
     mod g, and g(a) = 0 marks a root of g.  Coefficient t-1-r of that
@@ -66,7 +69,8 @@ def build_parity_check(g: FieldPoly, support: Sequence[int]) -> BinMatrix:
     if n and not (0 <= min(support) and max(support) < ctx.order):
         raise SupportError(f"support elements must lie in [0, {ctx.order})")
     full = (1 << n) - 1
-    quotient, g_alpha = sliced_horner(g, slice_elements(ctx, support), full)
+    support_slices = slice_elements(ctx, support)
+    quotient, g_alpha = sliced_horner(g, support_slices, full)
     roots = sliced_zeros(g_alpha, full)
     if roots:
         first = support[(roots & -roots).bit_length() - 1]
@@ -75,7 +79,7 @@ def build_parity_check(g: FieldPoly, support: Sequence[int]) -> BinMatrix:
     rows = []
     for q in quotient:
         rows.extend(sliced_mul(ctx, q, z))
-    return BinMatrix(ctx.m * g.degree, n, rows)
+    return BinMatrix(ctx.m * g.degree, n, rows), support_slices
 
 
 class GoppaCode:
@@ -90,8 +94,7 @@ class GoppaCode:
         self.support = tuple(support)
         self.t = g.degree
         self.n = len(self.support)
-        self.h_bin = build_parity_check(g, self.support)
-        self.support_slices = slice_elements(ctx, self.support)
+        self.h_bin, self.support_slices = build_parity_check(g, self.support)
         self.generator = f2linalg.null_space(self.h_bin)
         self.k = self.generator.rows
         # the free column of each null-space basis row is its top bit
@@ -136,6 +139,11 @@ def patterson_decode(
     partial EEA into a = b*R (mod g) with deg a <= t/2, deg b <= (t-1)/2,
     giving sigma = a^2 + x b^2 whose roots over the support mark the error
     positions.  T = x needs no branch: R = 0 splits as (0, 1), so sigma = x.
+
+    The corrected word needs no parity check: sigma = b^2 T (mod g), so
+    sigma * s = sigma' (mod g), and a sigma with deg(sigma) distinct roots
+    on the support is prime to g and has sigma'/sigma = sum 1/(x - alpha_i)
+    over its roots, which is the syndrome of the error it marks.
     """
     if received.n != code.n:
         raise DimensionError("received word length mismatch")
@@ -161,10 +169,7 @@ def patterson_decode(
             f"locator of degree {sigma.degree} has {nroots} support roots"
         )
     error = BinVector(code.n, err_bits)
-    codeword = received + error
-    if not code.is_codeword(codeword):
-        raise DecodingFailure("corrected word fails the parity check")
-    return codeword, error
+    return received + error, error
 
 
 def bruteforce_decode(

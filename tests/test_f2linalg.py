@@ -10,6 +10,7 @@ from pqlab.f2linalg import (
     BinVector,
     PermMatrix,
     RowSolver,
+    _reduce_with_identity,
     invert,
     mat_mul,
     mat_vec_mul,
@@ -19,9 +20,10 @@ from pqlab.f2linalg import (
     random_permutation,
     random_weight_vector,
     rref,
+    transpose,
     vec_mat_mul,
 )
-from oracles import span_rank
+from oracles import gauss_jordan, span_rank
 
 
 # -- vectors --
@@ -311,6 +313,118 @@ def test_rref_and_null_space_match_rank(a):
     assert all(mat_vec_mul(a, ns.row(i)).bits == 0 for i in range(ns.rows))
     if ns.rows:
         assert span_rank(ns) == ns.rows
+
+
+# -- the Four-Russians eliminator against textbook Gauss-Jordan --
+#
+# The eliminator works in windows of 8 columns; these shapes span several
+# windows, with widths off the multiple of 8, zero rows, and columns zeroed
+# at random so windows with fewer than 8 pivots fall mid-matrix.
+
+
+@st.composite
+def wide_matrices(draw, max_rows=40, max_cols=70):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    inner = draw(st.integers(0, max_rows))
+    left = draw(st.lists(st.integers(0, (1 << inner) - 1), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=inner, max_size=inner))
+    data = mat_mul(BinMatrix(rows, inner, left), BinMatrix(inner, cols, right)).data
+    keep = draw(st.sampled_from([(1 << cols) - 1, draw(st.integers(0, (1 << cols) - 1))]))
+    zero = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows))
+    return BinMatrix(rows, cols, [0 if i in zero else r & keep for i, r in enumerate(data)])
+
+
+def _null_space_oracle(a):
+    """Kernel basis from the textbook RREF, bit by bit: for each free column
+    f, the vector with 1 at f and entry (i, f) of the RREF at pivot i."""
+    reduced, pivots = gauss_jordan(a)
+    basis = []
+    for f in range(a.cols):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for r, p in zip(reduced, pivots):
+            v |= ((r >> f) & 1) << p
+        basis.append(v)
+    return basis
+
+
+@given(wide_matrices())
+def test_eliminator_matches_gauss_jordan(a):
+    reduced, pivots = gauss_jordan(a)
+    red, got_pivots = rref(a)
+    assert got_pivots == pivots
+    assert red.data == reduced
+    assert rank(a) == len(pivots)
+    assert null_space(a).data == _null_space_oracle(a)
+    # U x A = rref(A) with the zero rows' tags spanning the left kernel
+    u_pivots, u = _reduce_with_identity(a)
+    assert u_pivots == pivots
+    product = mat_mul(BinMatrix(a.rows, a.rows, u), a).data
+    assert product == reduced + [0] * (a.rows - len(pivots))
+    assert rank(BinMatrix(a.rows, a.rows, u)) == a.rows
+
+
+def test_eliminator_on_dense_matrices(rng):
+    # dense rows fill most windows after a short scan, so the table clears
+    # rows the scan never reached
+    for rows, cols in [(30, 50), (45, 45), (60, 100), (100, 60)]:
+        a = BinMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+        reduced, pivots = gauss_jordan(a)
+        assert rref(a) == (BinMatrix(len(pivots), cols, reduced), pivots)
+        assert rank(a) == len(pivots)
+        assert null_space(a).data == _null_space_oracle(a)
+
+
+@given(wide_matrices(max_cols=40), st.booleans())
+def test_invert_matches_gauss_jordan(a, square_up):
+    n = a.rows
+    if square_up:  # unit lower triangular, so invertible
+        a = BinMatrix(n, n, [(1 << i) ^ (r & ((1 << i) - 1)) for i, r in enumerate(a.data)])
+    else:
+        a = BinMatrix(n, n, [r & ((1 << n) - 1) for r in a.data])
+    # [A | I] reduces to [I | A^-1] exactly when A is invertible
+    augmented = BinMatrix(n, 2 * n, [r | 1 << (n + i) for i, r in enumerate(a.data)])
+    reduced, pivots = gauss_jordan(augmented)
+    if pivots != list(range(n)):
+        with pytest.raises(SingularMatrix):
+            invert(a)
+        return
+    assert invert(a).data == [r >> n for r in reduced]
+    assert _reduce_with_identity(a)[1] == [r >> n for r in reduced]
+
+
+@given(st.integers(0, 70), st.integers(0, 140), st.data())
+def test_transpose_moves_every_bit(rows, cols, data):
+    a = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    expected = [sum(((a[i] >> j) & 1) << i for i in range(rows)) for j in range(cols)]
+    assert transpose(a, cols) == expected
+    assert transpose(expected, rows) == a
+
+
+def test_transpose_edge_shapes():
+    assert transpose([], 0) == []
+    assert transpose([], 3) == [0, 0, 0]
+    assert transpose([0b101], 3) == [1, 0, 1]
+    assert transpose([1, 0, 1, 1], 1) == [0b1101]
+    assert transpose([0b10, 0b01], 0) == []
+
+
+@given(st.integers(0, 12), st.integers(0, 30), st.integers(0, 20), st.data())
+def test_mat_mul_xors_the_selected_rows(rows, inner, cols, data):
+    a = data.draw(st.lists(st.integers(0, (1 << inner) - 1), min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=inner, max_size=inner))
+    expected = []
+    for r in a:
+        acc = 0
+        for j in range(inner):
+            if (r >> j) & 1:
+                acc ^= b[j]
+        expected.append(acc)
+    product = mat_mul(BinMatrix(rows, inner, a), BinMatrix(inner, cols, b))
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product.data == expected
 
 
 # -- the bit-gather kernel against the per-bit definition --

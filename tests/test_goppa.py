@@ -295,6 +295,27 @@ def test_decode_beyond_radius_detected_or_wrong(rng):
     assert outcomes["raised"] + outcomes["wrong"] == 50
 
 
+def test_decoder_output_is_always_a_codeword(rng):
+    # the decoder runs no parity check of its own: whenever the locator
+    # splits on the support, the corrected word must be a codeword anyway,
+    # for words at any distance from the code and on partial supports
+    codes = [make_code(4, 2), make_code(5, 3, seed=4)]
+    codes += [random_code(m, seed, True) for m in (4, 5, 6) for seed in (1, 2)]
+    decoded = 0
+    for code in codes:
+        for _ in range(300):
+            received = BinVector(code.n, rng.getrandbits(code.n))
+            try:
+                word, err = patterson_decode(code, received)
+            except DecodingFailure:
+                continue
+            decoded += 1
+            assert code.is_codeword(word)
+            assert word + err == received
+            assert err.weight() <= code.t
+    assert decoded > 100
+
+
 def test_randomized_m6_t3(rng):
     code = make_code(6, 3, seed=9)
     assert code.params == (64, code.k, 3)
