@@ -3,8 +3,12 @@
 Polynomials are plain lists of N integers, index i holding the coefficient
 of x^i.  Reduction modulo q is always to the centered interval (-q/2, q/2]
 unless a function says otherwise.  Inverses modulo a prime come from the
-extended Euclidean algorithm in GF(p)[x]; prime-power moduli are reached by
-Hensel lifting, covering the power-of-two q used at recommended sizes.
+extended Euclidean algorithm in GF(p)[x], one step at a time, each step
+cancelling the leading term of the larger remainder.  The step has three
+representations: mod 2 a polynomial is one int, mod 3 it is two lane masks
+(the +1 lanes and the -1 lanes), and every other prime runs on lists.
+Prime-power moduli are reached by Hensel lifting, covering the power-of-two
+q used at recommended sizes.
 
 A convolution is one bignum multiply (Kronecker substitution): each operand
 becomes an integer with one fixed-width slot per coefficient, and the slots
@@ -106,11 +110,105 @@ def invert_mod_prime(f: Coeffs, p: int) -> list[int]:
 
     The loop keeps u0*f = r0 and u1*f = r1 (mod x^N - 1) with deg r0 >=
     deg r1.  Each step cancels the leading term of r0 with c*x^s*r1 and
-    makes the same move on the cofactor, where x^s*u1 is a cyclic shift of
-    the length-N list; the pair swaps once r0 drops below r1.  When r1 is a
-    nonzero constant, u1/r1 is the inverse; when it reaches zero, r0 is the
-    gcd with x^N - 1.
+    makes the same move on the cofactor; the pair swaps once r0 drops below
+    r1.  When r1 is a nonzero constant, u1/r1 is the inverse; when it
+    reaches zero, r0 is the gcd with x^N - 1.
+
+    The step has three representations.  Mod 2 a polynomial is one int
+    (bit i is the coefficient of x^i), so the step is two XORs of shifted
+    ints.  Mod 3 it is two lane masks, the +1 lanes and the -1 lanes: c is
+    +-1, multiplying by -1 swaps the masks, and the subtraction is one
+    lane-wise GF(3) add (`_invert_mod3`).  Every other prime runs on lists
+    of residues (`_invert_lists`).
     """
+    if p == 2:
+        return _invert_mod2(f)
+    if p == 3:
+        return _invert_mod3(f)
+    return _invert_lists(f, p)
+
+
+def _lanes(f: Coeffs, p: int, residue: int) -> int:
+    """Bit mask of the i with f_i = residue (mod p)."""
+    return int("0" + "".join("1" if c % p == residue else "0" for c in reversed(f)), 2)
+
+
+def _bits(mask: int, n: int) -> list[int]:
+    """The low n bits of mask as a list, bit 0 first."""
+    return [int(b) for b in reversed(format(mask, f"0{n}b"))]
+
+
+def _not_coprime(n: int, d: int) -> NotInvertible:
+    return NotInvertible(f"gcd with x^{n} - 1 has degree {d}")
+
+
+# The packed kernels shift the cofactor where the list loop rotates it: the
+# steps keep deg u0 + deg r1 <= N and deg u1 + deg r0 <= N, and deg r1 >= 1
+# inside the loop, so x^s*u1 never reaches x^N and no bit wraps.
+
+
+def _invert_mod2(f: Coeffs) -> list[int]:
+    """invert_mod_prime(f, 2) with each polynomial one int."""
+    n = len(f)
+    r1 = _lanes(f, 2, 1)
+    if not r1:
+        raise NotInvertible("zero is not invertible")
+    r0, u0, u1 = 1 << n | 1, 0, 1  # x^N - 1 = x^N + 1 over GF(2)
+    d0, d1 = n, r1.bit_length() - 1
+    while d1 > 0:
+        s = d0 - d1
+        r0 ^= r1 << s
+        u0 ^= u1 << s
+        d0 = r0.bit_length() - 1
+        if d0 < d1:
+            r0, r1, u0, u1, d0, d1 = r1, r0, u1, u0, d1, d0
+    if d1 < 0:
+        raise _not_coprime(n, d0)
+    return _bits(u1, n)
+
+
+def _invert_mod3(f: Coeffs) -> list[int]:
+    """invert_mod_prime(f, 3) with each polynomial a pair of lane masks
+    (+1 lanes, -1 lanes).
+
+    The sum a + b is one lane-wise add of seven logic ops: its +1 lanes are
+    a+ | b+ and its -1 lanes a- | b-, each toggled on the lanes where both a
+    and b are nonzero (1 + 1 = -1, -1 + -1 = 1 and 1 + -1 = 0).
+    """
+    n = len(f)
+    p1, m1 = _lanes(f, 3, 1), _lanes(f, 3, 2)
+    if not p1 | m1:
+        raise NotInvertible("zero is not invertible")
+    p0, m0 = 1 << n, 1  # x^N - 1
+    up0 = um0 = um1 = 0
+    up1 = 1
+    d0, d1 = n, (p1 | m1).bit_length() - 1
+    while d1 > 0:
+        s = d0 - d1
+        # r0 - c*x^s*r1 with c = lc(r0)/lc(r1): add x^s*r1 when the leading
+        # signs differ (c = -1), and x^s*(-r1) when they agree (c = 1)
+        if (p0 >> d0 ^ p1 >> d1) & 1:
+            bp, bm, vp, vm = p1 << s, m1 << s, up1 << s, um1 << s
+        else:
+            bp, bm, vp, vm = m1 << s, p1 << s, um1 << s, up1 << s
+        both = (p0 | m0) & (bp | bm)
+        p0, m0 = (p0 | bp) ^ both, (m0 | bm) ^ both
+        both = (up0 | um0) & (vp | vm)
+        up0, um0 = (up0 | vp) ^ both, (um0 | vm) ^ both
+        d0 = (p0 | m0).bit_length() - 1
+        if d0 < d1:
+            p0, m0, p1, m1, d0, d1 = p1, m1, p0, m0, d1, d0
+            up0, um0, up1, um1 = up1, um1, up0, um0
+    if d1 < 0:
+        raise _not_coprime(n, d0)
+    if m1:  # r1 = -1: the inverse is -u1
+        up1, um1 = um1, up1
+    return [a + 2 * b for a, b in zip(_bits(up1, n), _bits(um1, n))]
+
+
+def _invert_lists(f: Coeffs, p: int) -> list[int]:
+    """invert_mod_prime on lists of residues mod p, for any prime p; the
+    cofactor's x^s*u1 is a cyclic shift of the length-N list."""
     n = len(f)
     r1 = [c % p for c in f]
     while r1 and r1[-1] == 0:
@@ -129,7 +227,7 @@ def invert_mod_prime(f: Coeffs, p: int) -> list[int]:
         if len(r0) < len(r1):
             r0, r1, u0, u1 = r1, r0, u1, u0
     if not r1:
-        raise NotInvertible(f"gcd with x^{n} - 1 has degree {len(r0) - 1}")
+        raise _not_coprime(n, len(r0) - 1)
     scale = pow(r1[0], -1, p)
     return [c * scale % p for c in u1]
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pqlab import kat
 from pqlab.convring import (
+    _invert_lists,
     center,
     center_mod,
     conv_mul,
@@ -244,6 +245,84 @@ def test_invert_random_prime_moduli(rng):
         assert all(0 <= c < p for c in inv)
         prod = [c % p for c in conv_mul(f, inv, p)]
         assert prod == [1] + [0] * (n - 1)
+
+
+# The packed kernels for p = 2 (one int) and p = 3 (two lane masks) against
+# the list loop, which is the generic path for every other prime.
+
+
+def _outcome(invert, f, p):
+    try:
+        return invert(f, p)
+    except NotInvertible as err:
+        return f"NotInvertible: {err}"
+
+
+def _assert_kernel_matches_lists(f, p):
+    assert _outcome(invert_mod_prime, f, p) == _outcome(_invert_lists, f, p)
+
+
+@st.composite
+def ring_elements(draw):
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    d_plus = draw(st.integers(0, n))
+    d_minus = draw(st.integers(0, n - d_plus))
+    return draw(st.permutations([1] * d_plus + [-1] * d_minus + [0] * (n - d_plus - d_minus)))
+
+
+@settings(max_examples=300)
+@given(ring_elements(), st.sampled_from([2, 3]))
+def test_packed_inverse_matches_list_loop(f, p):
+    _assert_kernel_matches_lists(f, p)
+
+
+@settings(max_examples=100)
+@given(ring_elements(), st.sampled_from([2, 3]), st.sampled_from(["x - 1", "x^2 + x + 1"]))
+def test_packed_inverse_shared_factor(g, p, factor):
+    # f = factor * g shares factor with x^N - 1 whenever factor divides it:
+    # always for x - 1, and for x^2 + x + 1 when 3 divides N (x^3 - 1 =
+    # (x - 1)(x^2 + x + 1)); mod 3, x^2 + x + 1 = (x - 1)^2
+    n = len(g)
+    h = [-1, 1] if factor == "x - 1" else [1, 1, 1]
+    if len(h) > n:
+        return
+    f = conv_mul(g, h + [0] * (n - len(h)))
+    if factor == "x - 1" or n % 3 == 0:
+        with pytest.raises(NotInvertible):
+            invert_mod_prime(f, p)
+    _assert_kernel_matches_lists(f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_inverse_zero(p):
+    for n in (1, 2, 3, 64):
+        with pytest.raises(NotInvertible, match="^zero is not invertible$"):
+            invert_mod_prime([0] * n, p)
+        with pytest.raises(NotInvertible, match="^zero is not invertible$"):
+            invert_mod_prime([p] * n, p)  # zero mod p
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_inverse_seeded_sweep(rng, p):
+    for _ in range(2000):
+        n = rng.randrange(1, 40)
+        digits = (-1, 0, 1) if rng.random() < 0.5 else (-2, -1, 0, 1, 2)
+        f = [rng.choice(digits) for _ in range(n)]
+        _assert_kernel_matches_lists(f, p)
+
+
+def test_packed_inverse_full_size():
+    # rec443 shape: f ternary with 148 ones and 147 minus ones
+    rng = random.Random(443)
+    for _ in range(3):
+        f = sample_ternary(443, 148, 147, rng)
+        for p in (2, 3):
+            _assert_kernel_matches_lists(f, p)
+            inv = invert_mod_prime(f, p)
+            assert all(0 <= c < p for c in inv)
+            assert [c % p for c in conv_mul(f, inv, p)] == [1] + [0] * 442
 
 
 def test_hensel_lift_power_of_two(rng):
