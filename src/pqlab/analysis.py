@@ -2,14 +2,23 @@
 security calculators, and the toy lattice attack on small NTRU keys.
 
 Everything here is meant to make claims checkable at toy sizes.  The
-exhaustive oracles walk all 2^k codewords with a Gray-code sweep; the
-attack runs LLL on the public lattice basis and tests whether any short row
-works as a decryption key.  Published attack costs for the full-size
-parameter sets are echoed as literature values, never recomputed.
+exhaustive oracles weigh all 2^k codewords by bit-slicing: the messages of
+the last min(k, 14) generator rows are the lanes of one int, one column of
+their codewords is one lane mask, and a ripple counter over the n columns
+gives every lane's weight at once; an outer loop runs over the messages of
+the other rows.  Lanes and outer loop both go in bit-0-first message order
+(message bits compared from bit 0 up, a 0 first), so the first lane to
+reach a weight is the first message at it: that is the tie-break of
+`nearest_codeword_bruteforce` and the witness of `min_weight_bruteforce`.
+The attack runs LLL on the public lattice basis and tests whether any
+short row works as a decryption key.  Published attack costs for the
+full-size parameter sets are echoed as literature values, never
+recomputed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -19,77 +28,123 @@ from . import lattice as lattice_mod
 from . import mceliece, ntru
 from .convring import invert_mod, sample_ternary, ternary_shape
 from .errors import DimensionError, NotInvertible, UnknownParams
-from .f2linalg import BinMatrix, BinVector
+from .f2linalg import BinMatrix, BinVector, _span_table, _xor_rows, transpose
 from .lattice import build_public_basis, lll_reduce
 from .mceliece import McElieceParams
 from .ntru import NtruParams
 
 
-def _gray_codewords(g: BinMatrix):
-    """Yield (message_int, codeword_bits) over all 2^k messages, flipping one
-    message bit per step so each codeword is one row XOR away from the last."""
-    k = g.rows
-    rows = g.data
-    word = 0
-    msg = 0
-    yield 0, 0
-    for step in range(1, 1 << k):
-        bit = (step & -step).bit_length() - 1
-        word ^= rows[bit]
-        msg ^= 1 << bit
-        yield msg, word
+# the last min(k, _LANE_BITS) generator rows span the lanes of one int
+_LANE_BITS = 14
+
+
+@functools.cache
+def _lane_patterns(h: int) -> tuple[int, ...]:
+    """Lane masks over 2^h lanes: pattern i is set in the lanes l with bit
+    i of l set (periods of 2^(i+1) lanes, the upper half set)."""
+    full = (1 << (1 << h)) - 1
+    out = []
+    for i in range(h):
+        half = 1 << i
+        out.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    return tuple(out)
+
+
+def _weight_blocks(g: BinMatrix, target: int):
+    """Bit-sliced Hamming distances from `target` of all 2^k codewords.
+
+    The last h = min(k, _LANE_BITS) rows, reversed, span the 2^h lanes of
+    one int: lane l is the XOR of those reversed rows over the set bits of
+    l, so it holds the message whose last h bits, bit-reversed, are l, and
+    column j of the lane codewords is one mask.  The first k - h rows give
+    the outer words a, from a span table over the same rows reversed, so
+    the table runs in bit-reversed message order too.  Per a, the columns
+    where a ^ target has a 1 are flipped, a ripple counter adds the n
+    columns into weight bit-slices, and splitting on the slices, highest
+    first, leaves one lane mask per weight.
+
+    Yields (a, hi, masks) per outer word, masks[w] holding the lanes at
+    distance w.  Blocks come in bit-0-first message order, and so do the
+    lanes within a block, so the lowest lane of the first block reaching a
+    distance is the first message at it.
+    """
+    k, n = g.rows, g.cols
+    h = min(k, _LANE_BITS)
+    full = (1 << (1 << h)) - 1
+    hi = g.data[k - h :][::-1]
+    patterns = _lane_patterns(h)
+    columns = [_xor_rows(patterns, c) for c in transpose(hi, n)]
+    pairs = [(c, c ^ full) for c in columns]
+    fmt = f"0{n}b"
+    for a in _span_table(g.data[: k - h][::-1]):
+        slices: list[int] = []
+        for (plain, flipped), bit in zip(pairs, format(a ^ target, fmt)[::-1]):
+            x = flipped if bit == "1" else plain
+            for i, s in enumerate(slices):
+                if not x:
+                    break
+                slices[i] = s ^ x
+                x &= s
+            else:
+                if x:
+                    slices.append(x)
+        masks = [full]
+        for s in reversed(slices):
+            ns = ~s
+            masks = [y for m in masks for y in (m & ns, m & s)]
+        yield a, hi, masks
+
+
+def _first_nearest(g: BinMatrix, target: int, least: int) -> tuple[int, int]:
+    """(distance, codeword) of the first codeword in bit-0-first message
+    order at the least distance >= `least` from `target`; the distance is
+    g.cols + 1 and the codeword 0 when none is that far."""
+    best_d, best = g.cols + 1, 0
+    for a, hi, masks in _weight_blocks(g, target):
+        for d in range(least, min(best_d, len(masks))):
+            lanes = masks[d]
+            if lanes:
+                best_d = d
+                best = a ^ _xor_rows(hi, (lanes & -lanes).bit_length() - 1)
+                break
+    return best_d, best
+
+
+def _check_dimension(g: BinMatrix) -> None:
+    if g.rows > 24:
+        raise DimensionError("exhaustive enumeration limited to k <= 24")
 
 
 def min_weight_bruteforce(g: BinMatrix) -> tuple[int, BinVector]:
     """Exact minimum nonzero codeword weight and a witness, over all 2^k
-    codewords (k <= 24)."""
-    if g.rows > 24:
-        raise DimensionError("exhaustive enumeration limited to k <= 24")
-    best_w = g.cols + 1
-    best = 0
-    for msg, word in _gray_codewords(g):
-        if msg == 0:
-            continue
-        w = word.bit_count()
-        if 0 < w < best_w:
-            best_w = w
-            best = word
-    return best_w, BinVector(g.cols, best)
+    codewords (k <= 24) by bit-sliced weight counting.  The witness is the
+    first codeword of that weight in bit-0-first message order; a code with
+    no nonzero codeword gives (n + 1, zero vector)."""
+    _check_dimension(g)
+    w, word = _first_nearest(g, 0, 1)
+    return w, BinVector(g.cols, word)
 
 
 def weight_spectrum(g: BinMatrix) -> dict[int, int]:
-    """Codeword weight histogram over all 2^k messages (k <= 24)."""
-    if g.rows > 24:
-        raise DimensionError("exhaustive enumeration limited to k <= 24")
-    counts: dict[int, int] = {}
-    for _, word in _gray_codewords(g):
-        w = word.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+    """Codeword weight histogram over all 2^k messages (k <= 24), counted
+    from the bit-sliced per-weight lane masks, in ascending weight order."""
+    _check_dimension(g)
+    counts = [0] * (g.cols + 1)
+    for _, _, masks in _weight_blocks(g, 0):
+        for w, lanes in enumerate(masks):
+            if lanes:  # masks past weight n are empty
+                counts[w] += lanes.bit_count()
+    return {w: c for w, c in enumerate(counts) if c}
 
 
 def nearest_codeword_bruteforce(g: BinMatrix, w: BinVector) -> BinVector:
-    """Codeword at minimum Hamming distance from w; ties resolved toward the
+    """Codeword at minimum Hamming distance from w, over all 2^k codewords
+    (k <= 24) by bit-sliced distance counting; ties resolved toward the
     lexicographically smallest message (bit 0 first)."""
-    if g.rows > 24:
-        raise DimensionError("exhaustive enumeration limited to k <= 24")
+    _check_dimension(g)
     if w.n != g.cols:
         raise DimensionError("target length mismatch")
-    wb = w.bits
-    best_idx = 0
-    best_word = 0
-    best_dist = wb.bit_count()
-    for msg, word in _gray_codewords(g):
-        d = (word ^ wb).bit_count()
-        # on a tie, msg comes first iff it has a 0 at the lowest bit where
-        # it differs from best_idx
-        if d < best_dist or (
-            d == best_dist and not msg & (msg ^ best_idx) & -(msg ^ best_idx)
-        ):
-            best_dist = d
-            best_idx = msg
-            best_word = word
-    return BinVector(g.cols, best_word)
+    return BinVector(g.cols, _first_nearest(g, w.bits, 0)[1])
 
 
 def count_bases(k: int) -> int:

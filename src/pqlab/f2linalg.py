@@ -5,10 +5,10 @@ column j.  Bitwise XOR is whole-row addition.  Elimination is one pass of
 the Method of Four Russians (Bard; Albrecht, Bard and Hart): 8 columns at a
 time, a 256-entry table of the window's pivot combinations clears every
 other row with one lookup, and products use the same tables.  Column moves
-(null-space basis, column permutation) go through one transpose of the
-whole matrix packed into a single int.  Messages are row vectors and
-multiply matrices from the left, so every formula reads the way the
-cryptosystem equations are written.
+(null-space basis, column permutation) go through one transpose kernel,
+which cuts the matrix into square tiles and swaps each tile's bits as one
+int.  Messages are row vectors and multiply matrices from the left, so
+every formula reads the way the cryptosystem equations are written.
 """
 
 from __future__ import annotations
@@ -226,37 +226,75 @@ def mat_vec_mul(a: BinMatrix, v: BinVector) -> BinVector:
     return BinVector(a.rows, out)
 
 
-def transpose(rows: Sequence[int], cols: int) -> list[int]:
-    """The cols rows of the transpose of the len(rows) x cols matrix `rows`.
+# side of the largest square that transpose swaps as one int
+_TILE = 1024
 
-    The rows are packed through int.to_bytes and int.from_bytes into one
-    W x W bit square x, W the smallest power of two >= 8 that fits both
-    sides, with entry (i, j) at bit i*W + j.  For d = W/2, ..., 2, 1 one
-    delta swap trades the off-diagonal d x d blocks: entry (i, j) with bit d
-    clear in i and set in j moves to (i + d, j - d), s = d*(W - 1) bits up.
-    Each level's mask is built from repeated bytes and dropped after use;
-    kept, the masks would hold 1.3 MiB at W = 1024.
+
+def _transpose_square(data: bytes, size: int) -> bytes:
+    """Transpose the size x size bit square packed in `data`, entry (i, j)
+    at bit i*size + j, by log2(size) delta swaps on one int.
+
+    For d = size/2, ..., 2, 1 one swap trades the off-diagonal d x d
+    blocks: entry (i, j) with bit d clear in i and set in j moves to
+    (i + d, j - d), s = d*(size - 1) bits up.  Each level's mask is built
+    from repeated bytes and dropped after use.
     """
-    if not cols:
-        return []
-    size = max(8, 1 << (max(len(rows), cols) - 1).bit_length())
     step = size // 8  # bytes per packed row
-    x = int.from_bytes(b"".join([r.to_bytes(step, "little") for r in rows]), "little")
+    x = int.from_bytes(data, "little")
     d = size // 2
     while d:
         reps = size // (2 * d)
         if d >= 8:
             row = (bytes(d // 8) + b"\xff" * (d // 8)) * reps
         else:  # the same byte throughout: its bits j with j & d set
-            row = bytes([sum(1 << j for j in range(8) if j & d)]) * step
+            row = bytes([{4: 0xF0, 2: 0xCC, 1: 0xAA}[d]]) * step
         # that row in the rows i with bit d clear, zero rows between
         mask = int.from_bytes((row * d + bytes(step * d)) * reps, "little")
         s = d * (size - 1)
         t = ((x >> s) ^ x) & mask
         x ^= t ^ (t << s)
         d //= 2
-    data = x.to_bytes(step * size, "little")
-    return [int.from_bytes(data[j * step : (j + 1) * step], "little") for j in range(cols)]
+    return x.to_bytes(step * size, "little")
+
+
+def transpose(rows: Sequence[int], cols: int) -> list[int]:
+    """The cols rows of the transpose of the len(rows) x cols matrix `rows`.
+
+    The matrix is cut into W x W tiles, W the smallest power of two that
+    fits the shorter side (and at least 64, or the longer side when that
+    is less), at most _TILE; so a long thin matrix is a strip of squares,
+    a big one a grid of them, and a small one a single square.  The rows go
+    through int.to_bytes once; each tile is joined from their byte slices
+    and transposed as one int (_transpose_square), and the output rows are
+    joined from the tiles' row slices down each column strip.  Tiling
+    bounds the big ints at _TILE^2 bits, where one square of the shorter
+    side would take 8192^2 bits at 5413 x 6960: that transpose peaks at
+    12 MiB under tracemalloc.
+    """
+    if not rows or not cols:
+        return [0] * cols
+    n = len(rows)
+    short, long = sorted((n, cols))
+    side = min(long, max(short, 64))
+    size = min(_TILE, max(8, 1 << (side - 1).bit_length()))
+    step = size // 8
+    width = -(-cols // size) * step  # bytes per packed row, whole tiles
+    packed = [r.to_bytes(width, "little") for r in rows]
+    out: list[int] = []
+    for c in range(0, width, step):
+        tiles = [
+            _transpose_square(b"".join([p[c : c + step] for p in packed[i : i + size]]), size)
+            for i in range(0, n, size)
+        ]
+        # output row 8c + j is row j of each tile down the strip, in order
+        end = min(size, cols - 8 * c) * step
+        if len(tiles) == 1:  # no joins: most calls, and all small ones
+            data = tiles[0]
+            out += [int.from_bytes(data[j : j + step], "little") for j in range(0, end, step)]
+        else:
+            chunks = zip(*[[t[j : j + step] for j in range(0, end, step)] for t in tiles])
+            out += [int.from_bytes(b"".join(ch), "little") for ch in chunks]
+    return out
 
 
 def _rref(rows: Iterable[int], cols: int, back: bool = True) -> tuple[list[int], list[int]]:

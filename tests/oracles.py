@@ -1,5 +1,7 @@
 """Scalar oracles shared by the test modules."""
 
+from pqlab.f2linalg import BinVector
+
 
 def poly_eval(p, x):
     """p(x) for one field element x, by Horner's rule with the scalar
@@ -41,3 +43,65 @@ def gauss_jordan(a):
         pivots.append(j)
     rows = [sum(b << j for j, b in enumerate(row)) for row in m[: len(pivots)]]
     return rows, pivots
+
+
+def gray_codewords(g):
+    """Yield (message_int, codeword_bits) over all 2^k messages, flipping one
+    message bit per step so each codeword is one row XOR away from the last."""
+    k = g.rows
+    rows = g.data
+    word = 0
+    msg = 0
+    yield 0, 0
+    for step in range(1, 1 << k):
+        bit = (step & -step).bit_length() - 1
+        word ^= rows[bit]
+        msg ^= 1 << bit
+        yield msg, word
+
+
+def min_weight_gray(g):
+    """Minimum nonzero codeword weight and the first codeword of that weight
+    in Gray order, one codeword per step: the reference for the sliced
+    min_weight_bruteforce."""
+    best_w = g.cols + 1
+    best = 0
+    for msg, word in gray_codewords(g):
+        if msg == 0:
+            continue
+        w = word.bit_count()
+        if 0 < w < best_w:
+            best_w = w
+            best = word
+    return best_w, BinVector(g.cols, best)
+
+
+def weight_spectrum_gray(g):
+    """Codeword weight histogram, one codeword per step: the reference for
+    the sliced weight_spectrum."""
+    counts = {}
+    for _, word in gray_codewords(g):
+        w = word.bit_count()
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def nearest_codeword_gray(g, w):
+    """Codeword nearest to w, ties toward the lexicographically smallest
+    message (bit 0 first), one codeword per step: the reference for the
+    sliced nearest_codeword_bruteforce."""
+    wb = w.bits
+    best_idx = 0
+    best_word = 0
+    best_dist = wb.bit_count()
+    for msg, word in gray_codewords(g):
+        d = (word ^ wb).bit_count()
+        # on a tie, msg comes first iff it has a 0 at the lowest bit where
+        # it differs from best_idx
+        if d < best_dist or (
+            d == best_dist and not msg & (msg ^ best_idx) & -(msg ^ best_idx)
+        ):
+            best_dist = d
+            best_idx = msg
+            best_word = word
+    return BinVector(g.cols, best_word)

@@ -4,8 +4,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pqlab import kat
+from oracles import (
+    gray_codewords,
+    min_weight_gray,
+    nearest_codeword_gray,
+    weight_spectrum_gray,
+)
+from pqlab import analysis, kat
 from pqlab.analysis import (
     AttackReport,
     count_bases,
@@ -176,6 +184,96 @@ def test_nearest_matches_cvp_under_embedding(rng):
         from pqlab.goppa import LinearCode
 
         assert LinearCode(g).is_codeword(folded)
+
+
+# -- the sliced oracles against the Gray sweep --
+
+
+@st.composite
+def codes(draw, max_k):
+    """A k x n generator with k in [0, max_k], n in [1, 40]; rows are random,
+    zero, copies of an earlier row or sums of two earlier rows, so G is
+    often rank-deficient."""
+    k = draw(st.integers(0, max_k))
+    n = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["random", "random", "zero", "copy", "sum"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append(0)
+        elif kind == "copy":
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "sum":
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.integers(0, (1 << n) - 1)))
+    return BinMatrix(k, n, rows)
+
+
+def _first_message_witness(g, w):
+    """The codeword of weight w whose message comes first, bit 0 first."""
+    k = g.rows
+    msg = min(
+        (m for m, word in gray_codewords(g) if word.bit_count() == w),
+        key=lambda m: format(m, f"0{k}b")[::-1],
+    )
+    return vec_mat_mul(BinVector(k, msg), g)
+
+
+def _tie_targets(g, data):
+    """Targets for the nearest oracle: a random word, one equidistant from
+    two codewords, and one next to a codeword, so ties are common."""
+    k, n = g.rows, g.cols
+
+    def word():
+        return vec_mat_mul(BinVector(k, data.draw(st.integers(0, (1 << k) - 1))), g)
+
+    a, b = word(), word()
+    split = BinVector.from_support(n, (a + b).support()[::2])
+    near = word() + BinVector.from_support(n, [data.draw(st.integers(0, n - 1))])
+    return [BinVector(n, data.draw(st.integers(0, (1 << n) - 1))), a + split, near]
+
+
+def _assert_oracles_match_gray(g, data):
+    assert weight_spectrum(g) == weight_spectrum_gray(g)
+    w, witness = min_weight_bruteforce(g)
+    assert w == min_weight_gray(g)[0]
+    if w <= g.cols:
+        assert witness == _first_message_witness(g, w)
+    else:
+        assert witness == BinVector(g.cols, 0)
+    for target in _tie_targets(g, data):
+        assert nearest_codeword_bruteforce(g, target) == nearest_codeword_gray(g, target)
+
+
+@settings(max_examples=50, deadline=None)
+@given(codes(max_k=17), st.data())
+def test_sliced_oracles_match_gray_sweep(g, data):
+    # k up to 17 crosses the 14 lane bits, so several outer words run
+    _assert_oracles_match_gray(g, data)
+
+
+@pytest.mark.parametrize("lane_bits", [2, 3])
+@settings(max_examples=150, deadline=None)
+@given(codes(max_k=9), st.data())
+def test_sliced_oracles_match_gray_sweep_at_narrow_lanes(lane_bits, g, data):
+    # narrow lanes put most message bits in the outer loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_LANE_BITS", lane_bits)
+        _assert_oracles_match_gray(g, data)
+
+
+@pytest.mark.parametrize("k", [0, 1, 16])
+def test_min_weight_zero_code_has_no_witness(k):
+    assert min_weight_bruteforce(BinMatrix.zero(k, 7)) == (8, BinVector(7, 0))
+
+
+def test_min_weight_witness_is_first_in_message_order():
+    # messages 1 and 4 both give weight 2; bit 0 first, 4 (0,0,1) comes
+    # before 1 (1,0,0), although the Gray sweep meets 1 first
+    g = BinMatrix(3, 6, [0b000011, 0b011100, 0b110000])
+    assert min_weight_bruteforce(g) == (2, BinVector(6, 0b110000))
+    assert min_weight_gray(g) == (2, BinVector(6, 0b000011))
 
 
 # -- counting bases --

@@ -1,9 +1,10 @@
 """Bit-packed GF(2) linear algebra."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqlab import f2linalg
 from pqlab.errors import DimensionError, RankError, SingularMatrix
 from pqlab.f2linalg import (
     BinMatrix,
@@ -401,6 +402,18 @@ def test_transpose_moves_every_bit(rows, cols, data):
     expected = [sum(((a[i] >> j) & 1) << i for i in range(rows)) for j in range(cols)]
     assert transpose(a, cols) == expected
     assert transpose(expected, rows) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(65, 200), st.integers(65, 200), st.data())
+def test_transpose_in_a_grid_of_tiles(rows, cols, data):
+    # with 64-bit tiles both sides span several, so tiles meet in a grid
+    a = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    expected = [sum(((a[i] >> j) & 1) << i for i in range(rows)) for j in range(cols)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2linalg, "_TILE", 64)
+        assert transpose(a, cols) == expected
+        assert transpose(expected, rows) == a
 
 
 def test_transpose_edge_shapes():
