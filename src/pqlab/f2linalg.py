@@ -288,12 +288,8 @@ def transpose(rows: Sequence[int], cols: int) -> list[int]:
         ]
         # output row 8c + j is row j of each tile down the strip, in order
         end = min(size, cols - 8 * c) * step
-        if len(tiles) == 1:  # no joins: most calls, and all small ones
-            data = tiles[0]
-            out += [int.from_bytes(data[j : j + step], "little") for j in range(0, end, step)]
-        else:
-            chunks = zip(*[[t[j : j + step] for j in range(0, end, step)] for t in tiles])
-            out += [int.from_bytes(b"".join(ch), "little") for ch in chunks]
+        chunks = zip(*[[t[j : j + step] for j in range(0, end, step)] for t in tiles])
+        out += [int.from_bytes(b"".join(ch), "little") for ch in chunks]
     return out
 
 
