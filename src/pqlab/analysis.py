@@ -50,6 +50,17 @@ def _lane_patterns(h: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=2)
+def _lane_columns(hi: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """(column, flipped column) for the n columns of the lane codewords of
+    the rows hi: lane l is the XOR of the rows over the set bits of l.
+    Cached, since the oracles are called many times on one generator."""
+    full = (1 << (1 << len(hi))) - 1
+    patterns = _lane_patterns(len(hi))
+    columns = [_xor_rows(patterns, c) for c in transpose(hi, n)]
+    return tuple((c, c ^ full) for c in columns)
+
+
 def _weight_blocks(g: BinMatrix, target: int):
     """Bit-sliced Hamming distances from `target` of all 2^k codewords.
 
@@ -71,10 +82,8 @@ def _weight_blocks(g: BinMatrix, target: int):
     k, n = g.rows, g.cols
     h = min(k, _LANE_BITS)
     full = (1 << (1 << h)) - 1
-    hi = g.data[k - h :][::-1]
-    patterns = _lane_patterns(h)
-    columns = [_xor_rows(patterns, c) for c in transpose(hi, n)]
-    pairs = [(c, c ^ full) for c in columns]
+    hi = tuple(g.data[k - h :][::-1])
+    pairs = _lane_columns(hi, n)
     fmt = f"0{n}b"
     for a in _span_table(g.data[: k - h][::-1]):
         slices: list[int] = []

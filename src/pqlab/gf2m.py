@@ -22,14 +22,25 @@ r^(2^m - 2) by that product; and a constant is added by XORing the all-ones
 lane mask into the slices of its set bits.  Horner's rule on sliced vectors
 divides a polynomial by x - a and evaluates it at every lane a at once
 (McBits' bitsliced field arithmetic and root finding).
+
+The irreducibility test runs on packed polynomials: one int with a 16-bit
+slot per coefficient (slot i holds the coefficient of x^i), packed and
+unpacked through `array` and `int.from_bytes`/`int.to_bytes`.  One shift
+and XOR adds a shifted polynomial, and alpha times every slot at once is a
+slot-parallel xtime: shift left by one bit and fold bit m of each slot back
+through the modulus.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DivisionByZero
+from .f2linalg import _span_table, _xor_rows
 
 # Primitive polynomial for each supported extension degree, as an integer
 # bit mask (bit i = coefficient of x^i).  Primitivity means x generates the
@@ -90,6 +101,12 @@ class FieldCtx:
         self.log = log
         # sqrt(x^i) = x^(i/2), with i + n1 in place of an odd i (n1 is odd)
         self.sqrt = [0] + [exp[(i + (i & 1) * n1) >> 1] for i in log[1:]]
+
+    @cached_property
+    def squares(self) -> list[int]:
+        """squares[a] = a^2, the Frobenius map on coefficients."""
+        exp = self.exp
+        return [0] + [exp[2 * i] for i in self.log[1:]]
 
     # -- element operations (elements are ints in [0, 2^m)) --
 
@@ -281,12 +298,6 @@ class FieldPoly:
         )
 
 
-def poly_gcd(p: FieldPoly, q: FieldPoly) -> FieldPoly:
-    while not q.is_zero():
-        p, q = q, p % q
-    return p.monic()
-
-
 def poly_eea_partial(
     p: FieldPoly, q: FieldPoly, stop_deg: int
 ) -> tuple[FieldPoly, FieldPoly]:
@@ -317,13 +328,78 @@ def poly_inv_mod(p: FieldPoly, mod: FieldPoly) -> FieldPoly:
     return v.scale(p.ctx.inv(r.coeffs[0]))
 
 
-def is_irreducible(p: FieldPoly) -> bool:
-    """Irreducibility over GF(2^m) via gcd with Frobenius powers.
+_BIG_ENDIAN = sys.byteorder == "big"
 
-    p is irreducible iff gcd(p, x^((2^m)^i) - x) = 1 for every
+
+def _pack(coeffs: Iterable[int]) -> int:
+    """Coefficients, lowest degree first, as one int of 16-bit slots."""
+    words = array("H", coeffs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack(x: int, n: int) -> array:
+    """The coefficients of a packed polynomial of degree < n as an
+    array("H") of n slots."""
+    words = array("H", x.to_bytes(2 * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _multiples(y: int, ctx: FieldCtx, ones: int) -> list[int]:
+    """alpha^i * y for i < m, y packed and `ones` holding a 1 in each of
+    its slots: each step shifts every slot up one bit and XORs the modulus
+    into the slots whose bit m is now set, clearing it."""
+    m, modulus = ctx.m, ctx.modulus
+    out = [y]
+    for _ in range(m - 1):
+        y = (y << 1) ^ (y >> m - 1 & ones) * modulus
+        out.append(y)
+    return out
+
+
+def _coprime(a: int, b: int, ctx: FieldCtx, ones: int) -> bool:
+    """gcd(a, b) = 1 for packed a, b with deg a > deg b, by Euclid.
+
+    A polynomial's degree is the slot of its top bit.  Each divisor b gets
+    its m multiples alpha^i * b once; the quotient term q*x^s that cancels
+    the lead of a is then the XOR of the multiples over the set bits of q,
+    shifted s slots.
+    """
+    exp, log = ctx.exp, ctx.log
+    n1 = ctx.order - 1
+    while b:
+        db = (b.bit_length() - 1) >> 4
+        if db == 0:
+            return True  # a nonzero constant
+        multiples = _multiples(b, ctx, ones)
+        inv_lead = n1 - log[b >> 16 * db]
+        da = (a.bit_length() - 1) >> 4
+        while da >= db:
+            q = exp[log[a >> 16 * da] + inv_lead]
+            a ^= _xor_rows(multiples, q) << 16 * (da - db)
+            da = (a.bit_length() - 1) >> 4
+        a, b = b, a
+    return False  # the last divisor has degree >= 1
+
+
+def is_irreducible(p: FieldPoly) -> bool:
+    """Ben-Or's irreducibility test over GF(q), q = 2^m.
+
+    p is irreducible iff gcd(p, x^(q^i) - x) = 1 for every
     i <= deg(p)/2: any nontrivial factorization has a factor of degree
     <= deg(p)/2, and x^(q^i) - x collects all irreducibles of degree
-    dividing i.
+    dividing i.  The loop stops at the first i with a common factor.
+
+    It runs on packed polynomials, p made monic (scaling keeps its
+    factors).  r = x^(q^i) mod p advances by m squarings: the squares of
+    r's coefficients go into the even slots, and the slots from 2d - 2
+    down to d are cleared one at a time, a slot holding c by XORing in
+    c*p shifted into place.  c*p comes from two span tables over the
+    multiples alpha^b * p, one indexed by the low m//2 bits of c and one
+    by the rest (Ben-Or, FOCS 1981).
     """
     d = p.degree
     if d < 1:
@@ -333,13 +409,27 @@ def is_irreducible(p: FieldPoly) -> bool:
     if p.coeffs[0] == 0:
         return False  # divisible by x
     ctx = p.ctx
-    x = FieldPoly.x(ctx)
-    r = x % p
+    m = ctx.m
+    packed = _pack(p.monic().coeffs)
+    ones = ((1 << 16 * (d + 1)) - 1) // 0xFFFF
+    multiples = _multiples(packed, ctx, ones)
+    h = m // 2
+    lo, hi = _span_table(multiples[:h]), _span_table(multiples[h:])
+    mask = (1 << h) - 1
+    squares = ctx.squares
+    square = array("H", bytes(4 * d - 2))  # 2d - 1 slots, the odd ones 0
+    steps = [(16 * i, 16 * (i - d)) for i in range(2 * d - 2, d - 1, -1)]
+    x = 1 << 16
+    r = x
     for _ in range(d // 2):
-        # r <- r^(2^m) mod p, by m squarings
-        for _ in range(ctx.m):
-            r = r.square() % p
-        if poly_gcd(p, r + x).degree != 0:
+        for _ in range(m):
+            square[::2] = array("H", map(squares.__getitem__, _unpack(r, d)))
+            r = _pack(square)
+            for top, shift in steps:
+                c = r >> top & 0xFFFF
+                if c:
+                    r ^= (lo[c & mask] ^ hi[c >> h]) << shift
+        if not _coprime(packed, r ^ x, ctx, ones):
             return False
     return True
 

@@ -1,6 +1,7 @@
 """Scalar oracles shared by the test modules."""
 
 from pqlab.f2linalg import BinVector
+from pqlab.gf2m import FieldPoly
 
 
 def poly_eval(p, x):
@@ -11,6 +12,41 @@ def poly_eval(p, x):
     for c in reversed(p.coeffs):
         acc = mul(acc, x) ^ c
     return acc
+
+
+def poly_gcd(p, q):
+    """Monic gcd of two FieldPolys by Euclid's remainder sequence."""
+    while not q.is_zero():
+        p, q = q, p % q
+    return p.monic()
+
+
+def is_irreducible_ref(p):
+    """Ben-Or's test on FieldPoly values, one square and one division per
+    squaring: the reference for the packed kernel in gf2m.
+
+    p is irreducible iff gcd(p, x^((2^m)^i) - x) = 1 for every
+    i <= deg(p)/2: any nontrivial factorization has a factor of degree
+    <= deg(p)/2, and x^(q^i) - x collects all irreducibles of degree
+    dividing i.
+    """
+    d = p.degree
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    if p.coeffs[0] == 0:
+        return False  # divisible by x
+    ctx = p.ctx
+    x = FieldPoly.x(ctx)
+    r = x % p
+    for _ in range(d // 2):
+        # r <- r^(2^m) mod p, by m squarings
+        for _ in range(ctx.m):
+            r = r.square() % p
+        if poly_gcd(p, r + x).degree != 0:
+            return False
+    return True
 
 
 def span_rank(a):

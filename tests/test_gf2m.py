@@ -1,5 +1,6 @@
 """GF(2^m) field and polynomial arithmetic."""
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from pqlab.gf2m import (
     FieldPoly,
     is_irreducible,
     poly_eea_partial,
-    poly_gcd,
     poly_inv_mod,
     random_irreducible,
     random_poly,
@@ -26,7 +26,7 @@ from pqlab.gf2m import (
     sqrt_x_mod_g,
 )
 
-from oracles import poly_eval
+from oracles import is_irreducible_ref, poly_eval, poly_gcd
 
 
 # -- field contexts --
@@ -314,6 +314,67 @@ def test_random_irreducible_deterministic():
     assert is_irreducible(a)
     with pytest.raises(ValueError):
         random_irreducible(ctx, 0, random.Random(7))
+
+
+@st.composite
+def _irreducibility_candidates(draw):
+    """A polynomial of degree 0-20 over GF(2^m), m = 2-13, with any nonzero
+    lead: random, with a zero constant term, a product of two random
+    polynomials, an irreducible, or the square of one."""
+    m = draw(st.integers(2, 13))
+    ctx = FieldCtx(m)
+    elem = st.integers(0, ctx.order - 1)
+    lead = draw(st.integers(1, ctx.order - 1))
+
+    def poly(deg):
+        return FieldPoly(draw(st.lists(elem, min_size=deg, max_size=deg)) + [lead], ctx)
+
+    kind = draw(st.sampled_from(["random", "x divides", "product", "irreducible", "square"]))
+    if kind == "random":
+        return poly(draw(st.integers(0, 20)))
+    if kind == "x divides":
+        return poly(draw(st.integers(0, 19))) * FieldPoly.x(ctx)
+    if kind == "product":
+        a = draw(st.integers(1, 19))
+        return poly(a) * poly(draw(st.integers(1, 20 - a)))
+    # drawn through the reference, so a broken kernel cannot stall the draw
+    rng = random.Random(draw(st.integers(0, 99)))
+    deg = draw(st.integers(1, 10))
+    while not is_irreducible_ref(g := random_poly(ctx, deg, rng)):
+        pass
+    return (g if kind == "irreducible" else g.square()).scale(lead)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_irreducibility_candidates())
+def test_is_irreducible_matches_reference(p):
+    assert is_irreducible(p) == is_irreducible_ref(p)
+
+
+def _mobius(n):
+    sign, k = 1, 2
+    while n > 1:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return sign
+
+
+@pytest.mark.parametrize("m, d, expected", [(2, 4, 60), (2, 5, 204), (3, 4, 1008)])
+def test_irreducible_count_matches_gauss_formula(m, d, expected):
+    # monic irreducibles of degree d over GF(q): (1/d) sum_{e | d} mu(d/e) q^e
+    q = 1 << m
+    gauss = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
+    assert gauss == expected
+    ctx = FieldCtx(m)
+    count = sum(
+        is_irreducible(FieldPoly(low + (1,), ctx))
+        for low in itertools.product(range(q), repeat=d)
+    )
+    assert count == expected
 
 
 # -- log-domain kernels against a per-term schoolbook --
