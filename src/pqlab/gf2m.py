@@ -21,7 +21,11 @@ ones folded down through the taps of the modulus; the sliced inverse is
 r^(2^m - 2) by that product; and a constant is added by XORing the all-ones
 lane mask into the slices of its set bits.  Horner's rule on sliced vectors
 divides a polynomial by x - a and evaluates it at every lane a at once
-(McBits' bitsliced field arithmetic and root finding).
+(McBits' bitsliced field arithmetic and root finding).  Where only the
+value is wanted and the lanes are fixed, the sliced powers a^i are held as
+span tables over groups of their slices, and a polynomial's value is a
+GF(2)-linear map of its coefficients: a per-field table gives, for each
+coefficient c, which slices of a^i sum to each slice of c*a^i.
 
 The irreducibility test runs on packed polynomials: one int with a 16-bit
 slot per coefficient (slot i holds the coefficient of x^i), packed and
@@ -37,10 +41,15 @@ import random
 import sys
 from array import array
 from functools import cached_property
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import DivisionByZero
 from .f2linalg import _span_table, _xor_rows
+
+# slices of a sliced power spanned by one table of sliced_eval: 2^4 entries
+# per 4 slices keeps the tables within 4x the powers they index
+EVAL_GROUP = 4
 
 # Primitive polynomial for each supported extension degree, as an integer
 # bit mask (bit i = coefficient of x^i).  Primitivity means x generates the
@@ -107,6 +116,33 @@ class FieldCtx:
         """squares[a] = a^2, the Frobenius map on coefficients."""
         exp = self.exp
         return [0] + [exp[2 * i] for i in self.log[1:]]
+
+    @cached_property
+    def mul_masks(self) -> list[bytes]:
+        """Entry c packs the m masks of multiplication by c, cut into the
+        groups of EVAL_GROUP slices that sliced_eval's tables span.
+
+        Bit j of mask b is bit b of c*x^j, so slice b of c times a sliced
+        vector is the XOR of the vector's slices j over mask b.  Byte
+        g*m + b holds bits EVAL_GROUP*g onwards of mask b, plus the offset
+        g*2^EVAL_GROUP of group g's table, so each byte indexes one
+        concatenated table directly.  Multiplication is linear in c, so
+        the table is the span of its m basis entries c = x^k.
+        """
+        m, exp = self.m, self.exp
+        basis = []
+        for k in range(m):
+            packed = 0
+            for j in range(m):
+                g, i = divmod(j, EVAL_GROUP)
+                for b in range(m):
+                    if exp[k + j] >> b & 1:
+                        packed |= 1 << (8 * (g * m + b) + i)
+            basis.append(packed)
+        groups = -(-m // EVAL_GROUP)
+        offsets = sum(g << (EVAL_GROUP + 8 * (g * m + b)) for g in range(groups) for b in range(m))
+        size = groups * m
+        return [(v | offsets).to_bytes(size, "little") for v in _span_table(basis)]
 
     # -- element operations (elements are ints in [0, 2^m)) --
 
@@ -305,17 +341,39 @@ def poly_eea_partial(
 
     Returns (r, v) with r = u*p + v*q for some u, i.e. r = v*q (mod p).
     The decoder calls this with p = g and q = R to split the key equation.
+
+    Each pair (r, v) is one coefficient list w = r + x^k v, k above every
+    degree r reaches, so one fused step cancels the lead of r0 with a
+    shifted multiple of r1 and adds the same multiple of v1 to v0, in
+    place and in the log domain.  When deg r0 drops below deg r1 the pairs
+    swap: the steps between swaps are one division of the remainder
+    sequence, so r and v are those of the textbook loop.
     """
     ctx = p.ctx
-    r0, r1 = p, q
-    v0, v1 = FieldPoly.zero(ctx), FieldPoly.one(ctx)
-    if r0.degree <= stop_deg:
-        return r0, v0
-    while r1.degree > stop_deg:
-        quo, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, v0 + quo * v1
-    return r1, v1
+    if p.degree <= stop_deg:
+        return p, FieldPoly.zero(ctx)
+    exp, log = ctx.exp, ctx.log
+    n1 = ctx.order - 1
+    k = max(len(p.coeffs), len(q.coeffs))
+    w0 = list(p.coeffs) + [0] * (2 * k - len(p.coeffs))
+    w1 = list(q.coeffs) + [0] * (2 * k - len(q.coeffs))
+    w1[k] = 1
+    d0, d1 = p.degree, q.degree
+    while d1 > stop_deg:
+        logs = [(j, log[c]) for j, c in enumerate(w1) if c]
+        inv_lead = n1 - log[w1[d1]]
+        while d0 >= d1:
+            lq = log[w0[d0]] + inv_lead
+            if lq >= n1:
+                lq -= n1
+            s = d0 - d1
+            for j, lb in logs:
+                w0[s + j] ^= exp[lq + lb]
+            d0 -= 1
+            while d0 >= 0 and not w0[d0]:
+                d0 -= 1
+        w0, w1, d0, d1 = w1, w0, d1, d0
+    return FieldPoly(w1[:k], ctx), FieldPoly(w1[k:], ctx)
 
 
 def poly_inv_mod(p: FieldPoly, mod: FieldPoly) -> FieldPoly:
@@ -536,6 +594,46 @@ def sliced_horner(
         steps.append(acc)
     value = steps.pop() if steps else acc
     return steps, value
+
+
+def sliced_power_tables(
+    ctx: FieldCtx, alpha: list[int], deg: int, full: int
+) -> list[list[int]]:
+    """For i = 0..deg, the span tables of the sliced power alpha^i: its
+    slices in groups of EVAL_GROUP, each group's table of XOR combinations
+    concatenated into one list at offsets g*2^EVAL_GROUP (see mul_masks)."""
+    power = [full] + [0] * (ctx.m - 1)
+    tables = []
+    for i in range(deg + 1):
+        if i:
+            power = sliced_mul(ctx, power, alpha)
+        table: list[int] = []
+        for g in range(0, ctx.m, EVAL_GROUP):
+            table += _span_table(power[g : g + EVAL_GROUP])
+        tables.append(table)
+    return tables
+
+
+def sliced_eval(p: FieldPoly, tables: list[list[int]]) -> list[int]:
+    """p at every lane a at once, given the span tables of the sliced
+    powers a^0..a^d, d >= deg p (sliced_power_tables).
+
+    p(a) = sum of p_i * a^i is GF(2)-linear in the slices of the powers:
+    mul_masks[p_i] indexes one table entry per output slice and slice
+    group, so each nonzero coefficient costs one lookup and one XOR per
+    (slice, group), and the groups are XORed together at the end.
+    """
+    ctx = p.ctx
+    m = ctx.m
+    masks = ctx.mul_masks
+    acc = [0] * len(masks[0])
+    for c, table in zip(p.coeffs, tables):
+        if c:
+            acc = list(map(xor, acc, map(table.__getitem__, masks[c])))
+    value = acc[:m]
+    for g in range(m, len(acc), m):
+        value = list(map(xor, value, acc[g : g + m]))
+    return value
 
 
 def sliced_zeros(a: list[int], full: int) -> int:

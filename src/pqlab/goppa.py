@@ -10,17 +10,22 @@ is zero.  Coefficient t-1-r of (x - alpha_j)^-1 mod g is entry (r, j) of
 the classic X*Y*Z parity-check product, so each code builds that matrix
 once, expanded bit-wise over GF(2), from one bit-sliced synthetic division
 of g by x - alpha_j for every position at once (see gf2m); the syndrome is
-H.v and the generator is the null space of H.
+H.v.  k and the free columns, where the generator (the null space of H)
+holds an identity, come from the pivots of one echelon pass; the generator
+itself is formed only when something encodes.
 Decoding of up to t errors uses Patterson's split of the key equation, with
 an exhaustive decoder available as a desk-scale oracle.  Each code also keeps
 sqrt(x) mod g, so Patterson's square root mod g is one split and one
 product (Huber's identity, see gf2m); computing it rejects a g that is not
-squarefree.  Each code keeps its support bit-sliced too, so the error
-locator is evaluated over the whole support in one sliced Horner pass.
+squarefree.  Each code keeps its support bit-sliced too, and on first
+decode the span tables of the sliced powers alpha^0..alpha^t, so the error
+locator is evaluated over the whole support as one GF(2)-linear map of its
+coefficients: one table lookup per coefficient, slice and slice group.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -33,9 +38,11 @@ from .gf2m import (
     poly_eea_partial,
     poly_inv_mod,
     slice_elements,
+    sliced_eval,
     sliced_horner,
     sliced_inv,
     sliced_mul,
+    sliced_power_tables,
     sliced_zeros,
     sqrt_mod_g,
     sqrt_x_mod_g,
@@ -95,11 +102,24 @@ class GoppaCode:
         self.t = g.degree
         self.n = len(self.support)
         self.h_bin, self.support_slices = build_parity_check(g, self.support)
-        self.generator = f2linalg.null_space(self.h_bin)
-        self.k = self.generator.rows
-        # the free column of each null-space basis row is its top bit
-        free = [row.bit_length() - 1 for row in self.generator.data]
+        # one echelon pass gives the pivots; G holds an identity on the rest
+        pivots = set(f2linalg._rref(self.h_bin.data, self.n, back=False)[0])
+        free = [j for j in range(self.n) if j not in pivots]
+        self.k = len(free)
         self._read_message = f2linalg.gather(free, self.n)
+
+    @cached_property
+    def generator(self) -> BinMatrix:
+        """The null space of H, rows in free-column order; formed on first
+        use only (keygen and encode read it, a loaded key's decrypt does not)."""
+        return f2linalg.null_space(self.h_bin)
+
+    @cached_property
+    def power_tables(self) -> list[list[int]]:
+        """Span tables of the sliced powers alpha^0..alpha^t of the support,
+        which the root search reads (see gf2m.sliced_eval); built on first
+        decode."""
+        return sliced_power_tables(self.ctx, self.support_slices, self.t, (1 << self.n) - 1)
 
     @property
     def params(self) -> tuple[int, int, int]:
@@ -159,10 +179,9 @@ def patterson_decode(
     sigma = a.square() + b.square().shift(1)
     if sigma.is_zero():
         raise DecodingFailure("error locator degenerated to zero")
-    # sigma at every support element at once: the error bits are the lanes
-    # where it vanishes
-    full = (1 << code.n) - 1
-    err_bits = sliced_zeros(sliced_horner(sigma, code.support_slices, full)[1], full)
+    # sigma (deg <= t) at every support element at once: the error bits are
+    # the lanes where it vanishes
+    err_bits = sliced_zeros(sliced_eval(sigma, code.power_tables), (1 << code.n) - 1)
     nroots = err_bits.bit_count()
     if nroots != sigma.degree:
         raise DecodingFailure(

@@ -57,8 +57,8 @@ PRESETS = {
     "demo": McElieceParams(32, 17, 3),
     "legacy": McElieceParams(1024, 524, 50),
     "revised": McElieceParams(2048, 1751, 27),
-    # seed 0: keygen 7.1 s at 88 MiB peak RSS, key load and decrypt 2.9 s at 67 MiB
-    # (2-core Xeon, CPython 3.11)
+    # seed 0: keygen 5.9-8.2 s at 89 MiB peak RSS, key load and decrypt 2.4-3.3 s
+    # at 59 MiB (2-core Xeon, CPython 3.11)
     "pq128": McElieceParams(6960, 5413, 119),
 }
 
@@ -140,11 +140,14 @@ def keygen(
         raise DimensionError(f"need m*t < n <= 2^m, got n={n}")
     g = random_irreducible(ctx, t, rng)
     code = GoppaCode(ctx, g, range(n))
-    k = code.k
+    # the public key needs G: formed before S is drawn, S is not alive at
+    # the null-space pass's peak (2 MiB of pq128 keygen's peak RSS)
+    generator = code.generator
+    k = generator.rows
     if systematic:
         for _ in range(SYSTEMATIC_TRIES):
             p = f2linalg.random_permutation(n, rng)
-            tail = BinMatrix(k, k, [r >> (n - k) for r in p.apply_mat(code.generator).data])
+            tail = BinMatrix(k, k, [r >> (n - k) for r in p.apply_mat(generator).data])
             try:
                 s = f2linalg.invert(tail)
             except SingularMatrix:

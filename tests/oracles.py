@@ -14,6 +14,22 @@ def poly_eval(p, x):
     return acc
 
 
+def poly_eea_partial_ref(p, q, stop_deg):
+    """EEA on (p, q) by whole FieldPoly divisions, stopping at the first
+    remainder of degree <= stop_deg: the reference for the fused
+    leading-term loop in gf2m.  Returns (r, v) with r = v*q (mod p)."""
+    ctx = p.ctx
+    r0, r1 = p, q
+    v0, v1 = FieldPoly.zero(ctx), FieldPoly.one(ctx)
+    if r0.degree <= stop_deg:
+        return r0, v0
+    while r1.degree > stop_deg:
+        quo, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, v0 + quo * v1
+    return r1, v1
+
+
 def poly_gcd(p, q):
     """Monic gcd of two FieldPolys by Euclid's remainder sequence."""
     while not q.is_zero():

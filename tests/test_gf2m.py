@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pqlab.errors import DivisionByZero
 from pqlab.gf2m import (
+    EVAL_GROUP,
     MODULI,
     FieldCtx,
     FieldPoly,
@@ -18,15 +19,17 @@ from pqlab.gf2m import (
     random_irreducible,
     random_poly,
     slice_elements,
+    sliced_eval,
     sliced_horner,
     sliced_inv,
     sliced_mul,
+    sliced_power_tables,
     sliced_zeros,
     sqrt_mod_g,
     sqrt_x_mod_g,
 )
 
-from oracles import is_irreducible_ref, poly_eval, poly_gcd
+from oracles import is_irreducible_ref, poly_eea_partial_ref, poly_eval, poly_gcd
 
 
 # -- field contexts --
@@ -259,6 +262,57 @@ def test_poly_inv_mod_not_coprime(rng):
     # a nonzero multiple of the modulus reduces to zero
     with pytest.raises(DivisionByZero):
         poly_inv_mod(mod * random_poly(ctx, 2, rng), mod)
+
+
+@st.composite
+def _eea_inputs(draw):
+    """(p, q, stop_deg) over GF(2^m), m = 2-13: q random (of degree below,
+    at or above p's), zero, a constant, or sharing a factor with p; stop_deg
+    from 0 to past deg p."""
+    m = draw(st.integers(2, 13))
+    ctx = FieldCtx(m)
+    elem = st.integers(0, ctx.order - 1)
+
+    def poly(max_deg):
+        return FieldPoly(draw(st.lists(elem, max_size=max_deg + 1)), ctx)
+
+    p = poly(12)
+    kind = draw(st.sampled_from(["random", "zero", "constant", "common factor"]))
+    if kind == "random":
+        q = poly(14)
+    elif kind == "zero":
+        q = FieldPoly.zero(ctx)
+    elif kind == "constant":
+        q = FieldPoly([draw(st.integers(1, ctx.order - 1))], ctx)
+    else:
+        h = poly(4)
+        p, q = p * h, poly(6) * h
+    return p, q, draw(st.integers(0, 14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eea_inputs())
+def test_poly_eea_partial_matches_reference(case):
+    p, q, stop = case
+    assert poly_eea_partial(p, q, stop) == poly_eea_partial_ref(p, q, stop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eea_inputs())
+def test_poly_inv_mod_matches_reference(case):
+    # the inverse is the reference cofactor over its constant remainder; a
+    # common factor leaves remainder 0, and poly_inv_mod must raise
+    mod, p, _ = case
+    if mod.degree < 1:
+        return
+    r, v = poly_eea_partial_ref(mod, p % mod, 0)
+    if r.is_zero():
+        with pytest.raises(DivisionByZero):
+            poly_inv_mod(p, mod)
+    else:
+        inv = poly_inv_mod(p, mod)
+        assert inv == v.scale(mod.ctx.inv(r.coeffs[0]))
+        assert (inv * p) % mod == FieldPoly.one(mod.ctx)
 
 
 # -- irreducibility --
@@ -595,3 +649,55 @@ def test_sliced_horner_matches_per_position_oracle(case):
         quo, rem = sigma.divmod(FieldPoly([a, 1], ctx))
         assert FieldPoly([q[j] for q in lanes], ctx) == quo
         assert rem == FieldPoly([values[j]], ctx)
+
+
+@st.composite
+def _power_tables_and_locator(draw):
+    """(t, sigma, support): a support subset of up to 48 distinct elements,
+    t from 1 to 12, and sigma of degree <= t drawn with zero coefficients
+    often, so its degree and its count of terms fall below t too."""
+    m = draw(st.integers(2, 13))
+    ctx = FieldCtx(m)
+    elem = st.integers(0, ctx.order - 1)
+    n = draw(st.integers(1, min(ctx.order, 48)))
+    support = draw(st.lists(elem, min_size=n, max_size=n, unique=True))
+    t = draw(st.just(1) | st.integers(1, 12))
+    coeff = st.sampled_from([0, 1, ctx.order - 1]) | elem
+    sigma = FieldPoly(draw(st.lists(coeff, max_size=t + 1)), ctx)
+    return t, sigma, support
+
+
+@settings(max_examples=300, deadline=None)
+@given(_power_tables_and_locator())
+def test_sliced_eval_matches_sliced_horner(case):
+    t, sigma, support = case
+    ctx = sigma.ctx
+    full = (1 << len(support)) - 1
+    alpha = slice_elements(ctx, support)
+    tables = sliced_power_tables(ctx, alpha, t, full)
+    assert len(tables) == t + 1
+    # the tables stay within 4x the m slices of the power each one spans
+    assert all(len(table) <= 4 * ctx.m for table in tables)
+    assert sliced_eval(sigma, tables) == sliced_horner(sigma, alpha, full)[1]
+
+
+@pytest.mark.parametrize("m", sorted(MODULI))
+def test_mul_masks_match_field_product(m):
+    # byte g*m + b of entry c is group g of mask b, offset by g*2^EVAL_GROUP:
+    # bit j of mask b is bit b of c * x^j
+    ctx = FieldCtx(m)
+    masks = ctx.mul_masks
+    groups = -(-m // EVAL_GROUP)
+    assert len(masks) == ctx.order
+    rng = random.Random(4000 + m)
+    cs = range(ctx.order) if m <= 8 else [0, 1, ctx.order - 1] + rng.sample(range(ctx.order), 200)
+    for c in cs:
+        entry = masks[c]
+        assert len(entry) == groups * m
+        for b in range(m):
+            mask = 0
+            for g in range(groups):
+                field = entry[g * m + b] - (g << EVAL_GROUP)
+                assert 0 <= field < 1 << min(EVAL_GROUP, m - EVAL_GROUP * g)
+                mask |= field << (EVAL_GROUP * g)
+            assert mask == sum((ctx.mul(c, 1 << j) >> b & 1) << j for j in range(m))

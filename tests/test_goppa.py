@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from pqlab import goppa
 from pqlab.errors import DecodingFailure, DimensionError, RankError, SupportError
-from pqlab.f2linalg import BinMatrix, BinVector, mat_vec_mul, rank
-from pqlab.gf2m import FieldCtx, FieldPoly, poly_inv_mod, random_irreducible
+from pqlab.f2linalg import BinMatrix, BinVector, mat_vec_mul, null_space, rank
+from pqlab.gf2m import FieldCtx, FieldPoly, poly_inv_mod, random_irreducible, sliced_horner
 from pqlab.goppa import (
     GoppaCode,
     LinearCode,
@@ -226,6 +227,31 @@ def test_encode_message_roundtrip(rng):
                 code.message_of(flipped)
 
 
+def test_rank_deficient_codes_match_null_space(rng):
+    # k and the free columns come from the pivots of one echelon pass.  On
+    # supports of about m*t elements H often loses rank (k above n - m*t,
+    # or k = 0 with n < m*t), and k, the generator and message_of must
+    # still agree with the null space of H
+    deficient = 0
+    for m in (3, 4, 5, 6):
+        ctx = FieldCtx(m)
+        for seed in range(24):
+            r = random.Random(100 * m + seed)
+            t = r.randrange(2, max(3, (ctx.order - 1) // m + 1))
+            g = random_irreducible(ctx, t, r)
+            n = max(1, min(ctx.order - 1, m * t + r.randrange(-m, m + 1)))
+            code = GoppaCode(ctx, g, sorted(r.sample(range(ctx.order), n)))
+            kernel = null_space(code.h_bin)
+            assert "generator" not in vars(code)
+            assert code.k == kernel.rows
+            deficient += code.k > max(0, n - m * t)
+            for _ in range(5):
+                msg = BinVector(code.k, rng.getrandbits(code.k))
+                assert code.message_of(code.encode(msg)) == msg
+            assert code.generator == kernel
+    assert deficient >= 10
+
+
 # -- Patterson decoding --
 
 
@@ -328,6 +354,37 @@ def test_randomized_m6_t3(rng):
         decoded, err = patterson_decode(code, received)
         assert decoded == word
         assert err.weight() == w
+
+
+def test_root_search_matches_sliced_horner(monkeypatch, rng):
+    # the decoder with the table evaluator and with sliced Horner in its
+    # place: the same codeword and error, or the same DecodingFailure text,
+    # for 0 to t+3 errors
+    codes = [make_code(4, 2), make_code(6, 3, seed=9), make_code(8, 10)]
+    codes += [random_code(m, seed, True) for m in (5, 7) for seed in (1, 2)]
+
+    def outcome(code, received):
+        try:
+            return patterson_decode(code, received)
+        except DecodingFailure as exc:
+            return str(exc)
+
+    outcomes = set()
+    for code in codes:
+        words = []
+        for w in range(code.t + 4):
+            for _ in range(6):
+                word = code.encode(BinVector(code.k, rng.getrandbits(code.k)))
+                words.append(word + BinVector.from_support(code.n, rng.sample(range(code.n), w)))
+        fast = [outcome(code, word) for word in words]
+        full = (1 << code.n) - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                goppa, "sliced_eval", lambda p, tables: sliced_horner(p, code.support_slices, full)[1]
+            )
+            assert [outcome(code, word) for word in words] == fast
+        outcomes.update(type(o).__name__ for o in fast)
+    assert outcomes == {"tuple", "str"}
 
 
 def test_decode_length_mismatch():

@@ -306,6 +306,23 @@ def test_private_key_load_forms_no_public_matrix(monkeypatch, rng, systematic):
     assert calls == {"mat_mul": 1, "apply_mat": 1}
 
 
+def test_private_key_load_forms_no_generator(monkeypatch, rng):
+    # a loaded key takes k and the free columns from one echelon pass of H
+    # and decrypts without G; G is the null space of H when it is asked for
+    kp = keygen(6, 3, rng)
+    data = rng.randbytes(20)
+    blocks = encrypt_long(kp.public, data, rng)
+    calls = []
+    real_null_space = f2linalg.null_space
+    monkeypatch.setattr(f2linalg, "null_space", lambda a: calls.append(a) or real_null_space(a))
+    _, _, loaded = parse_file(serialize_mceliece_private(kp))
+    assert decrypt_long(loaded, blocks) == data
+    assert "generator" not in vars(loaded.code)
+    assert calls == []
+    assert loaded.code.generator == kp.code.generator
+    assert calls == [loaded.code.h_bin]
+
+
 # bit flips on ciphertexts of the toy Goppa key and the opaque KAT key
 _FLIP_KEYS = {
     "goppa": keygen(4, 2, random.Random(5)),
