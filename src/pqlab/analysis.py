@@ -23,6 +23,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import lattice as lattice_mod
 from . import mceliece, ntru
@@ -41,13 +42,8 @@ _LANE_BITS = 14
 @functools.cache
 def _lane_patterns(h: int) -> tuple[int, ...]:
     """Lane masks over 2^h lanes: pattern i is set in the lanes l with bit
-    i of l set (periods of 2^(i+1) lanes, the upper half set)."""
-    full = (1 << (1 << h)) - 1
-    out = []
-    for i in range(h):
-        half = 1 << i
-        out.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
-    return tuple(out)
+    i of l set, the transpose of the lane numbers."""
+    return tuple(transpose(list(range(1 << h)), h))
 
 
 @functools.lru_cache(maxsize=2)
@@ -203,7 +199,7 @@ class AttackReport:
 
 
 def _try_candidate_key(
-    f_cand: list[int], params: NtruParams, pub_h: list[int], rng: random.Random
+    f_cand: list[int], params: NtruParams, pub_h: Sequence[int], rng: random.Random
 ) -> bool:
     """Does f_cand work as a private key for pub_h?  Test: encrypt a random
     shaped message with the real public key and decrypt with the candidate."""
@@ -224,7 +220,7 @@ ATTACK_MAX_N = 12
 
 
 def ntru_lll_attack(
-    h: list[int], params: NtruParams, rng: random.Random, seed_label: int = 0
+    h: Sequence[int], params: NtruParams, rng: random.Random, seed_label: int = 0
 ) -> AttackReport:
     """Reduce the public basis with LLL and scan the output rows for ternary
     (a, b) pairs that function as private keys.
@@ -290,7 +286,7 @@ def run_attack_trials(params: NtruParams, seeds: list[int]) -> AttackReport:
     for seed in seeds:
         rng = random.Random(seed)
         kp = ntru.keygen(params, rng)
-        rep = ntru_lll_attack(list(kp.public.h), params, rng, seed_label=seed)
+        rep = ntru_lll_attack(kp.public.h, params, rng, seed_label=seed)
         d = rep.details[0]
         details.append(d)
         if d["success"]:

@@ -127,6 +127,8 @@ def _cmd_keygen(args) -> int:
             params = _ntru_params(*_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
             if params.p != 3:
                 raise UnknownParams(f"ntru keys need p = 3 for byte encryption, got p={params.p}")
+            if not ntru.block_bytes(params.n):
+                raise UnknownParams(f"ntru keys need N >= 6 for byte encryption, got N={params.n}")
         else:
             params = ntru.preset(args.preset or "toy11")
         kp = ntru.keygen(params, rng)

@@ -27,6 +27,7 @@ from array import array
 from typing import Sequence
 
 from .errors import DimensionError, NotInvertible
+from .f2linalg import transpose
 
 Coeffs = Sequence[int]
 
@@ -128,16 +129,6 @@ def invert_mod_prime(f: Coeffs, p: int) -> list[int]:
     return _invert_lists(f, p)
 
 
-def _lanes(f: Coeffs, p: int, residue: int) -> int:
-    """Bit mask of the i with f_i = residue (mod p)."""
-    return int("0" + "".join("1" if c % p == residue else "0" for c in reversed(f)), 2)
-
-
-def _bits(mask: int, n: int) -> list[int]:
-    """The low n bits of mask as a list, bit 0 first."""
-    return [int(b) for b in reversed(format(mask, f"0{n}b"))]
-
-
 def _not_coprime(n: int, d: int) -> NotInvertible:
     return NotInvertible(f"gcd with x^{n} - 1 has degree {d}")
 
@@ -150,7 +141,7 @@ def _not_coprime(n: int, d: int) -> NotInvertible:
 def _invert_mod2(f: Coeffs) -> list[int]:
     """invert_mod_prime(f, 2) with each polynomial one int."""
     n = len(f)
-    r1 = _lanes(f, 2, 1)
+    r1 = transpose([c % 2 for c in f], 1)[0]
     if not r1:
         raise NotInvertible("zero is not invertible")
     r0, u0, u1 = 1 << n | 1, 0, 1  # x^N - 1 = x^N + 1 over GF(2)
@@ -164,7 +155,7 @@ def _invert_mod2(f: Coeffs) -> list[int]:
             r0, r1, u0, u1, d0, d1 = r1, r0, u1, u0, d1, d0
     if d1 < 0:
         raise _not_coprime(n, d0)
-    return _bits(u1, n)
+    return transpose([u1], n)
 
 
 def _invert_mod3(f: Coeffs) -> list[int]:
@@ -176,7 +167,8 @@ def _invert_mod3(f: Coeffs) -> list[int]:
     and b are nonzero (1 + 1 = -1, -1 + -1 = 1 and 1 + -1 = 0).
     """
     n = len(f)
-    p1, m1 = _lanes(f, 3, 1), _lanes(f, 3, 2)
+    # residue 1 sets bit 0 and residue 2 bit 1: the +1 and the -1 lanes
+    p1, m1 = transpose([c % 3 for c in f], 2)
     if not p1 | m1:
         raise NotInvertible("zero is not invertible")
     p0, m0 = 1 << n, 1  # x^N - 1
@@ -203,7 +195,7 @@ def _invert_mod3(f: Coeffs) -> list[int]:
         raise _not_coprime(n, d0)
     if m1:  # r1 = -1: the inverse is -u1
         up1, um1 = um1, up1
-    return [a + 2 * b for a, b in zip(_bits(up1, n), _bits(um1, n))]
+    return transpose([up1, um1], n)  # lane value a + 2b: -1 is 2
 
 
 def _invert_lists(f: Coeffs, p: int) -> list[int]:

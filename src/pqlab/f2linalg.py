@@ -4,16 +4,17 @@ Vectors and matrix rows are stored as Python integers: bit j of a row is
 column j.  Bitwise XOR is whole-row addition.  Elimination is one pass of
 the Method of Four Russians (Bard; Albrecht, Bard and Hart): 8 columns at a
 time, a 256-entry table of the window's pivot combinations clears every
-other row with one lookup, and products use the same tables.  Column moves
-(null-space basis, column permutation) go through one transpose kernel,
-which cuts the matrix into square tiles and swaps each tile's bits as one
-int.  Messages are row vectors and multiply matrices from the left, so
-every formula reads the way the cryptosystem equations are written.
+other row with one lookup, and products use the same tables.  Every bit
+reshape of the package goes through one transpose kernel: column moves,
+bit lists, and the bit-sliced field elements and ring residues of the
+other modules.  Messages are row vectors and multiply matrices from the
+left, so every formula reads the way the cryptosystem equations are written.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -33,13 +34,9 @@ class BinVector:
 
     @classmethod
     def from_bits(cls, seq: Iterable[int]) -> "BinVector":
-        bits = 0
-        n = 0
-        for b in seq:
-            if b & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
+        """The vector whose entry i is seq[i], each 0 or 1."""
+        bits = list(seq)
+        return cls(len(bits), transpose(bits, 1)[0])
 
     @classmethod
     def from_support(cls, n: int, positions: Iterable[int]) -> "BinVector":
@@ -51,7 +48,7 @@ class BinVector:
         return cls(n, bits)
 
     def to_bits(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.n)]
+        return transpose([self.bits], self.n)
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -108,16 +105,9 @@ class BinMatrix:
         if not rows:
             return cls(0, 0, [])
         cols = len(rows[0])
-        data = []
-        for row in rows:
-            if len(row) != cols:
-                raise DimensionError("ragged rows")
-            bits = 0
-            for j, b in enumerate(row):
-                if b & 1:
-                    bits |= 1 << j
-            data.append(bits)
-        return cls(len(rows), cols, data)
+        if any(len(row) != cols for row in rows):
+            raise DimensionError("ragged rows")
+        return cls(len(rows), cols, [transpose(row, 1)[0] for row in rows])
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
@@ -219,15 +209,16 @@ def mat_vec_mul(a: BinMatrix, v: BinVector) -> BinVector:
     """A . v^T, returned as a length-rows vector (used for parity checks)."""
     if v.n != a.cols:
         raise DimensionError(f"vector length {v.n} != column count {a.cols}")
-    out = 0
-    for i, r in enumerate(a.data):
-        if (r & v.bits).bit_count() & 1:
-            out |= 1 << i
-    return BinVector(a.rows, out)
+    bits = v.bits
+    return BinVector(a.rows, transpose([(r & bits).bit_count() & 1 for r in a.data], 1)[0])
 
 
 # side of the largest square that transpose swaps as one int
 _TILE = 1024
+# the widest side that transpose reshapes as byte planes: two of them
+_NARROW = 16
+# _BIT_CHARS[b][x] is b"1" if bit b of the byte x is set, else b"0"
+_BIT_CHARS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
 
 
 def _transpose_square(data: bytes, size: int) -> bytes:
@@ -258,22 +249,48 @@ def _transpose_square(data: bytes, size: int) -> bytes:
 
 
 def transpose(rows: Sequence[int], cols: int) -> list[int]:
-    """The cols rows of the transpose of the len(rows) x cols matrix `rows`.
+    """The cols rows of the transpose of the len(rows) x cols matrix `rows`:
+    bit j of output row b is bit b of rows[j].
 
-    The matrix is cut into W x W tiles, W the smallest power of two that
-    fits the shorter side (and at least 64, or the longer side when that
-    is less), at most _TILE; so a long thin matrix is a strip of squares,
-    a big one a grid of them, and a small one a single square.  The rows go
-    through int.to_bytes once; each tile is joined from their byte slices
-    and transposed as one int (_transpose_square), and the output rows are
-    joined from the tiles' row slices down each column strip.  Tiling
-    bounds the big ints at _TILE^2 bits, where one square of the shorter
-    side would take 8192^2 bits at 5413 x 6960: that transpose peaks at
-    12 MiB under tracemalloc.
+    A side of at most _NARROW bits is at most two byte planes, which C-level
+    bytes operations reshape.  With few columns, the rows become one byte
+    (or little-endian word) each, last row first; output row b is bit b & 7
+    of every byte of plane b >> 3, which one translate writes as an ASCII
+    bit string for int(..., 2).  With up to 8 rows, row j's bit string
+    masked to 0/1 bytes is an int holding bit b of the row in byte b:
+    shifted j bits up and OR-ed, byte b is output row b, read back by
+    to_bytes; 9 to 16 rows are two such planes.
+
+    Any other matrix is cut into W x W tiles, W the smallest power of two
+    that fits the shorter side (and at least 64, or the longer side when
+    that is less), at most _TILE; so a long thin matrix is a strip of
+    squares, a big one a grid of them.  The rows go through int.to_bytes
+    once; each tile is joined from their byte slices and transposed as one
+    int (_transpose_square), and the output rows are joined from the tiles'
+    row slices down each column strip.  Tiling bounds the big ints at
+    _TILE^2 bits, where one square of the shorter side would take 8192^2
+    bits at 5413 x 6960: that transpose peaks at 12 MiB under tracemalloc.
     """
-    if not rows or not cols:
-        return [0] * cols
     n = len(rows)
+    if not n or not cols:
+        return [0] * cols
+    if cols <= n and cols <= _NARROW:
+        if cols <= 8:
+            planes = (bytes(rows)[::-1],)
+        else:  # big-endian words reversed byte by byte: little-endian, last row first
+            raw = struct.pack(f">{n}H", *rows)[::-1]
+            planes = raw[::2], raw[1::2]
+        return [int(planes[b >> 3].translate(_BIT_CHARS[b & 7]), 2) for b in range(cols)]
+    if n <= 8:
+        fmt = f"0{cols}b"
+        ones = int.from_bytes(b"\1" * cols, "big")
+        plane = 0
+        for j, r in enumerate(rows):
+            plane |= (int.from_bytes(format(r, fmt).encode(), "big") & ones) << j
+        return list(plane.to_bytes(cols, "little"))
+    if n <= _NARROW:
+        low, high = transpose(rows[:8], cols), transpose(rows[8:], cols)
+        return [a | b << 8 for a, b in zip(low, high)]
     short, long = sorted((n, cols))
     side = min(long, max(short, 64))
     size = min(_TILE, max(8, 1 << (side - 1).bit_length()))

@@ -14,14 +14,15 @@ sqrt(u) = U0 + sqrt(x)*U1 (mod g), with sqrt(x) = G0/G1 (mod g) from the
 same split of g (Huber, Electronics Letters 32, 1996; Bernstein, Chou and
 Schwabe, "McBits", CHES 2013).
 
-A vector of n field elements can also be bit-sliced into m Python ints:
-bit j of slice b is bit b of element j, so one AND or XOR acts on all n
-lanes.  The sliced product is m^2 ANDs into 2m-1 partial slices, the high
-ones folded down through the taps of the modulus; the sliced inverse is
-r^(2^m - 2) by that product; and a constant is added by XORing the all-ones
-lane mask into the slices of its set bits.  Horner's rule on sliced vectors
-divides a polynomial by x - a and evaluates it at every lane a at once
-(McBits' bitsliced field arithmetic and root finding).  Where only the
+A vector of n field elements can also be bit-sliced into m Python ints
+by `f2linalg.transpose(elements, m)`: bit j of slice b is bit b of element
+j, so one AND or XOR acts on all n lanes.  The sliced product is m^2 ANDs
+into 2m-1 partial slices, the high ones folded down through the taps of
+the modulus; the sliced inverse is r^(2^m - 2) by that product; and a
+constant is added by XORing the all-ones lane mask into the slices of its
+set bits.  Horner's rule on sliced vectors divides a polynomial by x - a
+and evaluates it at every lane a at once (McBits' bitsliced field
+arithmetic and root finding).  Where only the
 value is wanted and the lanes are fixed, the sliced powers a^i are held as
 span tables over groups of their slices, and a polynomial's value is a
 GF(2)-linear map of its coefficients: a per-field table gives, for each
@@ -42,7 +43,7 @@ import sys
 from array import array
 from functools import cached_property
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DivisionByZero
 from .f2linalg import _span_table, _xor_rows
@@ -301,9 +302,6 @@ class FieldPoly:
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "FieldPoly") -> "FieldPoly":
-        return self.divmod(other)[0]
-
     def monic(self) -> "FieldPoly":
         if self.is_zero():
             return self
@@ -530,17 +528,6 @@ def sqrt_mod_g(u: FieldPoly, g: FieldPoly, sqrt_x: FieldPoly) -> FieldPoly:
 
 
 # -- bit-sliced vectors of field elements --
-
-
-def slice_elements(ctx: FieldCtx, elements: Sequence[int]) -> list[int]:
-    """The m slices of a vector of elements in [0, 2^m): bit j of slice b
-    is bit b of element j."""
-    m = ctx.m
-    fmt = f"0{m}b"
-    # the last element leads, each written most significant bit first, so
-    # character m-1-b of every m-character group is bit b of its element
-    bits = "".join([format(a, fmt) for a in reversed(elements)])
-    return [int("0" + bits[m - 1 - b :: m], 2) for b in range(m)]
 
 
 def sliced_mul(ctx: FieldCtx, a: list[int], b: list[int]) -> list[int]:

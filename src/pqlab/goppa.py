@@ -37,7 +37,6 @@ from .gf2m import (
     FieldPoly,
     poly_eea_partial,
     poly_inv_mod,
-    slice_elements,
     sliced_eval,
     sliced_horner,
     sliced_inv,
@@ -76,7 +75,7 @@ def build_parity_check(
     if n and not (0 <= min(support) and max(support) < ctx.order):
         raise SupportError(f"support elements must lie in [0, {ctx.order})")
     full = (1 << n) - 1
-    support_slices = slice_elements(ctx, support)
+    support_slices = f2linalg.transpose(support, ctx.m)
     quotient, g_alpha = sliced_horner(g, support_slices, full)
     roots = sliced_zeros(g_alpha, full)
     if roots:

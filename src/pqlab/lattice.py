@@ -84,7 +84,7 @@ class ConvModLattice:
     def contains(self, a: Sequence[int], b: Sequence[int]) -> bool:
         if len(a) != self.n or len(b) != self.n:
             raise DimensionError("member halves must have length N")
-        prod_ = conv_mul(list(a), list(self.c))
+        prod_ = conv_mul(a, self.c)
         return all((x - y) % self.q == 0 for x, y in zip(prod_, b))
 
 
@@ -162,7 +162,7 @@ def lattice_encrypt(key: NtruLatticeKey, m: Sequence[int], r: Sequence[int]) -> 
         raise DimensionError("message and blinding must have length N")
     _check_ternary_bounded(m, params.shape, "message")
     _check_ternary_bounded(r, params.shape, "blinding")
-    rh = circulant_mul(list(key.h), list(r), params.q)
+    rh = circulant_mul(key.h, r, params.q)
     return center_mod([a + b for a, b in zip(m, rh)], params.q)
 
 
@@ -175,14 +175,14 @@ def lattice_decrypt(key: NtruLatticeKey, c: Sequence[int]) -> IntVector:
     params = key.params
     if len(c) != params.n:
         raise DimensionError("ciphertext must have length N")
-    t = circulant_mul(list(key.f), list(c), params.q)
+    t = circulant_mul(key.f, c, params.q)
     return center_mod(t, params.p)
 
 
 def lattice_identity_check(key: NtruLatticeKey, m: Sequence[int], r: Sequence[int]) -> bool:
     """True iff f*m + g*r over the integers is inside (-q/2, q/2]."""
-    fm = conv_mul(list(key.f), list(m))
-    gr = conv_mul(list(key.g), list(r))
+    fm = conv_mul(key.f, m)
+    gr = conv_mul(key.g, r)
     q = key.params.q
     return all(-q < 2 * (a + b) <= q for a, b in zip(fm, gr))
 

@@ -136,7 +136,7 @@ def encrypt(
         r = sample_ternary(params.n, *params.shape, rng)
     elif len(r) != params.n:
         raise DimensionError(f"blinding degree {len(r)} != N {params.n}")
-    rh = conv_mul(r, list(pub.h), params.q)
+    rh = conv_mul(r, pub.h, params.q)
     return center_mod(
         [params.p * a + b for a, b in zip(rh, m)], params.q
     )
@@ -158,8 +158,8 @@ def decrypt_with_intermediate(
     params = kp.params
     if len(c) != params.n:
         raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
-    a = conv_mul(list(kp.f), c, params.q)
-    return a, conv_mul(list(kp.f_p_inv), a, params.p)
+    a = conv_mul(kp.f, c, params.q)
+    return a, conv_mul(kp.f_p_inv, a, params.p)
 
 
 def decryption_identity_check(
@@ -216,19 +216,25 @@ def _blocks_to_bytes(blocks: list[list[int]], n: int) -> bytes:
     return unpack(values, width)
 
 
+def _check_byte_encoding(params: NtruParams) -> None:
+    """Bytes go in blocks of N ternary digits: p = 3, and 3^N >= 256."""
+    if params.p != 3:
+        raise UnknownParams("byte encoding is defined for p = 3 only")
+    if not block_bytes(params.n):
+        raise UnknownParams(f"byte encoding needs N >= 6 (3^N >= 256), got N={params.n}")
+
+
 def encrypt_bytes(
     pub: NtruPublicKey, data: bytes, rng: random.Random
 ) -> list[list[int]]:
     """Encrypt a byte stream as a sequence of ring ciphertexts, fresh r per
-    block.  Requires p = 3 (ternary digit alphabet)."""
-    if pub.params.p != 3:
-        raise UnknownParams("byte encoding is defined for p = 3 only")
+    block.  Requires p = 3 (ternary digit alphabet) and N >= 6."""
+    _check_byte_encoding(pub.params)
     return [encrypt(pub, m, rng=rng) for m in _bytes_to_blocks(data, pub.params.n)]
 
 
 def decrypt_bytes(kp: NtruKeyPair, blocks: list[list[int]]) -> bytes:
-    if kp.params.p != 3:
-        raise UnknownParams("byte encoding is defined for p = 3 only")
+    _check_byte_encoding(kp.params)
     return _blocks_to_bytes([decrypt(kp, c) for c in blocks], kp.params.n)
 
 

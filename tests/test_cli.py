@@ -164,6 +164,30 @@ def test_keygen_preset_matches_registry(tmp_path, capsys, name):
     assert f"[n,k,t] = [{params.n},{params.k},{params.t}]" in capsys.readouterr().out
 
 
+def test_ntru_key_below_a_byte_per_block(tmp_path, capsys, rng):
+    # keygen refuses N < 6, but such a key written by the library loads: its
+    # files fail encrypt and decrypt as usage errors, not with a traceback
+    from pqlab import formats, ntru
+
+    kp = ntru.keygen(ntru.NtruParams(5, 3, 41, 1), rng)
+    (tmp_path / "key.ntpub").write_text(formats.serialize_ntru_public(kp.public))
+    (tmp_path / "key.ntpriv").write_text(formats.serialize_ntru_private(kp))
+    (tmp_path / "m.bin").write_bytes(b"x")
+    block = ntru.encrypt(kp.public, [0] * 5, rng=rng)
+    (tmp_path / "m.ct").write_text(formats.serialize_ciphertext_ntru(kp.params, [block]))
+    for argv in (
+        ["encrypt", "--pub", "key.ntpub", "--in", "m.bin", "--out", "c.ct"],
+        ["decrypt", "--priv", "key.ntpriv", "--in", "m.ct", "--out", "m.out"],
+    ):
+        capsys.readouterr()
+        paths = [a if a.startswith("-") or a == argv[0] else str(tmp_path / a) for a in argv]
+        assert main(paths) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "pqlab: byte encoding needs N >= 6 (3^N >= 256), got N=5"
+        )
+    assert not (tmp_path / "c.ct").exists() and not (tmp_path / "m.out").exists()
+
+
 def test_bad_custom_params(tmp_path, capsys):
     rc = main([
         "keygen", "--scheme", "ntru", "--params", "11,3,41",
@@ -184,6 +208,10 @@ def test_bad_custom_params(tmp_path, capsys):
      "invalid ntru parameters: p must be a prime power >= 2"),
     (["keygen", "--scheme", "ntru", "--params", "11,5,41,2"],
      "ntru keys need p = 3 for byte encryption, got p=5"),
+    (["keygen", "--scheme", "ntru", "--params", "5,3,41,1"],
+     "ntru keys need N >= 6 for byte encryption, got N=5"),
+    (["keygen", "--scheme", "ntru", "--params", "3,3,41,1"],
+     "ntru keys need N >= 6 for byte encryption, got N=3"),
     (["keygen", "--scheme", "mceliece", "--params", "20,2"],
      "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=20, t=2"),
     (["keygen", "--scheme", "mceliece", "--params", "4,0"],
@@ -213,8 +241,8 @@ def test_bad_custom_params(tmp_path, capsys):
     (["decrypt", "--priv", "{tmp}/k/key.mcpriv", "--in", "{tmp}/m.ct", "--out", "{tmp}/X/m.out"],
      "cannot write {tmp}/X/m.out: No such file or directory"),
 ], ids=[
-    "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "ntru-p5", "mceliece-m", "mceliece-t",
-    "mceliece-t1", "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
+    "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "ntru-p5", "ntru-n5", "ntru-n3", "mceliece-m",
+    "mceliece-t", "mceliece-t1", "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
     "attack-p2", "preset-and-params", "ntru-systematic", "keygen-out-under-file",
     "encrypt-out-missing-dir", "decrypt-out-missing-dir",
 ])

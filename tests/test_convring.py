@@ -306,8 +306,9 @@ def test_packed_inverse_zero(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_packed_inverse_seeded_sweep(rng, p):
-    for _ in range(2000):
-        n = rng.randrange(1, 40)
+    # 50 draws at each N from 1 to 12, then 2000 at random N up to 39
+    sizes = [n for n in range(1, 13) for _ in range(50)]
+    for n in sizes + [rng.randrange(1, 40) for _ in range(2000)]:
         digits = (-1, 0, 1) if rng.random() < 0.5 else (-2, -1, 0, 1, 2)
         f = [rng.choice(digits) for _ in range(n)]
         _assert_kernel_matches_lists(f, p)

@@ -396,20 +396,52 @@ def test_invert_matches_gauss_jordan(a, square_up):
     assert _reduce_with_identity(a)[1] == [r >> n for r in reduced]
 
 
+def _transpose_oracle(a, cols):
+    """Bit i of output row j is bit j of a[i], one bit at a time."""
+    return [sum(((a[i] >> j) & 1) << i for i in range(len(a))) for j in range(cols)]
+
+
+def _bit_rows(rows, cols):
+    """rows values below 2^cols, often with the top bit set."""
+    top = st.integers((1 << cols) >> 1, (1 << cols) - 1)
+    return st.lists(st.integers(0, (1 << cols) - 1) | top, min_size=rows, max_size=rows)
+
+
 @given(st.integers(0, 70), st.integers(0, 140), st.data())
 def test_transpose_moves_every_bit(rows, cols, data):
-    a = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
-    expected = [sum(((a[i] >> j) & 1) << i for i in range(rows)) for j in range(cols)]
+    a = data.draw(_bit_rows(rows, cols))
+    expected = _transpose_oracle(a, cols)
     assert transpose(a, cols) == expected
     assert transpose(expected, rows) == a
+
+
+# each side empty, one and two byte planes and either side of them, the
+# narrow limit and either side of it, and a tile
+_EDGE_SIDES = [0, 1, 7, 8, 9, 15, 16, 17, 64]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_transpose_at_the_method_edges(data):
+    # every pair of edge sides, each matrix drawn as one int of rows x cols
+    # bits, plus a mask of the rows whose top bit is forced on
+    for rows in _EDGE_SIDES:
+        for cols in _EDGE_SIDES:
+            bits = data.draw(st.integers(0, (1 << rows * cols) - 1))
+            tops = data.draw(st.integers(0, (1 << rows) - 1)) if cols else 0
+            mask = (1 << cols) - 1
+            a = [bits >> (i * cols) & mask | (tops >> i & 1) << cols >> 1 for i in range(rows)]
+            expected = _transpose_oracle(a, cols)
+            assert transpose(a, cols) == expected
+            assert transpose(expected, rows) == a
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(65, 200), st.integers(65, 200), st.data())
 def test_transpose_in_a_grid_of_tiles(rows, cols, data):
     # with 64-bit tiles both sides span several, so tiles meet in a grid
-    a = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
-    expected = [sum(((a[i] >> j) & 1) << i for i in range(rows)) for j in range(cols)]
+    a = data.draw(_bit_rows(rows, cols))
+    expected = _transpose_oracle(a, cols)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(f2linalg, "_TILE", 64)
         assert transpose(a, cols) == expected

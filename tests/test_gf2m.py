@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqlab.errors import DivisionByZero
+from pqlab.f2linalg import transpose
 from pqlab.gf2m import (
     EVAL_GROUP,
     MODULI,
@@ -18,7 +19,6 @@ from pqlab.gf2m import (
     poly_inv_mod,
     random_irreducible,
     random_poly,
-    slice_elements,
     sliced_eval,
     sliced_horner,
     sliced_inv,
@@ -591,14 +591,14 @@ def test_sliced_mul_and_inv_match_scalar_field(m):
     vectors = list(_lane_vectors(ctx, rng))
     for a in vectors:
         n = len(a)
-        sa = slice_elements(ctx, a)
+        sa = transpose(a, ctx.m)
         assert len(sa) == m
         assert _unslice(sa, n) == a
         assert _unslice(sliced_inv(ctx, sa), n) == [ctx.inv(x) if x else 0 for x in a]
         for b in vectors:
             if len(b) != n:
                 continue
-            prod = sliced_mul(ctx, sa, slice_elements(ctx, b))
+            prod = sliced_mul(ctx, sa, transpose(b, ctx.m))
             assert all(s >> n == 0 for s in prod)
             assert _unslice(prod, n) == [ctx.mul(x, y) for x, y in zip(a, b)]
 
@@ -609,7 +609,7 @@ def test_sliced_mul_exhaustive_small_m(m):
     ctx = FieldCtx(m)
     a = [x for x in range(ctx.order) for _ in range(ctx.order)]
     b = [y for _ in range(ctx.order) for y in range(ctx.order)]
-    prod = sliced_mul(ctx, slice_elements(ctx, a), slice_elements(ctx, b))
+    prod = sliced_mul(ctx, transpose(a, ctx.m), transpose(b, ctx.m))
     assert _unslice(prod, len(a)) == [ctx.mul(x, y) for x, y in zip(a, b)]
 
 
@@ -637,7 +637,7 @@ def test_sliced_horner_matches_per_position_oracle(case):
     sigma, support = case
     ctx, n = sigma.ctx, len(support)
     full = (1 << n) - 1
-    quotient, value = sliced_horner(sigma, slice_elements(ctx, support), full)
+    quotient, value = sliced_horner(sigma, transpose(support, ctx.m), full)
     values = _unslice(value, n)
     assert values == [poly_eval(sigma, a) for a in support]
     roots = [j for j, a in enumerate(support) if poly_eval(sigma, a) == 0]
@@ -673,7 +673,7 @@ def test_sliced_eval_matches_sliced_horner(case):
     t, sigma, support = case
     ctx = sigma.ctx
     full = (1 << len(support)) - 1
-    alpha = slice_elements(ctx, support)
+    alpha = transpose(support, ctx.m)
     tables = sliced_power_tables(ctx, alpha, t, full)
     assert len(tables) == t + 1
     # the tables stay within 4x the m slices of the power each one spans

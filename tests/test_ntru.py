@@ -2,6 +2,7 @@
 analysis, and byte-stream blocks."""
 
 import random
+import re
 
 import pytest
 
@@ -244,6 +245,8 @@ def test_keypair_from_values_skips_shape_checks():
 
 def test_block_bytes():
     assert block_bytes(11) == 2  # 3^11 = 177147 >= 65536, < 16777216
+    assert block_bytes(6) == 1  # 3^6 = 729
+    assert block_bytes(5) == 0  # 3^5 = 243 holds no whole byte
 
 
 def test_bytes_roundtrip(rng):
@@ -288,6 +291,17 @@ def test_bytes_requires_p3(rng):
         encrypt_bytes(kp.public, b"x", rng)
     with pytest.raises(UnknownParams):
         decrypt_bytes(kp, [])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bytes_require_a_byte_per_block(rng, n):
+    # 3^N < 256: block_bytes(N) is 0, and the packer would divide by it
+    kp = keygen(NtruParams(n, 3, 41, 1), rng)
+    reason = re.escape(f"byte encoding needs N >= 6 (3^N >= 256), got N={n}")
+    with pytest.raises(UnknownParams, match=reason):
+        encrypt_bytes(kp.public, b"x", rng)
+    with pytest.raises(UnknownParams, match=reason):
+        decrypt_bytes(kp, [encrypt(kp.public, [0] * n, rng=rng)])
 
 
 # -- sampling exhaustion --
