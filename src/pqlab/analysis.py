@@ -310,10 +310,10 @@ class SecuritySummary:
     scheme: str
     name: str
     params: object
-    key_size_bits: int | None
-    key_size_bits_systematic: int | None
-    work_factor_log2: tuple[int, int] | None
-    notes: tuple[str, ...]
+    key_size_bits: int | None = None
+    key_size_bits_systematic: int | None = None
+    work_factor_log2: tuple[int, int] | None = None
+    notes: tuple[str, ...] = ()
 
     def lines(self) -> list[str]:
         out = [f"scheme: {self.scheme}", f"preset: {self.name}"]
@@ -369,14 +369,5 @@ def security_summary(scheme: str, name: str) -> SecuritySummary:
             notes=_MCELIECE_NOTES.get(name, ()),
         )
     if scheme == "ntru":
-        params = ntru.preset(name)
-        return SecuritySummary(
-            scheme="ntru",
-            name=name,
-            params=params,
-            key_size_bits=None,
-            key_size_bits_systematic=None,
-            work_factor_log2=None,
-            notes=_NTRU_NOTES.get(name, ()),
-        )
+        return SecuritySummary("ntru", name, ntru.preset(name), notes=_NTRU_NOTES.get(name, ()))
     raise UnknownParams(f"unknown scheme {scheme!r}")

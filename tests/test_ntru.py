@@ -247,6 +247,9 @@ def test_block_bytes():
     assert block_bytes(11) == 2  # 3^11 = 177147 >= 65536, < 16777216
     assert block_bytes(6) == 1  # 3^6 = 729
     assert block_bytes(5) == 0  # 3^5 = 243 holds no whole byte
+    for n in range(1001):
+        b = block_bytes(n)
+        assert 256**b <= 3**n < 256 ** (b + 1), n
 
 
 def test_bytes_roundtrip(rng):
