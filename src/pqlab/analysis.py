@@ -199,17 +199,17 @@ class AttackReport:
 
 
 def _try_candidate_key(
-    f_cand: list[int], params: NtruParams, pub_h: Sequence[int], rng: random.Random
+    f_cand: list[int], pub: ntru.NtruPublicKey, rng: random.Random
 ) -> bool:
-    """Does f_cand work as a private key for pub_h?  Test: encrypt a random
+    """Does f_cand work as a private key for pub?  Test: encrypt a random
     shaped message with the real public key and decrypt with the candidate."""
+    params = pub.params
     try:
         f_p_inv = invert_mod(f_cand, params.p)
     except NotInvertible:
         return False
     m = sample_ternary(params.n, *params.shape, rng)
     r = sample_ternary(params.n, *params.shape, rng)
-    pub = ntru.NtruPublicKey(params, tuple(pub_h))
     c = ntru.encrypt(pub, m, r=r)
     candidate = ntru.NtruKeyPair(pub, tuple(f_cand), tuple(f_p_inv))
     return ntru.decrypt(candidate, c) == m
@@ -238,6 +238,7 @@ def ntru_lll_attack(
     basis = build_public_basis(h, params.q)
     reduced = lll_reduce(basis)
     membership = lattice_mod.ConvModLattice(tuple(h), params.q)
+    pub = ntru.NtruPublicKey(params, tuple(h))  # packs p*h once per attack
     candidates: list[AttackCandidate] = []
     success = False
     recovered = None
@@ -249,7 +250,7 @@ def ntru_lll_attack(
             continue
         if not membership.contains(a, b):
             raise AssertionError("reduced row left the lattice")
-        works = _try_candidate_key(a, params, h, rng)
+        works = _try_candidate_key(a, pub, rng)
         candidates.append(
             AttackCandidate(
                 f=a, g=b, row_norm_sq=sum(c * c for c in row), decrypts=works

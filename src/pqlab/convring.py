@@ -12,18 +12,27 @@ q used at recommended sizes.
 
 A convolution is one bignum multiply (Kronecker substitution): each operand
 becomes an integer with one fixed-width slot per coefficient, and the slots
-of the product hold the polynomial product.  The slots are 1, 2, 4 or 8
-bytes, or k 8-byte words when a slot is wider than 64 bits, so packing and
-unpacking go through `array` and `int.from_bytes`/`int.to_bytes` in C
-rather than through a Python shift per slot.
+of the product hold the polynomial product.  An `Operand` is a polynomial
+offset by its minimum, so every slot value is >= 0: a ternary r is packed
+as r + 1 in {0, 1, 2}.  One constant per product undoes the offsets, since
+J*a = (sum a)*J for the all-ones polynomial J.  A slot has as many bytes as
+about N * max(f') * max(g') needs for the offset operands f', g', so at
+N = 443, q = 2048 a ternary times a centered operand takes 3 bytes where
+the worst case (q - 1)^2 takes 4.  Packing goes through `struct`, one
+`bytes.translate` of one byte lane (the offset) and stride copies into a
+`bytearray`; the product comes back through `int.to_bytes` and `struct`.
+All of it runs in C while the coefficients fit in 8 bytes and span less
+than q (wider ones take a Python pass), so the one pass over the
+coefficients in Python is the centering of the result.  A key keeps its
+operands (`ntru` packs p*h, f and f_p^-1 once per key), and an operand
+keeps its packed int per slot width.
 """
 
 from __future__ import annotations
 
-import math
 import random
-import sys
-from array import array
+import struct
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionError, NotInvertible
@@ -44,65 +53,154 @@ def center_mod(f: Coeffs, q: int) -> list[int]:
     """Coefficient-wise centered reduction; idempotent."""
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    return [r - q if 2 * (r := c % q) > q else r for c in f]
+    half = (q - 1) // 2
+    return [(c + half) % q - half for c in f]
 
 
-# array typecode for each item size: 1, 2, 4 and 8 bytes
-_CODES = {array(code).itemsize: code for code in "QLIHB"}
-_BIG_ENDIAN = sys.byteorder == "big"
+# struct codes of little-endian signed (operand) and unsigned (slot) items
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# the item size holding each byte count up to 8
+_ITEM_BYTES = [0, 1, 2, 4, 4, 8, 8, 8, 8]
 
 
-def conv_mul(f: Coeffs, g: Coeffs, q: int | None = None) -> list[int]:
+@lru_cache(maxsize=None)
+def _add_table(t: int) -> bytes:
+    """bytes.translate table adding t to every byte, mod 256."""
+    return bytes(range(t, 256)) + bytes(range(t))
+
+
+class Operand:
+    """A ring element packed for `conv_mul`: the values a_i - low >= 0.
+
+    [lo, hi] holds every a_i: their least and greatest, or bounds a caller
+    knows.  Each a_i takes E bytes, the fewest that hold [lo, hi] signed,
+    as the low bytes of a `struct` item of 1, 2, 4 or 8 bytes (of
+    `int.to_bytes` past 8).  low is lo rounded down to a multiple of
+    256^(E-1), so subtracting it is one `bytes.translate` of byte E - 1 of
+    each item.  top and total are the largest offset value and their sum.
+    Given q, a spanning q or more is reduced mod q first.  `packed(width)`
+    is one int of `width`-byte slots, kept per width.
+    """
+
+    __slots__ = ("n", "low", "top", "total", "size", "stride", "data", "_ints")
+
+    def __init__(
+        self, a: Coeffs, q: int | None = None, bounds: tuple[int, int] | None = None
+    ):
+        if bounds is None:
+            lo = min(a)
+            hi = max(a)
+        else:
+            lo, hi = bounds
+        if q is not None and hi - lo >= q:
+            a = [c % q for c in a]
+            lo = min(a)
+            hi = max(a)
+        n = len(a)
+        size = max(hi, ~lo).bit_length() // 8 + 1  # E
+        if size <= 8:
+            stride = _ITEM_BYTES[size]
+            raw = struct.pack(f"<{n}{_SIGNED[stride]}", *a)
+        else:
+            stride = size
+            raw = b"".join(c.to_bytes(size, "little", signed=True) for c in a)
+        unit = 1 << 8 * size - 8
+        shift = -(lo // unit)
+        add = _add_table(shift & 0xFF)
+        if stride == 1:
+            data = raw.translate(add)
+        else:
+            data = bytearray(raw)
+            data[size - 1::stride] = raw[size - 1::stride].translate(add)
+        low = -shift * unit
+        self.n = n
+        self.low = low
+        self.top = hi - low
+        self.total = sum(a) - n * low
+        self.size = size
+        self.stride = stride
+        self.data = data
+        self._ints = {}
+
+    def __len__(self) -> int:
+        return self.n
+
+    def packed(self, width: int) -> int:
+        x = self._ints.get(width)
+        if x is None:
+            size, stride, data = self.size, self.stride, self.data
+            # bytes E and up of an item are sign bits: copy bytes 0 to E - 1
+            if not width == size == stride:
+                buf = bytearray(self.n * width)
+                for j in range(min(size, width)):
+                    buf[j::width] = data[j::stride]
+                data = buf
+            x = self._ints[width] = int.from_bytes(data, "little")
+        return x
+
+
+def _product(f: Operand, g: Operand, extra: Operand | None = None) -> tuple:
+    """(slots, offset) with (f*g + extra)_k = slots[k] + offset.
+
+    For f = f' + a*J and g = g' + b*J, a and b the lows, f*g = f'*g' +
+    (a*sum(g') + b*sum(f') + N*a*b)*J.  One multiply of the packed offset
+    values, the high N slots added onto the low N (x^N = 1) and extra's
+    offset values added in give the slots.  A slot has as many bytes as
+    N*top(f)*top(g) + top(f) + top(g) + top(extra) needs, so it holds the
+    product and each operand.
+    """
+    n = f.n
+    bound = n * f.top * g.top + f.top + g.top
+    offset = f.low * g.total + g.low * f.total + n * f.low * g.low
+    if extra is not None:
+        bound += extra.top
+        offset += extra.low
+    width = -(-bound.bit_length() // 8) or 1
+    size = n * width
+    prod = f.packed(width) * g.packed(width)
+    prod = (prod & ((1 << 8 * size) - 1)) + (prod >> 8 * size)
+    if extra is not None:
+        prod += extra.packed(width)
+    data = prod.to_bytes(size, "little")
+    if width > 8:
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)], offset
+    item = _ITEM_BYTES[width]
+    if item != width:
+        buf = bytearray(n * item)
+        for j in range(width):
+            buf[j::item] = data[j::width]
+        data = buf
+    return struct.unpack(f"<{n}{_UNSIGNED[item]}", data), offset
+
+
+def _product_mod(f: Operand, g: Operand, q: int, extra: Operand | None = None) -> list[int]:
+    """f*g + extra, centered mod q: the one pass over the slots."""
+    slots, offset = _product(f, g, extra)
+    half = (q - 1) // 2  # centered residues are (x + half) % q - half
+    offset += half
+    return [(s + offset) % q - half for s in slots]
+
+
+def conv_mul(f: Coeffs | Operand, g: Coeffs | Operand, q: int | None = None) -> list[int]:
     """Cyclic convolution h_k = sum over i+j = k (mod N) of f_i g_j.
 
     Exact over the integers when q is None; otherwise reduced to centered
-    representatives mod q.  An exact product is the product mod Q = 2B + 2,
-    where B = N * max|f_i| * max|g_j| bounds every |h_k|: the centered
-    residues in (-Q/2, Q/2] cover [-B, B], so they are the integer
-    coefficients.
-
-    Both operands' residues go into one big integer, a slot of at least
-    (N * (q-1)^2).bit_length() + 1 bits per coefficient, so one bignum
-    multiply performs the whole convolution and no slot overflows.  A slot
-    is 1, 2, 4 or 8 bytes, or k 8-byte words (low word first) past 64 bits;
-    packing and unpacking go through an `array` of that item size and
-    `int.from_bytes`/`int.to_bytes`, and the high N slots of the product
-    are added onto the low N (x^N = 1).
+    representatives mod q.  Either operand may be an `Operand`.
     """
     n = len(f)
     if len(g) != n:
         raise DimensionError(f"ring degree mismatch: {n} != {len(g)}")
     if n == 0:
         return []
+    if not isinstance(f, Operand):
+        f = Operand(f, q)
+    if not isinstance(g, Operand):
+        g = Operand(g, q)
     if q is None:
-        q = 2 * n * max(map(abs, f)) * max(map(abs, g)) + 2
-    width = (n * (q - 1) * (q - 1)).bit_length() + 1
-    word = min(8, 1 << (max(width, 8) - 1).bit_length() - 3)  # 1, 2, 4 or 8 bytes
-    k = -(-width // (8 * word))  # words per slot: 1 unless the slot is wide
-    code = _CODES[word]
-    size = n * k * word  # bytes of one packed operand
-
-    def pack(a: Coeffs) -> int:
-        words = array(code, bytes(size))
-        res = [c % q for c in a]
-        for j in range(k - 1):
-            words[j::k] = array(code, [r & 0xFFFFFFFFFFFFFFFF for r in res])
-            res = [r >> 64 for r in res]
-        words[k - 1::k] = array(code, res)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        return int.from_bytes(words.tobytes(), "little")
-
-    prod = pack(f) * pack(g)
-    # x^N = 1: add the high N slots onto the low N (no slot overflows)
-    prod = (prod & ((1 << 8 * size) - 1)) + (prod >> 8 * size)
-    words = array(code, prod.to_bytes(size, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    slots = words[k - 1::k]
-    for j in range(k - 2, -1, -1):
-        slots = [s << 64 | w for s, w in zip(slots, words[j::k])]
-    return [r - q if 2 * (r := s % q) > q else r for s in slots]
+        slots, offset = _product(f, g)
+        return [s + offset for s in slots]
+    return _product_mod(f, g, q)
 
 
 def invert_mod_prime(f: Coeffs, p: int) -> list[int]:
@@ -240,18 +338,59 @@ def invert_mod_prime_power(f: Coeffs, p: int, e: int) -> list[int]:
     return b
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for odd n < _MR_EXACT_BELOW."""
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, e) with q = p^e for a prime p, or None if q is not a prime power
-    (q < 2 included)."""
+    (q < 2 included).
+
+    A power of two is read off its bits.  Otherwise p is odd and is the
+    e-th root of q for the one e at which the root is exact and prime; below
+    _MR_EXACT_BELOW the float root rounds to it exactly.  A larger odd q
+    raises ValueError.
+    """
     if q < 2:
         return None
-    # the smallest divisor >= 2 is the only prime p^e can have
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return (p, e) if q == 1 else None
+    if not q & (q - 1):
+        return 2, q.bit_length() - 1
+    if not q & 1:
+        return None
+    if q >= _MR_EXACT_BELOW:
+        raise ValueError(f"modulus {q} is too large to test for a prime power")
+    if _is_prime(q):
+        return q, 1
+    for e in range(2, q.bit_length()):
+        p = round(q ** (1 / e))
+        if p < 3:
+            break
+        if p**e == q and _is_prime(p):
+            return p, e
+    return None
 
 
 def invert_mod(f: Coeffs, q: int) -> list[int]:

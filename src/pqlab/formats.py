@@ -228,15 +228,18 @@ def _parse_ntru_private(p: _Parser) -> NtruKeyPair:
     p.expect_end()
     if not len(f) == len(f_p_inv) == len(h) == np_.n:
         raise FormatError("private polynomials have wrong degree")
-    if conv_mul(f, f_p_inv, np_.p) != [1] + [0] * (np_.n - 1):
+    kp = NtruKeyPair(
+        public=NtruPublicKey(np_, tuple(h)), f=tuple(f), f_p_inv=tuple(f_p_inv)
+    )
+    # the checks multiply the operands decrypt keeps with the key
+    f_packed, f_p_inv_packed = kp.operands
+    if conv_mul(f_packed, f_p_inv_packed, np_.p) != [1] + [0] * (np_.n - 1):
         raise FormatError("f * f_p_inv is not 1 mod p")
     # g = f * h mod q is ternary for every key keygen writes; an h taken
     # from another key's file gives a g of full-size residues
-    if ternary_shape(conv_mul(f, h, np_.q)) is None:
+    if ternary_shape(conv_mul(f_packed, h, np_.q)) is None:
         raise FormatError("f * h is not ternary mod q")
-    return NtruKeyPair(
-        public=NtruPublicKey(np_, tuple(h)), f=tuple(f), f_p_inv=tuple(f_p_inv)
-    )
+    return kp
 
 
 # -- ciphertext files --

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from operator import getitem
 from typing import Iterator, Sequence
@@ -26,7 +27,7 @@ from .errors import (
     RankError,
     SamplingExhausted,
 )
-from .convring import center_mod, conv_mul, invert_mod, sample_ternary, ternary_shape
+from .convring import Operand, center_mod, conv_mul, invert_mod, sample_ternary, ternary_shape
 
 IntVector = list[int]
 IntMatrix = list[list[int]]
@@ -82,10 +83,14 @@ class ConvModLattice:
     def n(self) -> int:
         return len(self.c)
 
+    @cached_property
+    def _packed_c(self) -> Operand:
+        return Operand(self.c)
+
     def contains(self, a: Sequence[int], b: Sequence[int]) -> bool:
         if len(a) != self.n or len(b) != self.n:
             raise DimensionError("member halves must have length N")
-        prod_ = conv_mul(a, self.c)
+        prod_ = conv_mul(a, self._packed_c)
         return all((x - y) % self.q == 0 for x, y in zip(prod_, b))
 
 

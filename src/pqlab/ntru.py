@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import convring
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     SamplingExhausted,
     UnknownParams,
 )
-from .convring import center, center_mod, conv_mul, invert_mod, sample_ternary
+from .convring import Operand, conv_mul, invert_mod, sample_ternary
 from .packing import pack, unpack
 
 
@@ -66,6 +68,12 @@ class NtruPublicKey:
     params: NtruParams
     h: tuple[int, ...]  # centered mod q
 
+    @cached_property
+    def ph(self) -> Operand:
+        """p*h mod q, packed once per key: the per-key factor of encrypt."""
+        p, q = self.params.p, self.params.q
+        return Operand([p * c % q for c in self.h])
+
 
 @dataclass(frozen=True)
 class NtruKeyPair:
@@ -76,6 +84,11 @@ class NtruKeyPair:
     @property
     def params(self) -> NtruParams:
         return self.public.params
+
+    @cached_property
+    def operands(self) -> tuple[Operand, Operand]:
+        """f and f_p^-1, packed once per key: the per-key factors of decrypt."""
+        return Operand(self.f), Operand(self.f_p_inv)
 
 
 # Draws of f before keygen gives up; lattice.lattice_keygen shares the budget
@@ -122,33 +135,44 @@ def encrypt(
     r: list[int] | None = None,
     rng: random.Random | None = None,
 ) -> list[int]:
-    """c = p*(r * h) + m, centered mod q."""
+    """c = p*(r * h) + m, centered mod q: one product r * (p*h mod q) with
+    m added into its slots, then one centering pass."""
     params = pub.params
     if len(m) != params.n:
         raise DimensionError(f"message degree {len(m)} != N {params.n}")
-    p = params.p
-    for c in m:
-        if not -p < 2 * c <= p:
-            raise MessageRangeError(f"message coefficient {c} not centered mod {p}")
+    p, q = params.p, params.q
+    lo, hi = min(m), max(m)
+    if not (-p < 2 * lo and 2 * hi <= p):
+        bad = next(c for c in m if not -p < 2 * c <= p)
+        raise MessageRangeError(f"message coefficient {bad} not centered mod {p}")
     if r is None:
         if rng is None:
             raise ValueError("need either an explicit blinding r or an rng")
-        r = sample_ternary(params.n, *params.shape, rng)
+        r = Operand(sample_ternary(params.n, *params.shape, rng), bounds=(-1, 1))
     elif len(r) != params.n:
         raise DimensionError(f"blinding degree {len(r)} != N {params.n}")
-    rh = conv_mul(r, pub.h, params.q)
-    return center_mod(
-        [params.p * a + b for a, b in zip(rh, m)], params.q
-    )
+    else:
+        r = Operand(r, q)
+    return convring._product_mod(r, pub.ph, q, Operand(m, bounds=(lo, hi)))
 
 
 def decrypt(kp: NtruKeyPair, c: list[int]) -> list[int]:
     """a = center(f * c mod q), then m = center(f_p^-1 * a mod p).
 
-    Wrap failures (possible at toy q) are not detectable at this layer;
-    callers that know (r, m) can consult decryption_identity_check.
+    a is reduced mod p in the pass that centers it mod q.  Wrap failures
+    (possible at toy q) are not detectable at this layer; callers that know
+    (r, m) can consult decryption_identity_check.
     """
-    return decrypt_with_intermediate(kp, c)[1]
+    params = kp.params
+    if len(c) != params.n:
+        raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
+    p, q = params.p, params.q
+    f, f_p_inv = kp.operands
+    slots, offset = convring._product(f, Operand(c, q))
+    half = (q - 1) // 2  # centered residues are (x + half) % q - half
+    offset += half
+    a = [((s + offset) % q - half) % p for s in slots]
+    return convring._product_mod(f_p_inv, Operand(a, bounds=(0, p - 1)), p)
 
 
 def decrypt_with_intermediate(
@@ -187,15 +211,23 @@ def block_bytes(n: int) -> int:
     return ((3**n).bit_length() - 1) // 8
 
 
+# Block digits are plain base-3 digits, least significant first, each
+# centered mod 3 (2 becomes -1): a bijection on [0, 3^N), unlike balanced
+# ternary, whose range is smaller.  _DIGITS5[v] holds the five digits of
+# v < 3^5, so a block takes one divmod per five digits.
+_DIGITS5 = [tuple((v // 3**i + 1) % 3 - 1 for i in range(5)) for v in range(243)]
+# the decrypted digits -1, 0, 1 as signed bytes to base-3 characters
+_DIGIT_CHARS = bytes.maketrans(b"\xff\x00\x01", b"201")
+
+
 def _bytes_to_blocks(data: bytes, n: int) -> list[list[int]]:
     blocks = []
     for value in pack(data, 8 * block_bytes(n)):
-        # plain base-3 digits, each centered mod 3 (2 becomes -1); this is a
-        # bijection on [0, 3^N), unlike balanced ternary whose range is smaller
         digits = []
-        for _ in range(n):
-            value, d = divmod(value, 3)
-            digits.append(center(d, 3))
+        for _ in range(-(-n // 5)):
+            value, d = divmod(value, 243)
+            digits += _DIGITS5[d]
+        del digits[n:]
         blocks.append(digits)
     return blocks
 
@@ -204,9 +236,8 @@ def _blocks_to_bytes(blocks: list[list[int]], n: int) -> bytes:
     width = 8 * block_bytes(n)
     values = []
     for digits in blocks:
-        value = 0
-        for d in reversed(digits):
-            value = value * 3 + (d % 3)
+        text = struct.pack(f"{n}b", *digits)[::-1].translate(_DIGIT_CHARS)
+        value = int(text, 3)
         if value >> width:
             raise MessageRangeError("decrypted block out of byte range")
         values.append(value)

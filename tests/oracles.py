@@ -1,7 +1,13 @@
 """Scalar oracles shared by the test modules."""
 
+import math
+
+from pqlab.convring import center
+from pqlab.errors import MessageRangeError
 from pqlab.f2linalg import BinVector
 from pqlab.gf2m import FieldPoly
+from pqlab.ntru import block_bytes
+from pqlab.packing import pack, unpack
 
 
 def poly_eval(p, x):
@@ -157,3 +163,45 @@ def nearest_codeword_gray(g, w):
             best_idx = msg
             best_word = word
     return BinVector(g.cols, best_word)
+
+
+def prime_power_ref(q):
+    """(p, e) with q = p^e by trial division up to sqrt(q): the reference
+    for convring.prime_power."""
+    if q < 2:
+        return None
+    # the smallest divisor >= 2 is the only prime p^e can have
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def bytes_to_blocks_ref(data, n):
+    """Blocks of N centered base-3 digits, one divmod by 3 per digit: the
+    reference for ntru._bytes_to_blocks."""
+    blocks = []
+    for value in pack(data, 8 * block_bytes(n)):
+        digits = []
+        for _ in range(n):
+            value, d = divmod(value, 3)
+            digits.append(center(d, 3))
+        blocks.append(digits)
+    return blocks
+
+
+def blocks_to_bytes_ref(blocks, n):
+    """Bytes from blocks of base-3 digits, one multiply by 3 per digit: the
+    reference for ntru._blocks_to_bytes."""
+    width = 8 * block_bytes(n)
+    values = []
+    for digits in blocks:
+        value = 0
+        for d in reversed(digits):
+            value = value * 3 + (d % 3)
+        if value >> width:
+            raise MessageRangeError("decrypted block out of byte range")
+        values.append(value)
+    return unpack(values, width)

@@ -2,14 +2,17 @@
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import prime_power_ref
 from pqlab import kat
 from pqlab.convring import (
+    Operand,
     _invert_lists,
     center,
     center_mod,
@@ -119,8 +122,10 @@ def test_conv_modular_path_matches_plain(rng):
 
 
 def _slot_bytes(n, q):
-    # conv_mul's slot: (n * (q-1)^2).bit_length() + 1 bits, rounded up to
-    # 1, 2, 4 or 8 bytes, or to whole 8-byte words past 64 bits
+    # the widest slot a product mod q can need: (n * (q-1)^2).bit_length()
+    # + 1 bits, rounded up to 1, 2, 4 or 8 bytes, or to whole 8-byte words
+    # past 64 bits; the cases below spread over it.  conv_mul sizes its own
+    # slot from the operands (test_conv_slot_width_follows_operand_ranges)
     bits = (n * (q - 1) ** 2).bit_length() + 1
     return next((b for b in (1, 2, 4, 8) if 8 * b >= bits), 8 * -(-bits // 64))
 
@@ -151,6 +156,105 @@ def test_conv_every_slot_width_matches_multiply_then_fold(rng, n, q, bound, slot
     else:
         assert _slot_bytes(n, q) == slot
         assert conv_mul(f, g, q) == center_mod(exact, q)
+
+
+def _operand_slot_bytes(n, f, g, q):
+    # conv_mul's slot: as many bytes as N * top(f) * top(g) + top(f) +
+    # top(g) needs, top being an operand's largest value once its offset is
+    # subtracted
+    tf, tg = Operand(f, q).top, Operand(g, q).top
+    return max(1, -(-(n * tf * tg + tf + tg).bit_length() // 8))
+
+
+TERNARY = (-1, 1)
+
+
+@pytest.mark.parametrize(
+    "n, q, f_range, g_range, slot",
+    [
+        (7, 3, TERNARY, TERNARY, 1),
+        (443, 3, TERNARY, TERNARY, 2),  # f_p^-1 * a at rec443
+        (11, 41, TERNARY, (-20, 20), 2),
+        (443, 2048, TERNARY, (-1023, 1024), 3),  # r * h and f * c at rec443
+        (443, 2048, (-1023, 1024), (-1023, 1024), 4),
+        (12, 2**31, TERNARY, (-2**20, 2**20), 4),  # 3-byte values, 4-byte items
+        (12, 2**31, TERNARY, (-2**30 + 1, 2**30), 5),
+        (50, 2**20, (-2**19 + 1, 2**19), (-2**19 + 1, 2**19), 6),
+        (9, 2**48, (-2**24, 2**24), (-2**23, 2**23), 7),
+        (64, 2**28, (-2**27 + 1, 2**27), (-2**27 + 1, 2**27), 8),
+        (59, 10**9 + 7, (-5 * 10**8, 5 * 10**8), (-5 * 10**8, 5 * 10**8), 9),
+        (13, None, (-10**12, 10**12), (-10**12, 10**12), 11),
+        (12, 2**64 + 13, (-2**63, 2**63), (-2**63, 2**63), 17),
+        (5, None, (-10**40, 10**40), (-10**40, 10**40), 34),
+    ],
+)
+def test_conv_slot_width_follows_operand_ranges(rng, n, q, f_range, g_range, slot):
+    f = [rng.randint(*f_range) for _ in range(n)]
+    g = [rng.randint(*g_range) for _ in range(n)]
+    f[0], f[-1] = f_range
+    g[0], g[-1] = g_range
+    assert _operand_slot_bytes(n, f, g, q) == slot
+    exact = conv_oracle(f, g)
+    assert conv_mul(f, g, q) == (exact if q is None else center_mod(exact, q))
+
+
+MODULI = [3, 41, 64, 2048, 2**31, 2**64 + 13, None]  # 2^64 + 13 is prime
+
+
+@st.composite
+def ternary_and_centered(draw):
+    n = draw(st.sampled_from(list(range(1, 13)) + [443]))
+    q = draw(st.sampled_from(MODULI))
+    span = 10**30 if q is None else q
+    f = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    g = draw(st.lists(st.integers(-((span - 1) // 2), span // 2), min_size=n, max_size=n))
+    return f, g, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(ternary_and_centered(), st.booleans(), st.booleans())
+def test_conv_ternary_times_centered_matches_oracle(fgq, pack_f, pack_g):
+    # either operand may come packed beforehand; the product and its
+    # reverse agree with the schoolbook fold
+    f, g, q = fgq
+    exact = conv_oracle(f, g)
+    want = exact if q is None else center_mod(exact, q)
+    a = Operand(f) if pack_f else f
+    b = Operand(g, q) if pack_g else g
+    assert conv_mul(a, b, q) == want
+    assert conv_mul(b, a, q) == want
+
+
+@st.composite
+def windows(draw, n):
+    # n values in a window [lo, lo + span] of any magnitude: the offset is
+    # rounded to each item's top byte, so windows near byte boundaries count
+    bits = draw(st.integers(0, 100))
+    lo = draw(st.integers(-(2**bits), 2**bits))
+    span = draw(st.sampled_from([0, 1, 2, 255, 256, 2**bits, 2 ** (bits + 1)]))
+    return draw(st.lists(st.integers(lo, lo + span), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(windows(n), windows(n))),
+       st.sampled_from(MODULI + [2, 2**20, 2**40 + 15]))
+def test_conv_any_ranges_match_oracle(fg, q):
+    f, g = fg
+    exact = conv_oracle(f, g)
+    assert conv_mul(f, g, q) == (exact if q is None else center_mod(exact, q))
+    assert conv_mul(Operand(f), Operand(g, q), q) == conv_mul(f, g, q)
+
+
+def test_cached_operand_matches_fresh_lists(rng):
+    # one packed operand in products of several widths: each packed int is
+    # kept per width and gives what packing the list afresh gives
+    for n in (11, 443):
+        f = [rng.choice((-1, 0, 1)) for _ in range(n)]
+        packed = Operand(f)
+        for q in (3, 41, 2048, None, 2048, 3):
+            g = [rng.randrange(-1000, 1001) for _ in range(n)]
+            assert conv_mul(packed, g, q) == conv_mul(f, g, q) == conv_mul(g, f, q)
+        assert len(packed._ints) >= 2
 
 
 def test_conv_modulus_one_is_all_zeros(rng):
@@ -354,6 +458,33 @@ def test_prime_power():
     cases = {1: None, 2: (2, 1), 4: (2, 2), 6: None, 9: (3, 2), 12: None,
              41: (41, 1), 2048: (2, 11), 3 * 41: None}
     assert {q: prime_power(q) for q in cases} == cases
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-3, 20000):
+        assert prime_power(q) == prime_power_ref(q), q
+    rng = random.Random(1000)
+    for _ in range(2000):
+        q = rng.randrange(10**9)
+        assert prime_power(q) == prime_power_ref(q), q
+
+
+def test_prime_power_large_moduli():
+    start = time.perf_counter()
+    assert prime_power(10**15 + 37) == (10**15 + 37, 1)
+    assert time.perf_counter() - start < 0.05
+    assert prime_power(3**50) == (3, 50)
+    assert prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    # the largest 12-digit prime: its square is near the exact bound
+    assert prime_power(999999999989**2) == (999999999989, 2)
+    assert prime_power(999999999989**2 - 2) is None
+    assert prime_power(10007**5) == (10007, 5)
+    assert prime_power(15**12) is None
+    assert prime_power(2**400) == (2, 400)
+    assert prime_power(2**400 + 2) is None
+    # past the bound below which Miller-Rabin with 13 bases is exact
+    with pytest.raises(ValueError, match="too large"):
+        prime_power(3317044064679887385961981)
 
 
 def test_invert_mod_dispatch():

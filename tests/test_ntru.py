@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from pqlab import kat, ntru
+from oracles import blocks_to_bytes_ref, bytes_to_blocks_ref
+from pqlab import formats, kat, ntru
 from pqlab.convring import (
     center_mod,
     conv_mul,
@@ -321,3 +322,94 @@ def test_keygen_exhaustion_with_degenerate_rng(monkeypatch):
     monkeypatch.setattr(ntru, "KEYGEN_TRIES", 5)
     with pytest.raises(SamplingExhausted):
         keygen(TOY, Pinned())
+
+
+# -- base-3 digit codecs against the per-digit references --
+
+
+@pytest.mark.parametrize("n", list(range(6, 21)) + [443])
+def test_digit_codecs_match_reference(rng, n):
+    payloads = [b""]
+    for size in (1, 2, 3, 7, 64, 3 * block_bytes(n) + 1):
+        payloads += [bytes(size), b"\xff" * size, rng.randbytes(size)]
+    for data in payloads:
+        blocks = ntru._bytes_to_blocks(data, n)
+        assert blocks == bytes_to_blocks_ref(data, n)
+        assert all(len(b) == n and set(b) <= {-1, 0, 1} for b in blocks)
+        assert ntru._blocks_to_bytes(blocks, n) == blocks_to_bytes_ref(blocks, n) == data
+
+
+@pytest.mark.parametrize("n", [6, 11, 443])
+def test_out_of_range_block_raises(n):
+    # all digits 2 (-1): 3^N - 1 >= 256^B, so no byte block has this value
+    for codec in (ntru._blocks_to_bytes, blocks_to_bytes_ref):
+        with pytest.raises(MessageRangeError, match="^decrypted block out of byte range$"):
+            codec([[-1] * n], n)
+
+
+# -- the fused block path --
+
+
+def _encrypt_reference(pub, m, r):
+    params = pub.params
+    rh = conv_mul(r, list(pub.h), params.q)
+    return center_mod([params.p * a + b for a, b in zip(rh, m)], params.q)
+
+
+@pytest.mark.parametrize("bad", [2, -2, 127, 128, -128, 200, -1000, 10**6])
+def test_wide_message_coefficient_keeps_its_error(bad):
+    kp = reference_keypair()
+    m = [0] * TOY.n
+    m[2], m[5] = 1, bad  # the first coefficient out of range is named
+    reason = re.escape(f"message coefficient {bad} not centered mod 3")
+    with pytest.raises(MessageRangeError, match=f"^{reason}$"):
+        encrypt(kp.public, m, r=kat.NTRU_R)
+
+
+def test_message_range_at_even_p():
+    # (-p/2, p/2] at p = 2 holds 0 and 1 only
+    pub = NtruPublicKey(NtruParams(11, 2, 41, 2), tuple(range(11)))
+    m = [0, 1] * 5 + [1]
+    assert len(encrypt(pub, m, r=kat.NTRU_R)) == 11
+    m[4] = -1
+    with pytest.raises(MessageRangeError, match="^message coefficient -1 not centered mod 2$"):
+        encrypt(pub, m, r=kat.NTRU_R)
+
+
+@pytest.mark.parametrize("name", ["toy11", "rec443"])
+def test_keygen_and_loaded_keys_match_reference_products(name):
+    # the same key from keygen and from its file: the cached per-key
+    # operands give the products the unpacked references give, on first use
+    # and on later blocks alike
+    params = PRESETS[name]
+    made = keygen(params, random.Random(23))
+    loaded = formats.parse_file(formats.serialize_ntru_private(made))[2]
+    public = formats.parse_file(formats.serialize_ntru_public(made.public))[2]
+    assert loaded == made and public == made.public
+    rng = random.Random(24)
+    for _ in range(3):
+        m = [rng.choice((-1, 0, 1)) for _ in range(params.n)]
+        r = sample_ternary(params.n, *params.shape, rng)
+        c = _encrypt_reference(made.public, m, r)
+        for key in (made, loaded):
+            assert encrypt(key.public, m, r=r) == c
+        assert encrypt(public, m, r=r) == c
+        a = conv_mul(list(made.f), c, params.q)
+        expected = conv_mul(list(made.f_p_inv), a, params.p)
+        for key in (made, loaded):
+            assert decrypt(key, c) == expected == m
+            assert decrypt_with_intermediate(key, c) == (a, expected)
+        # an arbitrary ciphertext, not centered: decrypt still matches
+        wild = [rng.randrange(-5 * params.q, 5 * params.q) for _ in range(params.n)]
+        a = conv_mul(list(made.f), wild, params.q)
+        assert decrypt(loaded, wild) == conv_mul(list(made.f_p_inv), a, params.p)
+
+
+def test_sampled_blinding_matches_reference(rng):
+    # encrypt with an rng draws r inside; the same draw given explicitly
+    # must give the same ciphertext
+    kp = keygen(PRESETS["rec443"], random.Random(3))
+    m = [rng.choice((-1, 0, 1)) for _ in range(443)]
+    c = encrypt(kp.public, m, rng=random.Random(9))
+    r = sample_ternary(443, *PRESETS["rec443"].shape, random.Random(9))
+    assert c == _encrypt_reference(kp.public, m, r)
