@@ -31,7 +31,6 @@ from .convring import invert_mod, sample_ternary, ternary_shape
 from .errors import DimensionError, NotInvertible, UnknownParams
 from .f2linalg import BinMatrix, BinVector, _span_table, _xor_rows, transpose
 from .lattice import build_public_basis, lll_reduce
-from .mceliece import McElieceParams
 from .ntru import NtruParams
 
 
@@ -306,35 +305,7 @@ def run_attack_trials(params: NtruParams, seeds: list[int]) -> AttackReport:
 # -- security calculators --
 
 
-@dataclass(frozen=True)
-class SecuritySummary:
-    scheme: str
-    name: str
-    params: object
-    key_size_bits: int | None = None
-    key_size_bits_systematic: int | None = None
-    work_factor_log2: tuple[int, int] | None = None
-    notes: tuple[str, ...] = ()
-
-    def lines(self) -> list[str]:
-        out = [f"scheme: {self.scheme}", f"preset: {self.name}"]
-        p = self.params
-        if isinstance(p, McElieceParams):
-            out.append(f"params: [n,k,t] = [{p.n},{p.k},{p.t}]")
-        else:
-            out.append(f"params: [N,p,q] = [{p.n},{p.p},{p.q}]")
-        if self.key_size_bits is not None:
-            out.append(f"public key bits: {self.key_size_bits}")
-        if self.key_size_bits_systematic is not None:
-            out.append(f"public key bits (systematic): {self.key_size_bits_systematic}")
-        if self.work_factor_log2 is not None:
-            cw, cl = self.work_factor_log2
-            out.append(f"work factor log2: codeword search {cw}, coset leaders {cl}")
-        out.extend(f"note: {n}" for n in self.notes)
-        return out
-
-
-_MCELIECE_NOTES = {
+_NOTES = {
     "legacy": (
         "original parameter proposal",
         "broken in about 2^60.55 bit operations by improved "
@@ -345,9 +316,6 @@ _MCELIECE_NOTES = {
         "(literature value)",
     ),
     "pq128": ("sized for 128-bit post-quantum security (literature value)",),
-}
-
-_NTRU_NOTES = {
     "rec443": (
         "recommended for 128-bit post-quantum security (literature value)",
         "alternate ring degrees 587 and 743 target higher margins",
@@ -355,20 +323,25 @@ _NTRU_NOTES = {
 }
 
 
-def security_summary(scheme: str, name: str) -> SecuritySummary:
-    """Echo the published security levels and computed size/work numbers
-    for a recognized preset."""
-    if scheme == "mceliece":
-        params = mceliece.preset(name)
-        return SecuritySummary(
-            scheme="mceliece",
-            name=name,
-            params=params,
-            key_size_bits=mceliece.key_size_bits(params),
-            key_size_bits_systematic=mceliece.key_size_bits(params, systematic=True),
-            work_factor_log2=mceliece.work_factor_log2(params),
-            notes=_MCELIECE_NOTES.get(name, ()),
-        )
-    if scheme == "ntru":
-        return SecuritySummary("ntru", name, ntru.preset(name), notes=_NTRU_NOTES.get(name, ()))
-    raise UnknownParams(f"unknown scheme {scheme!r}")
+def security_summary(name: str) -> list[str]:
+    """The `pqlab info` lines for a preset of either scheme: its parameters,
+    for McEliece the computed key sizes and work factors, then the
+    published security levels as notes."""
+    if name in mceliece.PRESETS:
+        p = mceliece.PRESETS[name]
+        cw, cl = mceliece.work_factor_log2(p)
+        lines = [
+            "scheme: mceliece",
+            f"preset: {name}",
+            f"params: [n,k,t] = [{p.n},{p.k},{p.t}]",
+            f"public key bits: {mceliece.key_size_bits(p)}",
+            f"public key bits (systematic): {mceliece.key_size_bits(p, systematic=True)}",
+            f"work factor log2: codeword search {cw}, coset leaders {cl}",
+        ]
+    elif name in ntru.PRESETS:
+        p = ntru.PRESETS[name]
+        lines = ["scheme: ntru", f"preset: {name}", f"params: [N,p,q] = [{p.n},{p.p},{p.q}]"]
+    else:
+        known = sorted(mceliece.PRESETS) + sorted(ntru.PRESETS)
+        raise UnknownParams(f"unknown preset {name!r}; choices: {', '.join(known)}")
+    return lines + [f"note: {n}" for n in _NOTES.get(name, ())]

@@ -315,15 +315,7 @@ def _cmd_demo_attack(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    name = args.params
-    if name in mceliece.PRESETS:
-        summary = analysis.security_summary("mceliece", name)
-    elif name in ntru.PRESETS:
-        summary = analysis.security_summary("ntru", name)
-    else:
-        known = sorted(mceliece.PRESETS) + sorted(ntru.PRESETS)
-        raise UnknownParams(f"unknown preset {name!r}; choices: {', '.join(known)}")
-    for line in summary.lines():
+    for line in analysis.security_summary(args.params):
         print(line)
     return 0
 

@@ -322,22 +322,6 @@ def _invert_lists(f: Coeffs, p: int) -> list[int]:
     return [c * scale % p for c in u1]
 
 
-def invert_mod_prime_power(f: Coeffs, p: int, e: int) -> list[int]:
-    """Inverse of f mod p^e by Hensel lifting of the mod-p inverse:
-    b <- b*(2 - f*b) doubles the precision each round."""
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    target = p**e
-    b = invert_mod_prime(f, p)
-    mod = p
-    while mod < target:
-        mod = min(mod * mod, target)
-        two_minus = [-c for c in conv_mul(f, b, mod)]
-        two_minus[0] += 2
-        b = [c % mod for c in conv_mul(b, two_minus, mod)]
-    return b
-
-
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -394,11 +378,20 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def invert_mod(f: Coeffs, q: int) -> list[int]:
-    """Inverse mod q for q prime or a prime power (covers powers of two)."""
+    """Inverse mod q for q prime or a prime power p^e (covers powers of
+    two): the mod-p inverse, Hensel-lifted by b <- b*(2 - f*b), which
+    doubles the precision each round."""
     pe = prime_power(q)
     if pe is None:
         raise ValueError(f"modulus {q} is not a prime power")
-    return invert_mod_prime_power(f, *pe)
+    mod = pe[0]
+    b = invert_mod_prime(f, mod)
+    while mod < q:
+        mod = min(mod * mod, q)
+        two_minus = [-c for c in conv_mul(f, b, mod)]
+        two_minus[0] += 2
+        b = [c % mod for c in conv_mul(b, two_minus, mod)]
+    return b
 
 
 def sample_ternary(

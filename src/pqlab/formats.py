@@ -120,6 +120,9 @@ def serialize_mceliece_public(pub: mce.McEliecePublicKey) -> str:
 def _parse_mceliece_public(p: _Parser) -> mce.McEliecePublicKey:
     params = p.params()
     n, k, t = params["n"], params["k"], params["t"]
+    # a block carries k message bits
+    if k < 1:
+        raise FormatError(f"param k {k} is below 1")
     # a t-error-correcting code has distance 2t + 1 <= n - k + 1 (Singleton)
     if not 1 <= t <= (n - k) // 2:
         raise FormatError(f"param t {t} outside [1, {(n - k) // 2}]")
@@ -171,6 +174,8 @@ def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
         for v in values:
             if not 0 <= v < ctx.order:
                 raise FormatError(f"{field} {v} outside [0, {ctx.order})")
+    if params["k"] < 1:
+        raise FormatError(f"param k {params['k']} is below 1")
     if g.degree != params["t"]:
         raise FormatError(f"param t {params['t']} != deg g {g.degree}")
     try:
@@ -278,6 +283,9 @@ def serialize_ciphertext_ntru(params: NtruParams, blocks: list[list[int]]) -> st
 def _parse_ciphertext(p: _Parser, scheme: str) -> CiphertextFile:
     params = p.params()
     nblocks = params["blocks"]
+    # the 10* padding fills at least one block
+    if nblocks < 1:
+        raise FormatError(f"param blocks {nblocks} is below 1")
     n = params["n"]
     parts = p.next().split()
     if len(parts) != 2 or parts[0] != "hash":

@@ -18,9 +18,10 @@ A vector of n field elements can also be bit-sliced into m Python ints
 by `f2linalg.transpose(elements, m)`: bit j of slice b is bit b of element
 j, so one AND or XOR acts on all n lanes.  The sliced product is m^2 ANDs
 into 2m-1 partial slices, the high ones folded down through the taps of
-the modulus; the sliced inverse is r^(2^m - 2) by that product; and a
-constant is added by XORing the all-ones lane mask into the slices of its
-set bits.  Horner's rule on sliced vectors divides a polynomial by x - a
+the modulus, and a constant is added by XORing the all-ones lane mask into
+the slices of its set bits.  Inverses are not sliced: a caller transposes
+its lanes back to elements and reads the log/antilog tables (see goppa).
+Horner's rule on sliced vectors divides a polynomial by x - a
 and evaluates it at every lane a at once (McBits' bitsliced field
 arithmetic and root finding).  Where only the
 value is wanted and the lanes are fixed, the sliced powers a^i are held as
@@ -548,18 +549,6 @@ def sliced_mul(ctx: FieldCtx, a: list[int], b: list[int]) -> list[int]:
                 prod[k - m + i] ^= high
     del prod[m:]
     return prod
-
-
-def sliced_inv(ctx: FieldCtx, a: list[int]) -> list[int]:
-    """a^(2^m - 2) lane by lane: the inverse of every nonzero lane, and 0
-    on a zero lane.  2^m - 2 = 2 + 4 + ... + 2^(m-1), so the power is the
-    product of m-1 repeated squares."""
-    square = sliced_mul(ctx, a, a)
-    out = square
-    for _ in range(ctx.m - 2):
-        square = sliced_mul(ctx, square, square)
-        out = sliced_mul(ctx, out, square)
-    return out
 
 
 def sliced_horner(

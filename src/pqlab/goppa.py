@@ -9,7 +9,8 @@ codewords are the binary vectors whose rational syndrome
 is zero.  Coefficient t-1-r of (x - alpha_j)^-1 mod g is entry (r, j) of
 the classic X*Y*Z parity-check product, so each code builds that matrix
 once, expanded bit-wise over GF(2), from one bit-sliced synthetic division
-of g by x - alpha_j for every position at once (see gf2m); the syndrome is
+of g by x - alpha_j for every position at once (see gf2m) and the inverses
+1/g(alpha_j) read from the field's log/antilog tables; the syndrome is
 H.v.  k and the free columns, where the generator (the null space of H)
 holds an identity, come from the pivots of one echelon pass; the generator
 itself is formed only when something encodes.
@@ -39,7 +40,6 @@ from .gf2m import (
     poly_inv_mod,
     sliced_eval,
     sliced_horner,
-    sliced_inv,
     sliced_mul,
     sliced_power_tables,
     sliced_zeros,
@@ -64,9 +64,11 @@ def build_parity_check(
     rational syndrome.
 
     The support is bit-sliced (see gf2m), so one sliced synthetic division
-    divides g by every x - alpha_j at once, one sliced inverse gives every
-    1/g(alpha_j), and slice b of the scaled quotient coefficient t-1-r is
-    binary row r*m + b as it stands.
+    divides g by every x - alpha_j at once.  The values g(alpha_j) are
+    transposed back to one element per lane and inverted through the
+    field's log/antilog tables, and their sliced inverses scale the
+    quotients: slice b of the scaled quotient coefficient t-1-r is binary
+    row r*m + b as it stands.
     """
     ctx = g.ctx
     n = len(support)
@@ -81,7 +83,10 @@ def build_parity_check(
     if roots:
         first = support[(roots & -roots).bit_length() - 1]
         raise SupportError(f"support element {first} is a root of g")
-    z = sliced_inv(ctx, g_alpha)
+    # no lane of g_alpha is 0, so each 1/g(alpha_j) is one log/antilog lookup
+    exp, log, n1 = ctx.exp, ctx.log, ctx.order - 1
+    lanes = f2linalg.transpose(g_alpha, n)
+    z = f2linalg.transpose([exp[n1 - log[v]] for v in lanes], ctx.m)
     rows = []
     for q in quotient:
         rows.extend(sliced_mul(ctx, q, z))

@@ -178,12 +178,10 @@ def decrypt(kp: NtruKeyPair, c: list[int]) -> list[int]:
 def decrypt_with_intermediate(
     kp: NtruKeyPair, c: list[int]
 ) -> tuple[list[int], list[int]]:
-    """(a, m) with a the centered mod-q product f * c (replay/demo use)."""
-    params = kp.params
-    if len(c) != params.n:
-        raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
-    a = conv_mul(kp.f, c, params.q)
-    return a, conv_mul(kp.f_p_inv, a, params.p)
+    """(a, m): m as decrypt gives it, with a the centered mod-q product
+    f * c that decrypt reduces mod p in passing (replay/demo use)."""
+    m = decrypt(kp, c)
+    return conv_mul(kp.f, c, kp.params.q), m
 
 
 def decryption_identity_check(

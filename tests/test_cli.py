@@ -350,6 +350,44 @@ def test_info_unknown(capsys):
     assert capsys.readouterr().err == f"pqlab: unknown preset 'nope'; choices: {choices}\n"
 
 
+_MCE_INFO = """\
+scheme: mceliece
+preset: {}
+params: [n,k,t] = [{}]
+public key bits: {}
+public key bits (systematic): {}
+work factor log2: codeword search {}, coset leaders {}
+"""
+_INFO_STDOUT = {
+    "toy": _MCE_INFO.format("toy", "16,8,2", 128, 64, 8, 8),
+    "demo": _MCE_INFO.format("demo", "32,17,3", 544, 255, 17, 15),
+    "legacy": _MCE_INFO.format("legacy", "1024,524,50", 536576, 262000, 524, 500)
+    + "note: original parameter proposal\n"
+    "note: broken in about 2^60.55 bit operations by improved information-set"
+    " decoding (literature value, not recomputed)\n",
+    "revised": _MCE_INFO.format("revised", "2048,1751,27", 3586048, 520047, 1751, 297)
+    + "note: revision restoring 80-bit security against that attack (literature value)\n",
+    "pq128": _MCE_INFO.format("pq128", "6960,5413,119", 37674480, 8373911, 5413, 1547)
+    + "note: sized for 128-bit post-quantum security (literature value)\n",
+    "toy11": "scheme: ntru\npreset: toy11\nparams: [N,p,q] = [11,3,41]\n",
+    "attack7": "scheme: ntru\npreset: attack7\nparams: [N,p,q] = [7,3,41]\n",
+    "rec443": "scheme: ntru\npreset: rec443\nparams: [N,p,q] = [443,3,2048]\n"
+    "note: recommended for 128-bit post-quantum security (literature value)\n"
+    "note: alternate ring degrees 587 and 743 target higher margins\n",
+}
+
+
+def test_info_output_is_pinned(capsys):
+    for name, expected in _INFO_STDOUT.items():
+        assert main(["info", "--params", name]) == 0
+        assert capsys.readouterr() == (expected, "")
+    assert main(["info", "--params", "nope"]) == 1
+    assert capsys.readouterr() == ("", (
+        "pqlab: unknown preset 'nope'; choices: "
+        "demo, legacy, pq128, revised, toy, attack7, rec443, toy11\n"
+    ))
+
+
 # -- decrypt-time guards --
 
 
@@ -406,6 +444,67 @@ def test_out_of_range_public_t_rejected(tmp_path, capsys, t):
     ]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"pqlab: format error: param t {t} outside [1, 4]"
+    )
+
+
+# k = 0 keys that are whole otherwise: a public key with a 0-row g_hat, and
+# a private key on a four-element support, where H has full rank (any 2t = 4
+# columns of a binary Goppa H are independent) and the code no message bits
+_ZERO_K_KEYS = {
+    "public": "PQLAB1 mceliece public\nparam n 16\nparam k 0\nparam t 2\n"
+    "param systematic 0\nmatrix g_hat 0 16\nend\n",
+    "private": "PQLAB1 mceliece private\nparam n 4\nparam k 0\nparam t 2\nparam m 4\n"
+    "param modulus 19\nparam systematic 0\nmatrix s 0 0\nperm p 0 1 2 3\n"
+    "poly g 6 3 1\nsupport l 0 1 2 3\nend\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_ZERO_K_KEYS))
+def test_zero_k_mceliece_key_rejected(tmp_path, capsys, kind):
+    # encrypting with such a public key divided by zero in the block packer;
+    # every decrypt with such a private key lost the padding marker
+    from pqlab.formats import mceliece_params_hash
+
+    key = tmp_path / "key"
+    key.write_text(_ZERO_K_KEYS[kind])
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(b"abc")
+    ct = tmp_path / "m.ct"
+    ct.write_text(
+        "PQLAB1 mceliece ciphertext\nparam blocks 1\nparam n 4\n"
+        f"hash {mceliece_params_hash(4, 0, 2)}\nblock 0\nend\n"
+    )
+    if kind == "public":
+        argv = ["encrypt", "--pub", str(key), "--in", str(plain), "--out", str(ct), "--seed", "1"]
+    else:
+        argv = ["decrypt", "--priv", str(key), "--in", str(ct), "--out", str(tmp_path / "m.out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "pqlab: format error: param k 0 is below 1"
+
+
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_ciphertext_without_blocks_rejected(tmp_path, capsys, blocks):
+    # every writer emits at least one block, so a file with none is malformed
+    # rather than a message whose padding marker is missing
+    keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
+    plain = tmp_path / "m.bin"
+    plain.write_bytes(b"abc")
+    ct = tmp_path / "m.ct"
+    assert main([
+        "encrypt", "--pub", str(keys / "key.ntpub"),
+        "--in", str(plain), "--out", str(ct), "--seed", "2",
+    ]) == 0
+    lines = [ln for ln in ct.read_text().splitlines() if not ln.startswith("block ")]
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("param blocks "))
+    lines[idx] = f"param blocks {blocks}"
+    ct.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([
+        "decrypt", "--priv", str(keys / "key.ntpriv"),
+        "--in", str(ct), "--out", str(tmp_path / "m.out"),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: param blocks {blocks} is below 1"
     )
 
 

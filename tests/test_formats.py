@@ -1,13 +1,15 @@
 """Round-trip and rejection tests for the versioned text file formats."""
 
 import hashlib
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqlab import kat, mceliece, ntru
+from pqlab import cli, kat, mceliece, ntru
 from pqlab.errors import DecodingFailure, FormatError
 from pqlab.f2linalg import BinVector
 from pqlab.formats import (
@@ -287,7 +289,8 @@ def test_every_preset_t_passes_the_public_range_check(params):
 # edits the integers of its param, perm p, poly g and support l lines
 _DEMO = mceliece.preset("demo")
 _DEMO_KP = mceliece.keygen(_DEMO.m, _DEMO.t, random.Random(21), n=_DEMO.n)
-_DEMO_LINES = serialize_mceliece_private(_DEMO_KP).splitlines()
+_DEMO_TEXT = serialize_mceliece_private(_DEMO_KP)
+_DEMO_LINES = _DEMO_TEXT.splitlines()
 _DEMO_BLOCKS = mceliece.encrypt_long(_DEMO_KP.public, b"fuzz", random.Random(22))
 _FUZZ_LINES = [
     i for i, line in enumerate(_DEMO_LINES)
@@ -317,10 +320,12 @@ def test_mutated_private_key_loads_or_raises_format_error(data):
             else:
                 del values[j]
         lines[i] = " ".join(head + values)
+    text = "\n".join(lines) + "\n"
     try:
-        _, _, kp = parse_file("\n".join(lines) + "\n")
+        _, _, kp = parse_file(text)
     except FormatError:
         return
+    assert 0 <= _exit_code_of_use("mceliece-private", text) <= 3
     # a key that loads is structurally whole: decrypting with it may fail
     # to decode, but never with a dimension, range or other load-time error
     try:
@@ -344,6 +349,31 @@ _OTHER_FILES = {
         _NTRU_KP.params, ntru.encrypt_bytes(_NTRU_KP.public, b"fuzz", random.Random(25))
     ),
 }
+_PRIVATE_TEXT = {"mceliece": _DEMO_TEXT, "ntru": _OTHER_FILES["ntru-private"]}
+
+
+def _exit_code_of_use(kind: str, text: str) -> int:
+    """Use a file of the given kind through cli.main as pqlab would: encrypt
+    with a public key, decrypt the original ciphertext with a private key,
+    or decrypt a ciphertext with the original private key."""
+    scheme = kind.split("-")[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        def put(name: str, content: str) -> str:
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                fh.write(content)
+            return path
+
+        file, out = put("file", text), os.path.join(tmp, "out")
+        if "-public" in kind:
+            argv = ["encrypt", "--pub", file, "--in", put("m", "fuzz"), "--seed", "1"]
+        elif kind.endswith("-private"):
+            argv = ["decrypt", "--priv", file, "--in", put("ct", _OTHER_FILES[f"{scheme}-ciphertext"])]
+        else:
+            argv = ["decrypt", "--priv", put("key", _PRIVATE_TEXT[scheme]), "--in", file]
+        return cli.main([*argv, "--out", out])
+
+
 _FUZZ_TOKENS = _FUZZ_INTS.map(str) | st.sampled_from(["ff", "1g", "-0", "x", "end", "param", "h"])
 _FUZZ_OPS = ["change", "drop", "duplicate", "insert", "drop line", "duplicate line", "insert line"]
 
@@ -375,10 +405,13 @@ def test_mutated_file_loads_or_raises_format_error(kind, data):
                 del tokens[j]
         if not op.endswith(" line"):
             lines[i] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
     try:
-        _, _, obj = parse_file("\n".join(lines) + "\n")
+        _, _, obj = parse_file(text)
     except FormatError:
         return
+    # a file that loads is also usable: any failure is an exit code, not a raise
+    assert 0 <= _exit_code_of_use(kind, text) <= 3
     if isinstance(obj, ntru.NtruPublicKey):
         # a loaded h is as keygen writes it: centered mod q and nonzero
         q = obj.params.q
