@@ -18,6 +18,7 @@ can be replayed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import secrets
@@ -323,7 +324,10 @@ def _cmd_info(args) -> int:
 # -- parser / dispatch --
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand names
+    its handler, which main looks up in this module at call time."""
     parser = _Parser(prog="pqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -337,20 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--systematic", action="store_true",
         help="mceliece only: public matrix in [A | I] form",
     )
-    kg.set_defaults(func=_cmd_keygen)
+    kg.set_defaults(func="_cmd_keygen")
 
     en = sub.add_parser("encrypt", help="encrypt a file with a public key")
     en.add_argument("--pub", required=True)
     en.add_argument("--in", dest="infile", required=True)
     en.add_argument("--out", required=True)
     en.add_argument("--seed", type=int)
-    en.set_defaults(func=_cmd_encrypt)
+    en.set_defaults(func="_cmd_encrypt")
 
     de = sub.add_parser("decrypt", help="decrypt a file with a private key")
     de.add_argument("--priv", required=True)
     de.add_argument("--in", dest="infile", required=True)
     de.add_argument("--out", required=True)
-    de.set_defaults(func=_cmd_decrypt)
+    de.set_defaults(func="_cmd_decrypt")
 
     demo = sub.add_parser("demo", help="worked-example replays and attack demos")
     demo_sub = demo.add_subparsers(dest="demo_command", required=True)
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the published worked example, checking every intermediate",
     )
     ex.add_argument("--scheme", choices=["mceliece", "ntru"], required=True)
-    ex.set_defaults(func=_cmd_demo_example)
+    ex.set_defaults(func="_cmd_demo_example")
     at = demo_sub.add_parser("attack", help="LLL key-recovery demo on toy parameters")
     at.add_argument("--scheme", choices=["ntru"], required=True)
     at.add_argument("--n", type=int, required=True)
@@ -367,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--seeds", type=int, required=True, help="number of trial seeds (0..k-1)")
     at.add_argument("--d-f", dest="d_f", type=int, default=2)
     at.add_argument("--p", type=int, default=3)
-    at.set_defaults(func=_cmd_demo_attack)
+    at.set_defaults(func="_cmd_demo_attack")
 
     info = sub.add_parser("info", help="print the security summary for a preset")
     info.add_argument("--params", required=True, metavar="PRESET")
-    info.set_defaults(func=_cmd_info)
+    info.set_defaults(func="_cmd_info")
 
     return parser
 
@@ -383,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except FormatError as exc:
         print(f"pqlab: format error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,10 @@ pairs each unit row e_i with the i-th cyclic shift of h, so row
 combinations produce exactly the pairs (a, a*h + q*k), the membership set
 {(a, b) : a*h = b (mod q)}.  LLL runs in exact integer arithmetic, so
 every acceptance run is deterministic; the rational Gram-Schmidt data
-(Fractions) serves only as the independent check of its output.
+(Fractions) serves only as the independent check of its output.  As in
+Cohen's integral LLL, it keeps k_max, the highest row reached so far: the
+Gram-Schmidt integers of a row are formed when LLL first reaches it, and a
+swap updates only the rows up to k_max.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import getitem
+from operator import add, getitem, mul, sub
 from typing import Iterator, Sequence
 
 from . import ntru
@@ -241,11 +244,16 @@ def lll_reduce(basis: IntMatrix, delta: Fraction | float = Fraction(3, 4)) -> In
 
     The state is d[0] = 1, d[i+1] = d[i] * ||b*_i||^2 and, for j < i,
     lam[i][j] = d[j+1] * mu[i][j]; all are integers for an integer basis,
-    and every division below is exact.  Row k is reduced by row l iff
+    and every division below is exact.  As in Cohen, k_max is the highest
+    row reached so far: row i's lam and d are formed when k first exceeds
+    k_max, and a swap updates only rows up to k_max, since the rows beyond
+    are still the input rows and their data is formed from the current
+    rows when they are reached.  Row k is reduced by row l iff
     |mu[k][l]| > 1/2, by q = mu[k][l] rounded half to even, so each step is
     the one rational LLL would take.  Output rows span the same lattice, are
     size-reduced (|mu| <= 1/2), and satisfy the Lovasz condition for the
-    given delta.  RankError on dependent rows.
+    given delta.  RankError on dependent rows, raised when LLL reaches the
+    first row that depends on the rows before it.
     """
     delta = Fraction(delta).limit_denominator(10**6) if not isinstance(delta, Fraction) else delta
     num, den = delta.numerator, delta.denominator
@@ -260,50 +268,73 @@ def lll_reduce(basis: IntMatrix, delta: Fraction | float = Fraction(3, 4)) -> In
         raise DimensionError("ragged basis")
 
     d = [1] * (n + 1)
+    # lam[i][j] is data for j < i only; the entries from i on are never read
     lam = [[0] * n for _ in range(n)]
-    for i in range(n):
+
+    def reach(i: int) -> None:
+        # row i's lam and d, from rows 0..i as they stand now
+        bi, lam_i = b[i], lam[i]
         for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
+            lam_j = lam[j]
+            u = sum(map(mul, bi, b[j]))
             for l in range(j):
-                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+                u = (d[l + 1] * u - lam_i[l] * lam_j[l]) // d[l]
             if j < i:
-                lam[i][j] = u
+                lam_i[j] = u
             elif u <= 0:
                 raise RankError("dependent rows in basis")
             else:
                 d[i + 1] = u
 
     def size_reduce(k: int, l: int) -> None:
-        if 2 * abs(lam[k][l]) <= d[l + 1]:
-            return
-        q, r = divmod(lam[k][l], d[l + 1])
-        if 2 * r > d[l + 1] or (2 * r == d[l + 1] and q % 2):
+        # called only when 2 |lam[k][l]| > d[l+1]
+        lam_k, lam_l, dl = lam[k], lam[l], d[l + 1]
+        q, r = divmod(lam_k[l], dl)
+        if 2 * r > dl or (2 * r == dl and q & 1):
             q += 1
-        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        if q == 1:  # three reductions in four are by +-1
+            b[k] = list(map(sub, b[k], b[l]))
+        elif q == -1:
+            b[k] = list(map(add, b[k], b[l]))
+        else:
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
         for j in range(l):
-            lam[k][j] -= q * lam[l][j]
-        lam[k][l] -= q * d[l + 1]
+            lam_k[j] -= q * lam_l[j]
+        lam_k[l] -= q * dl
 
-    k = 1
+    reach(0)
+    k, k_max = 1, 0
     while k < n:
-        size_reduce(k, k - 1)
-        lk = lam[k][k - 1]
-        if den * (d[k + 1] * d[k - 1] + lk * lk) >= num * d[k] * d[k]:
+        if k > k_max:
+            k_max = k
+            reach(k)
+        lam_k = lam[k]
+        lk = lam_k[k - 1]
+        dk = d[k]
+        if 2 * abs(lk) > dk:
+            size_reduce(k, k - 1)
+            lk = lam_k[k - 1]
+        dk1 = d[k + 1]
+        if den * (dk1 * d[k - 1] + lk * lk) >= num * dk * dk:
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                if 2 * abs(lam_k[l]) > d[l + 1]:
+                    size_reduce(k, l)
             k += 1
         else:
-            # swap rows k-1, k; lam[k][k-1] is unchanged by the swap
+            # swap rows k-1, k: their lam rows trade places whole (only the
+            # entries j < k-1 move), and lam[k][k-1] is unchanged by the swap
             b[k - 1], b[k] = b[k], b[k - 1]
-            for j in range(k - 1):
-                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-            new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-                lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]
+            lam[k - 1], lam[k] = lam_k, lam[k - 1]
+            lam[k][k - 1] = lk
+            new_dk = (d[k - 1] * dk1 + lk * lk) // dk
+            for i in range(k + 1, k_max + 1):
+                lam_i = lam[i]
+                t = lam_i[k]
+                lam_i[k] = u = (dk1 * lam_i[k - 1] - lk * t) // dk
+                lam_i[k - 1] = (new_dk * t + lk * u) // dk1
             d[k] = new_dk
-            k = max(k - 1, 1)
+            if k > 1:
+                k -= 1
     return b
 
 

@@ -1,9 +1,10 @@
 """Scalar oracles shared by the test modules."""
 
 import math
+from fractions import Fraction
 
 from pqlab.convring import center
-from pqlab.errors import MessageRangeError
+from pqlab.errors import DimensionError, MessageRangeError, RankError
 from pqlab.f2linalg import BinVector
 from pqlab.gf2m import FieldPoly
 from pqlab.ntru import block_bytes
@@ -205,3 +206,68 @@ def blocks_to_bytes_ref(blocks, n):
             raise MessageRangeError("decrypted block out of byte range")
         values.append(value)
     return unpack(values, width)
+
+
+def lll_reduce_ref(basis, delta=Fraction(3, 4)):
+    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7) with the Gram-Schmidt
+    data of every row formed up front and every row below k updated on a
+    swap: the reference for lattice.lll_reduce, which forms a row's data
+    when LLL first reaches it and updates only reached rows."""
+    delta = Fraction(delta).limit_denominator(10**6) if not isinstance(delta, Fraction) else delta
+    num, den = delta.numerator, delta.denominator
+    if not den < 4 * num < 4 * den:
+        raise ValueError("delta must lie in (1/4, 1)")
+    b = [list(row) for row in basis]
+    n = len(b)
+    if n == 0:
+        return b
+    dim = len(b[0])
+    if any(len(row) != dim for row in b):
+        raise DimensionError("ragged basis")
+
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise RankError("dependent rows in basis")
+            else:
+                d[i + 1] = u
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q, r = divmod(lam[k][l], d[l + 1])
+        if 2 * r > d[l + 1] or (2 * r == d[l + 1] and q % 2):
+            q += 1
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        for j in range(l):
+            lam[k][j] -= q * lam[l][j]
+        lam[k][l] -= q * d[l + 1]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if den * (d[k + 1] * d[k - 1] + lk * lk) >= num * d[k] * d[k]:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+        else:
+            # swap rows k-1, k; lam[k][k-1] is unchanged by the swap
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = new_dk
+            k = max(k - 1, 1)
+    return b

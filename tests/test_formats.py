@@ -418,6 +418,58 @@ def test_mutated_file_loads_or_raises_format_error(kind, data):
         assert all(-q < 2 * c <= q for c in obj.h) and any(obj.h)
 
 
+# every kind of file, for the value fuzz below
+_ALL_FILES = {"mceliece-private": _DEMO_TEXT, **_OTHER_FILES}
+_HEX_DIGITS = "0123456789abcdef"
+
+
+def _payload_slots(lines: list[str]) -> list[tuple[int, int, bool]]:
+    """(line, token, is_hex) for every payload value: the hex rows of a
+    matrix and of a mceliece block line, and each integer of a poly, perm,
+    support or ntru block line."""
+    scheme = lines[0].split()[1]
+    slots = []
+    rows = 0
+    for i, line in enumerate(lines):
+        tag, *rest = line.split()
+        if rows:
+            slots.append((i, 0, True))
+            rows -= 1
+        elif tag == "matrix":
+            rows = int(rest[1])
+        elif tag == "block" and scheme == "mceliece":
+            slots.append((i, 1, True))
+        elif tag in ("poly", "perm", "support", "block"):
+            first = 1 if tag == "block" else 2
+            slots += [(i, j, False) for j in range(first, len(rest) + 1)]
+    return slots
+
+
+@pytest.mark.parametrize("kind", list(_ALL_FILES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_value_mutated_file_loads_or_raises_format_error(kind, data):
+    # one payload value becomes another of the same form, so the line and
+    # token counts stay and most mutated files load
+    lines = _ALL_FILES[kind].splitlines()
+    i, j, is_hex = data.draw(st.sampled_from(_payload_slots(lines)))
+    tokens = lines[i].split()
+    old = tokens[j]
+    if is_hex:
+        at = data.draw(st.integers(0, len(old) - 1))
+        digit = data.draw(st.sampled_from(_HEX_DIGITS.replace(old[at], "")))
+        tokens[j] = old[:at] + digit + old[at + 1:]
+    else:
+        tokens[j] = str(data.draw(st.integers(-20, 40).filter(lambda v: v != int(old))))
+    lines[i] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    try:
+        parse_file(text)
+    except FormatError:
+        return
+    assert 0 <= _exit_code_of_use(kind, text) <= 3
+
+
 @pytest.mark.parametrize("q", [41, 32])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())

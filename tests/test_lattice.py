@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqlab import kat
@@ -29,7 +29,9 @@ from pqlab.lattice import (
     solve_integer,
     svp_bruteforce,
 )
-from pqlab.ntru import NtruParams, keypair_from_values
+from pqlab.ntru import NtruParams, keygen, keypair_from_values
+
+from oracles import lll_reduce_ref
 
 TOY = NtruParams(11, 3, 41, 2)
 SMALL = NtruParams(7, 3, 41, 2)
@@ -386,6 +388,60 @@ def test_lll_matches_the_rational_oracle(basis, delta):
         assert solve_integer(reduced, row) is not None
     for row in reduced:
         assert solve_integer(basis, row) is not None
+
+
+def _outcome(reduce, basis, delta):
+    """The reduced basis, or the class and message of what was raised."""
+    try:
+        return reduce(basis, delta)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_as_ref(basis, delta):
+    assert _outcome(lll_reduce, basis, delta) == _outcome(lll_reduce_ref, basis, delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_bases(max_dim=8))
+def test_lll_matches_the_full_update_loop(basis):
+    for delta in DELTAS:
+        _assert_same_as_ref(basis, delta)
+
+
+@st.composite
+def bases_with_dependent_last_row(draw):
+    """Independent rows and, last, an integer combination of them, so LLL
+    reduces the rows before it reaches the dependent one."""
+    cols = draw(st.integers(2, 7))
+    rows = draw(st.integers(2, cols))
+    entry = st.integers(-9, 9)
+    basis = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    try:
+        gram_schmidt(basis)
+    except RankError:
+        assume(False)
+    coeffs = [draw(st.integers(-3, 3)) for _ in range(rows)]
+    basis.append([sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(cols)])
+    return basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases_with_dependent_last_row())
+def test_lll_dependent_last_row_matches_the_full_update_loop(basis):
+    with pytest.raises(RankError):
+        lll_reduce(basis)
+    for delta in DELTAS:
+        _assert_same_as_ref(basis, delta)
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 12])
+def test_lll_public_bases_match_the_full_update_loop(n):
+    # the keys `demo attack --n N --q 41` draws for seeds 0..9
+    params = NtruParams(n, 3, 41, 2)
+    for seed in range(10):
+        basis = build_public_basis(keygen(params, random.Random(seed)).public.h, 41)
+        _assert_same_as_ref(basis, Fraction(3, 4))
 
 
 # -- enumeration oracles --

@@ -5,9 +5,9 @@ none of which the benchmark's digests reach, a rec443 key (power-of-two q,
 so the mod-2 inversion and its Hensel lift), and a custom m=8, t=10 key
 (n=256, the benchmark's mce-stream shape) so the test suite alone pins a
 code of that size.  The LLL attack report (stdout of `demo attack`) is
-pinned for N = 7, 9 and 11.  A refactor must leave every key file,
-ciphertext and attack report here byte-identical; re-pin only for an
-intended format or algorithm change.
+pinned for N = 7, 9, 11 and 12, the largest N the CLI accepts.  A
+refactor must leave every key file, ciphertext and attack report here
+byte-identical; re-pin only for an intended format or algorithm change.
 """
 
 import hashlib
@@ -103,6 +103,7 @@ ATTACK_DIGESTS = {
     7: "f97d5714594f0db11f55328e294691e8247d49ebb0a2d4522b38fd64f6e645ab",
     9: "f03fd0ed349dca2ddf1f8355ee6e3f682ea21a19c4cc9d6bd9d47c4f26d7c5b3",
     11: "1b572e3070060e50b296fcc58277922f185405640295bb9b3079c8fab999f91e",
+    12: "ef206c60035fa113bca03930fff094cbcb9851d012e238cbfd99a27b3dfd1c3c",
 }
 
 
