@@ -399,14 +399,13 @@ def rref(a: BinMatrix) -> tuple[BinMatrix, list[int]]:
     return BinMatrix(len(pivots), a.cols, rows[: len(pivots)]), pivots
 
 
-def null_space(a: BinMatrix) -> BinMatrix:
-    """Basis of the right kernel {x : A . x^T = 0}, one row per basis vector.
+def kernel_columns(a: BinMatrix) -> tuple[list[int], list[int]]:
+    """The right kernel of A by columns, with the free columns of A.
 
-    Rows come out in free-column order with an identity pattern on the free
-    columns, so solving v . K = y for a kernel matrix K is a column lookup.
-    Basis row k is 1 at free column f_k and carries column f_k of the
-    reduced rows on the pivot columns; three transposes move those columns
-    into place, with no loop per bit.
+    Returns (free, columns): basis vector k is 1 at free column f_k =
+    free[k] and carries column f_k of the reduced rows on the pivot
+    columns, and bit k of columns[j] is its entry j.  Two transposes move
+    the reduced rows' columns into place, with no loop per bit.
     """
     pivots, rows = _rref(a.data, a.cols)
     rank_a = len(pivots)
@@ -420,7 +419,18 @@ def null_space(a: BinMatrix) -> BinMatrix:
         stacked[p] = zi
     for k, f in enumerate(free):
         stacked[f] = 1 << k
-    return BinMatrix(len(free), a.cols, transpose(stacked, len(free)))
+    return free, stacked
+
+
+def null_space(a: BinMatrix) -> BinMatrix:
+    """Basis of the right kernel {x : A . x^T = 0}, one row per basis vector.
+
+    Rows come out in free-column order with an identity pattern on the free
+    columns, so solving v . K = y for a kernel matrix K is a column lookup:
+    the transpose of kernel_columns.
+    """
+    free, columns = kernel_columns(a)
+    return BinMatrix(len(free), a.cols, transpose(columns, len(free)))
 
 
 class PermMatrix:
@@ -468,9 +478,14 @@ class PermMatrix:
         """A x P (permute columns: new column perm[i] = old column i)."""
         if a.cols != self.n:
             raise DimensionError("column count mismatch")
-        columns = transpose(a.data, a.cols)
-        moved = [columns[i] for i in self._inv]
-        return BinMatrix(a.rows, a.cols, transpose(moved, a.rows))
+        return self.apply_columns(transpose(a.data, a.cols), a.rows)
+
+    def apply_columns(self, columns: Sequence[int], rows: int) -> BinMatrix:
+        """A x P for the rows x n matrix A given by its columns (bit i of
+        columns[j] is entry (i, j)): the columns move, then one transpose."""
+        if len(columns) != self.n:
+            raise DimensionError("column count mismatch")
+        return BinMatrix(rows, self.n, transpose([columns[i] for i in self._inv], rows))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PermMatrix) and other.perm == self.perm

@@ -94,7 +94,7 @@ class _Parser:
         if len(parts) < 2 or parts[0] != tag or parts[1] != name:
             raise FormatError(f"expected {tag} {name}")
         try:
-            return [int(tok) for tok in parts[2:]]
+            return list(map(int, parts[2:]))
         except ValueError as exc:
             raise FormatError(f"bad integer in {tag} {name}") from exc
 
@@ -301,7 +301,7 @@ def _parse_ciphertext(p: _Parser, scheme: str) -> CiphertextFile:
                 raise FormatError("bad mceliece block")
             blocks.append(BinVector(n, int(tokens[1], 16)))
         else:
-            coeffs = [int(tok) for tok in tokens[1:]]
+            coeffs = list(map(int, tokens[1:]))
             if len(coeffs) != n:
                 raise FormatError("bad ntru block length")
             blocks.append(coeffs)

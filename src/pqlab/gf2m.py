@@ -29,10 +29,13 @@ span tables over groups of their slices, and a polynomial's value is a
 GF(2)-linear map of its coefficients: a per-field table gives, for each
 coefficient c, which slices of a^i sum to each slice of c*a^i.
 
-The irreducibility test runs on packed polynomials: one int with a 16-bit
-slot per coefficient (slot i holds the coefficient of x^i), packed and
-unpacked through `array` and `int.from_bytes`/`int.to_bytes`.  One shift
-and XOR adds a shifted polynomial, and alpha times every slot at once is a
+The irreducibility test starts with a root test: every element of the
+field is a lane, and one such evaluation over the whole field (tables kept
+per field) rejects a candidate with a root, which is Ben-Or's first gcd.
+The rest runs on packed polynomials: one int with a 16-bit slot per
+coefficient (slot i holds the coefficient of x^i), packed and unpacked
+through `array` and `int.from_bytes`/`int.to_bytes`.  One shift and XOR
+adds a shifted polynomial, and alpha times every slot at once is a
 slot-parallel xtime: shift left by one bit and fold bit m of each slot back
 through the modulus.
 """
@@ -47,7 +50,7 @@ from operator import xor
 from typing import Iterable
 
 from .errors import DivisionByZero
-from .f2linalg import _span_table, _xor_rows
+from .f2linalg import _span_table, _xor_rows, transpose
 
 # slices of a sliced power spanned by one table of sliced_eval: 2^4 entries
 # per 4 slices keeps the tables within 4x the powers they index
@@ -85,6 +88,7 @@ class FieldCtx:
             raise ValueError("modulus degree does not match m")
         # x^m = sum of x^i over these i: the fold of a sliced product
         self.taps = [i for i in range(m) if self.modulus >> i & 1]
+        self._root_tables: list[list[int]] = []
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -145,6 +149,18 @@ class FieldCtx:
         offsets = sum(g << (EVAL_GROUP + 8 * (g * m + b)) for g in range(groups) for b in range(m))
         size = groups * m
         return [(v | offsets).to_bytes(size, "little") for v in _span_table(basis)]
+
+    def root_tables(self, deg: int) -> list[list[int]]:
+        """sliced_power_tables of the whole field, every element a lane,
+        to degree deg or more: sliced_eval of a polynomial of degree <= deg
+        with them is its value at every field element.  Kept for the
+        largest degree asked so far."""
+        tables = self._root_tables
+        if len(tables) <= deg:
+            elements = transpose(range(self.order), self.m)
+            tables = sliced_power_tables(self, elements, deg, (1 << self.order) - 1)
+            self._root_tables = tables
+        return tables
 
     # -- element operations (elements are ints in [0, 2^m)) --
 
@@ -450,7 +466,12 @@ def is_irreducible(p: FieldPoly) -> bool:
     <= deg(p)/2, and x^(q^i) - x collects all irreducibles of degree
     dividing i.  The loop stops at the first i with a common factor.
 
-    It runs on packed polynomials, p made monic (scaling keeps its
+    Step i = 1 is a root test: x^q - x is the product of x - a over the
+    field, so its gcd with p is 1 iff p has no root.  sliced_eval of p over
+    the whole field (FieldCtx.root_tables) gives every value p(a) at once,
+    and the gcds run from i = 2 (McBits' bit-sliced evaluation).
+
+    The rest runs on packed polynomials, p made monic (scaling keeps its
     factors).  r = x^(q^i) mod p advances by m squarings: the squares of
     r's coefficients go into the even slots, and the slots from 2d - 2
     down to d are cleared one at a time, a slot holding c by XORing in
@@ -466,6 +487,8 @@ def is_irreducible(p: FieldPoly) -> bool:
     if p.coeffs[0] == 0:
         return False  # divisible by x
     ctx = p.ctx
+    if sliced_zeros(sliced_eval(p, ctx.root_tables(d)), (1 << ctx.order) - 1):
+        return False
     m = ctx.m
     packed = _pack(p.monic().coeffs)
     ones = ((1 << 16 * (d + 1)) - 1) // 0xFFFF
@@ -478,7 +501,7 @@ def is_irreducible(p: FieldPoly) -> bool:
     steps = [(16 * i, 16 * (i - d)) for i in range(2 * d - 2, d - 1, -1)]
     x = 1 << 16
     r = x
-    for _ in range(d // 2):
+    for i in range(1, d // 2 + 1):
         for _ in range(m):
             square[::2] = array("H", map(squares.__getitem__, _unpack(r, d)))
             r = _pack(square)
@@ -486,7 +509,7 @@ def is_irreducible(p: FieldPoly) -> bool:
                 c = r >> top & 0xFFFF
                 if c:
                     r ^= (lo[c & mask] ^ hi[c >> h]) << shift
-        if not _coprime(packed, r ^ x, ctx, ones):
+        if i > 1 and not _coprime(packed, r ^ x, ctx, ones):
             return False
     return True
 
@@ -497,13 +520,20 @@ def random_poly(ctx: FieldCtx, deg: int, rng: random.Random) -> FieldPoly:
 
 
 def random_irreducible(ctx: FieldCtx, t: int, rng: random.Random) -> FieldPoly:
-    """Uniform-ish monic irreducible of degree exactly t (rejection loop)."""
+    """Uniform-ish monic irreducible of degree exactly t (rejection loop).
+
+    The candidates share ctx's root tables, which are dropped once one is
+    found: a key draws one g per field, and the tables (0.3 MiB at m = 10,
+    t = 50) would otherwise stay alive through the rest of its keygen."""
     if t < 1:
         raise ValueError("degree must be >= 1")
-    while True:
-        p = random_poly(ctx, t, rng)
-        if is_irreducible(p):
-            return p
+    try:
+        while True:
+            p = random_poly(ctx, t, rng)
+            if is_irreducible(p):
+                return p
+    finally:
+        ctx._root_tables = []
 
 
 def sqrt_x_mod_g(g: FieldPoly) -> FieldPoly:

@@ -11,9 +11,11 @@ the classic X*Y*Z parity-check product, so each code builds that matrix
 once, expanded bit-wise over GF(2), from one bit-sliced synthetic division
 of g by x - alpha_j for every position at once (see gf2m) and the inverses
 1/g(alpha_j) read from the field's log/antilog tables; the syndrome is
-H.v.  k and the free columns, where the generator (the null space of H)
-holds an identity, come from the pivots of one echelon pass; the generator
-itself is formed only when something encodes.
+H.v.  H is eliminated once per code, and only as far as its user needs.
+The generator (the null space of H) is kept by columns, from one full
+pass, when keygen or an encode first asks for it; k and the free columns,
+where the generator holds an identity, are then read off it.  A loaded
+key, which only decodes, takes them from the pivots of one echelon pass.
 Decoding of up to t errors uses Patterson's split of the key equation, with
 an exhaustive decoder available as a desk-scale oracle.  Each code also keeps
 sqrt(x) mod g, so Patterson's square root mod g is one split and one
@@ -106,17 +108,41 @@ class GoppaCode:
         self.t = g.degree
         self.n = len(self.support)
         self.h_bin, self.support_slices = build_parity_check(g, self.support)
-        # one echelon pass gives the pivots; G holds an identity on the rest
+
+    @cached_property
+    def kernel(self) -> tuple[list[int], list[int]]:
+        """(free columns, G by columns) from the one full elimination of H
+        (f2linalg.kernel_columns); formed on first use only (keygen and
+        encode read it, a loaded key's decrypt does not)."""
+        return f2linalg.kernel_columns(self.h_bin)
+
+    @cached_property
+    def _free(self) -> list[int]:
+        """The free columns, where G holds an identity: read off the kernel
+        when it is formed, else the pivots of one echelon pass."""
+        if "kernel" in vars(self):
+            return self.kernel[0]
         pivots = set(f2linalg._rref(self.h_bin.data, self.n, back=False)[0])
-        free = [j for j in range(self.n) if j not in pivots]
-        self.k = len(free)
-        self._read_message = f2linalg.gather(free, self.n)
+        return [j for j in range(self.n) if j not in pivots]
+
+    @property
+    def k(self) -> int:
+        return len(self._free)
+
+    @cached_property
+    def _read_message(self):
+        return f2linalg.gather(self._free, self.n)
+
+    @property
+    def generator_columns(self) -> list[int]:
+        return self.kernel[1]
 
     @cached_property
     def generator(self) -> BinMatrix:
-        """The null space of H, rows in free-column order; formed on first
-        use only (keygen and encode read it, a loaded key's decrypt does not)."""
-        return f2linalg.null_space(self.h_bin)
+        """The null space of H, rows in free-column order: one transpose
+        of the kernel's columns."""
+        free, columns = self.kernel
+        return BinMatrix(len(free), self.n, f2linalg.transpose(columns, len(free)))
 
     @cached_property
     def power_tables(self) -> list[list[int]]:
@@ -229,6 +255,10 @@ class LinearCode:
         self.n = generator.cols
         self.k = generator.rows
         self.h_rows = f2linalg.null_space(generator)
+
+    @cached_property
+    def generator_columns(self) -> list[int]:
+        return f2linalg.transpose(self.generator.data, self.n)
 
     @cached_property
     def _solver(self) -> f2linalg.RowSolver:

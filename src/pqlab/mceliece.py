@@ -2,10 +2,13 @@
 
 Key generation hides a decodable code G behind an invertible scramble S and
 a column permutation P: the private key is (S, g, L, P), and the public
-matrix G_hat = S x G x P is derived from it.  Encryption adds a secret
-weight-t error to m . G_hat; decryption unwinds P, decodes the error, reads
-v = m . S off the codeword and returns m = v . S^-1, with S^-1 formed by one
-`invert` per key pair, at load or at its first decrypt and never at keygen.
+matrix G_hat = S x (G x P) is derived from it: the null-space pass of H
+leaves G by columns, so G x P is those columns moved by P and transposed
+once.  Keygen eliminates H once and draws g with a root test ahead of
+Ben-Or (see gf2m).  Encryption adds a secret weight-t error to m . G_hat;
+decryption unwinds P, decodes the error, reads v = m . S off the codeword
+and returns m = v . S^-1, with S^-1 formed by one `invert` per key pair, at
+load or at its first decrypt and never at keygen.
 Includes the key-size and work-factor calculators and block encryption for
 byte streams.
 """
@@ -57,8 +60,8 @@ PRESETS = {
     "demo": McElieceParams(32, 17, 3),
     "legacy": McElieceParams(1024, 524, 50),
     "revised": McElieceParams(2048, 1751, 27),
-    # seed 0: keygen 5.9-8.2 s at 89 MiB peak RSS, key load and decrypt 2.4-3.3 s
-    # at 59 MiB (2-core Xeon, CPython 3.11)
+    # seed 0: keygen 5.7 s at 81.5 MiB peak RSS, key load and decrypt 2.2-3.3 s
+    # at 60 MiB (2-core Xeon, CPython 3.11)
     "pq128": McElieceParams(6960, 5413, 119),
 }
 
@@ -106,8 +109,10 @@ class McElieceKeyPair:
 
     @cached_property
     def public(self) -> McEliecePublicKey:
-        """G_hat = S x G x P, formed on first use only."""
-        g_hat = self.p.apply_mat(f2linalg.mat_mul(self.s, self.code.generator))
+        """G_hat = S x (G x P), formed on first use only: G x P is the
+        code's generator columns moved by P and transposed once."""
+        g_p = self.p.apply_columns(self.code.generator_columns, self.k)
+        g_hat = f2linalg.mat_mul(self.s, g_p)
         return McEliecePublicKey(g_hat, self.t, self.systematic)
 
     @property
@@ -140,14 +145,15 @@ def keygen(
         raise DimensionError(f"need m*t < n <= 2^m, got n={n}")
     g = random_irreducible(ctx, t, rng)
     code = GoppaCode(ctx, g, range(n))
-    # the public key needs G: formed before S is drawn, S is not alive at
-    # the null-space pass's peak (2 MiB of pq128 keygen's peak RSS)
-    generator = code.generator
-    k = generator.rows
+    # the public key needs G's columns: formed before S is drawn, S is not
+    # alive at the elimination's peak (2 MiB of pq128 keygen's peak RSS),
+    # and the code reads k and its free columns off them
+    columns = code.generator_columns
+    k = code.k
     if systematic:
         for _ in range(SYSTEMATIC_TRIES):
             p = f2linalg.random_permutation(n, rng)
-            tail = BinMatrix(k, k, [r >> (n - k) for r in p.apply_mat(generator).data])
+            tail = BinMatrix(k, k, [r >> (n - k) for r in p.apply_columns(columns, k).data])
             try:
                 s = f2linalg.invert(tail)
             except SingularMatrix:

@@ -6,7 +6,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqlab import cli, kat, mceliece, ntru
@@ -25,7 +25,10 @@ from pqlab.formats import (
     serialize_ntru_private,
     serialize_ntru_public,
 )
+from pqlab.gf2m import FieldPoly
 from pqlab.ntru import NtruParams
+
+from oracles import poly_gcd
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +471,44 @@ def test_value_mutated_file_loads_or_raises_format_error(kind, data):
     except FormatError:
         return
     assert 0 <= _exit_code_of_use(kind, text) <= 3
+
+
+# the demo key's perm p and support l lines, and its g and g's line
+_SWAP_LINES = [i for i, line in enumerate(_DEMO_LINES) if line.startswith(("perm p ", "support l "))]
+_DEMO_G = _DEMO_KP.code.g
+_G_LINE = next(i for i, line in enumerate(_DEMO_LINES) if line.startswith("poly g "))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_swap_or_squarefree_g_private_key_loads_or_raises_format_error(data):
+    # edits that keep the load checks' invariants: a swap of two entries of
+    # perm p or support l keeps them distinct, and a changed coefficient
+    # below g's lead that leaves gcd(g, g') = 1 keeps g squarefree, so most
+    # of these files load and reach the decrypt
+    lines = list(_DEMO_LINES)
+    if data.draw(st.booleans()):
+        i = data.draw(st.sampled_from(_SWAP_LINES))
+        tokens = lines[i].split()
+        a, b = data.draw(st.lists(st.integers(2, len(tokens) - 1), min_size=2, max_size=2, unique=True))
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+        lines[i] = " ".join(tokens)
+    else:
+        ctx = _DEMO_G.ctx
+        coeffs = list(_DEMO_G.coeffs)
+        j = data.draw(st.integers(0, _DEMO_G.degree - 1))
+        coeffs[j] = data.draw(st.integers(0, ctx.order - 1).filter(lambda c: c != coeffs[j]))
+        g = FieldPoly(coeffs, ctx)
+        # in characteristic 2, g' keeps the odd-degree terms of g
+        derivative = FieldPoly([c if i % 2 else 0 for i, c in enumerate(coeffs)][1:], ctx)
+        assume(poly_gcd(g, derivative).degree == 0)
+        lines[_G_LINE] = "poly g " + " ".join(map(str, coeffs))
+    text = "\n".join(lines) + "\n"
+    try:
+        parse_file(text)
+    except FormatError:
+        return
+    assert 0 <= _exit_code_of_use("mceliece-private", text) <= 3
 
 
 @pytest.mark.parametrize("q", [41, 32])

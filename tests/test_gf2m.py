@@ -372,8 +372,8 @@ def test_random_irreducible_deterministic():
 @st.composite
 def _irreducibility_candidates(draw):
     """A polynomial of degree 0-20 over GF(2^m), m = 2-13, with any nonzero
-    lead: random, with a zero constant term, a product of two random
-    polynomials, an irreducible, or the square of one."""
+    lead: random, with a zero constant term, with a nonzero root, a product
+    of two random polynomials, an irreducible, or the square of one."""
     m = draw(st.integers(2, 13))
     ctx = FieldCtx(m)
     elem = st.integers(0, ctx.order - 1)
@@ -382,11 +382,15 @@ def _irreducibility_candidates(draw):
     def poly(deg):
         return FieldPoly(draw(st.lists(elem, min_size=deg, max_size=deg)) + [lead], ctx)
 
-    kind = draw(st.sampled_from(["random", "x divides", "product", "irreducible", "square"]))
+    kinds = ["random", "x divides", "has a root", "product", "irreducible", "square"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         return poly(draw(st.integers(0, 20)))
     if kind == "x divides":
         return poly(draw(st.integers(0, 19))) * FieldPoly.x(ctx)
+    if kind == "has a root":
+        root = draw(st.integers(1, ctx.order - 1))
+        return poly(draw(st.integers(0, 19))) * FieldPoly([root, 1], ctx)
     if kind == "product":
         a = draw(st.integers(1, 19))
         return poly(a) * poly(draw(st.integers(1, 20 - a)))

@@ -62,6 +62,14 @@ def test_keygen_ghat_is_sgp(rng):
     assert kp.public.g_hat == expected
 
 
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+@pytest.mark.parametrize("seed", range(5))
+def test_keygen_ghat_is_sgp_m8_t10(seed, systematic):
+    kp = keygen(8, 10, random.Random(seed), systematic=systematic)
+    expected = kp.p.apply_mat(mat_mul(kp.s, kp.code.generator))
+    assert kp.public.g_hat == expected
+
+
 def test_keygen_dimension_bounds(rng):
     with pytest.raises(DimensionError):
         keygen(4, 2, rng, n=8)  # need t*m < n
@@ -303,7 +311,7 @@ def test_private_key_load_forms_no_public_matrix(monkeypatch, rng, systematic):
     assert calls == {"mat_mul": 0, "apply_mat": 0}
     assert loaded.public.g_hat == kp.public.g_hat
     assert loaded.public.systematic == kp.public.systematic == systematic
-    assert calls == {"mat_mul": 1, "apply_mat": 1}
+    assert calls == {"mat_mul": 1, "apply_mat": 0}
 
 
 def test_private_key_load_forms_no_generator(monkeypatch, rng):
@@ -320,7 +328,33 @@ def test_private_key_load_forms_no_generator(monkeypatch, rng):
     assert "generator" not in vars(loaded.code)
     assert calls == []
     assert loaded.code.generator == kp.code.generator
-    assert calls == [loaded.code.h_bin]
+    assert calls == []
+
+
+@pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
+def test_keygen_and_load_eliminate_h_once(monkeypatch, rng, systematic):
+    # keygen reduces H once, fully, and reads k and the free columns off
+    # the kernel; a load takes them from one echelon pass and no full pass
+    passes = []
+    real_rref = f2linalg._rref
+
+    def recording_rref(rows, cols, back=True):
+        rows = list(rows)
+        passes.append((rows, back))
+        return real_rref(rows, cols, back)
+
+    monkeypatch.setattr(f2linalg, "_rref", recording_rref)
+    kp = keygen(6, 3, rng, systematic=systematic)
+    blocks = encrypt_long(kp.public, b"once", rng)
+    h = kp.code.h_bin.data
+    assert [back for rows, back in passes if rows == h] == [True]
+    passes.clear()
+    _, _, loaded = parse_file(serialize_mceliece_private(kp))
+    assert decrypt_long(loaded, blocks) == b"once"
+    assert [back for rows, back in passes if rows == h] == [False]
+    monkeypatch.undo()
+    assert loaded.code.k == kp.code.k
+    assert loaded.code.generator == kp.code.generator == f2linalg.null_space(kp.code.h_bin)
 
 
 # bit flips on ciphertexts of the toy Goppa key and the opaque KAT key

@@ -4,7 +4,7 @@ Covers the desk-scale presets, systematic keygen and toy11 byte encryption,
 none of which the benchmark's digests reach, a rec443 key (power-of-two q,
 so the mod-2 inversion and its Hensel lift), and a custom m=8, t=10 key
 (n=256, the benchmark's mce-stream shape) so the test suite alone pins a
-code of that size.  The LLL attack report (stdout of `demo attack`) is
+code of that size, and a legacy (1024, 524, 50) key.  The LLL attack report (stdout of `demo attack`) is
 pinned for N = 7, 9, 11 and 12, the largest N the CLI accepts.  A
 refactor must leave every key file, ciphertext and attack report here
 byte-identical; re-pin only for an intended format or algorithm change.
@@ -27,6 +27,7 @@ KEYGENS = {
     "ntru-toy11": (["--scheme", "ntru", "--preset", "toy11", "--seed", "24"], "nt"),
     "mce-m8-t10": (["--scheme", "mceliece", "--params", "8,10", "--seed", "25"], "mc"),
     "ntru-rec443": (["--scheme", "ntru", "--preset", "rec443", "--seed", "26"], "nt"),
+    "mce-legacy": (["--scheme", "mceliece", "--preset", "legacy", "--seed", "1"], "mc"),
 }
 
 SIZES = (0, 1, 100)
@@ -62,6 +63,11 @@ DIGESTS = {
     "ntru-rec443/0.ct": "0e5500b2133162902bf6f2aa8c90c5b6a94cf7c63e652fdbc60005e051ef5334",
     "ntru-rec443/1.ct": "271de56f9eb1ade9bc5da304d710980dd8c7178bb6493629c924bb5150005379",
     "ntru-rec443/100.ct": "d3848ff0cd737a7222554ecce075f9ab758e459401eb4c93781cfa7396003a76",
+    "mce-legacy/key.mcpub": "2a81e79098b3b870dc46f513f4ea19033e12efb8c0bdc1f0a8add4b105bedac9",
+    "mce-legacy/key.mcpriv": "dec10d9ac400dd5d5bc0855403e211a74a6046657535421bfbe6e825fec3b1a7",
+    "mce-legacy/0.ct": "c711b0f25e7154bb828d97b351a6bba18567f9b61e3276dc3efbc9bd31d24cf4",
+    "mce-legacy/1.ct": "188de483ba73d195731c4910876c450a3682745c33129237011fd156973dadfd",
+    "mce-legacy/100.ct": "6df8fc68ebe381317140a30145d10dc1a90410a660db859cbfc49b1965d7e4fd",
 }
 
 
