@@ -208,10 +208,16 @@ def _try_candidate_key(
     except NotInvertible:
         return False
     m = sample_ternary(params.n, *params.shape, rng)
-    r = sample_ternary(params.n, *params.shape, rng)
-    c = ntru.encrypt(pub, m, r=r)
+    c = ntru.encrypt(pub, m, rng=rng)
     candidate = ntru.NtruKeyPair(pub, tuple(f_cand), tuple(f_p_inv))
     return ntru.decrypt(candidate, c) == m
+
+
+def _report(params: NtruParams, details: list[dict], start: float) -> AttackReport:
+    """The report over per-seed details, seeds and successes read off them."""
+    seeds = [d["seed"] for d in details]
+    successes = sum(d["success"] for d in details)
+    return AttackReport("ntru-lll", params, seeds, successes, time.monotonic() - start, details)
 
 
 # largest ring degree N the attack demo accepts
@@ -239,7 +245,6 @@ def ntru_lll_attack(
     membership = lattice_mod.ConvModLattice(tuple(h), params.q)
     pub = ntru.NtruPublicKey(params, tuple(h))  # packs p*h once per attack
     candidates: list[AttackCandidate] = []
-    success = False
     recovered = None
     for row in reduced:
         a, b = row[:n], row[n:]
@@ -255,26 +260,16 @@ def ntru_lll_attack(
                 f=a, g=b, row_norm_sq=sum(c * c for c in row), decrypts=works
             )
         )
-        if works and not success:
-            success = True
+        if works and recovered is None:
             recovered = a
-    wall = time.monotonic() - start
-    return AttackReport(
-        scheme="ntru-lll",
-        params=params,
-        seeds=[seed_label],
-        successes=1 if success else 0,
-        wall_time=wall,
-        details=[
-            {
-                "seed": seed_label,
-                "candidates": len(candidates),
-                "success": success,
-                "recovered_f": recovered,
-                "candidate_list": candidates,
-            }
-        ],
-    )
+    detail = {
+        "seed": seed_label,
+        "candidates": len(candidates),
+        "success": recovered is not None,
+        "recovered_f": recovered,
+        "candidate_list": candidates,
+    }
+    return _report(params, [detail], start)
 
 
 def run_attack_trials(params: NtruParams, seeds: list[int]) -> AttackReport:
@@ -282,24 +277,11 @@ def run_attack_trials(params: NtruParams, seeds: list[int]) -> AttackReport:
     seed order."""
     start = time.monotonic()
     details = []
-    successes = 0
     for seed in seeds:
         rng = random.Random(seed)
         kp = ntru.keygen(params, rng)
-        rep = ntru_lll_attack(kp.public.h, params, rng, seed_label=seed)
-        d = rep.details[0]
-        details.append(d)
-        if d["success"]:
-            successes += 1
-    wall = time.monotonic() - start
-    return AttackReport(
-        scheme="ntru-lll",
-        params=params,
-        seeds=list(seeds),
-        successes=successes,
-        wall_time=wall,
-        details=details,
-    )
+        details += ntru_lll_attack(kp.public.h, params, rng, seed_label=seed).details
+    return _report(params, details, start)
 
 
 # -- security calculators --

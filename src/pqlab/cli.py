@@ -88,14 +88,6 @@ def _write(path: str, data: bytes) -> None:
         raise UnknownParams(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
 # -- keygen --
 
 
@@ -156,7 +148,7 @@ def _cmd_encrypt(args) -> int:
     scheme, kind, key = formats.load_file(args.pub)
     if kind != "public":
         raise FormatError(f"{args.pub} is a {scheme} {kind} file, not a public key")
-    data = _read_bytes(args.infile)
+    data = formats.read_bytes(args.infile)
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     if scheme == "mceliece":
@@ -236,6 +228,11 @@ class _Replay:
         if not match:
             self.ok = False
 
+    def verdict(self) -> int:
+        if not self.ok:
+            print("replay finished with mismatches", file=sys.stderr)
+        return 0 if self.ok else 1
+
 
 def _demo_mceliece() -> int:
     r = _Replay()
@@ -255,10 +252,7 @@ def _demo_mceliece() -> int:
     r.check("v (decoded message)", v, kat.MCE_V, _fmt_bits)
     m = mceliece.decrypt(kp, c)
     r.check("m = v.S^-1", m, kat.MCE_MESSAGE, _fmt_bits)
-    if not r.ok:
-        print("replay finished with mismatches", file=sys.stderr)
-        return 1
-    return 0
+    return r.verdict()
 
 
 def _demo_ntru() -> int:
@@ -283,10 +277,7 @@ def _demo_ntru() -> int:
     a, m = ntru.decrypt_with_intermediate(kp, c)
     r.check("a = center(f*c mod q)", a, kat.NTRU_A, fmt, canon=mod_q)
     r.check("m = center(f_p^-1 * a mod p)", m, kat.NTRU_M, fmt, canon=mod_p)
-    if not r.ok:
-        print("replay finished with mismatches", file=sys.stderr)
-        return 1
-    return 0
+    return r.verdict()
 
 
 def _cmd_demo_example(args) -> int:

@@ -334,11 +334,18 @@ def parse_file(text: str):
     raise FormatError(f"unknown file type {scheme!r} {kind!r}")
 
 
-def load_file(path: str):
+def read_bytes(path: str) -> bytes:
+    """The bytes of the file at path; an unreadable path is a FormatError."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_file(fh.read())
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def load_file(path: str):
+    try:
+        text = read_bytes(path).decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not a text key file") from exc
+    return parse_file(text)

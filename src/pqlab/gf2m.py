@@ -29,9 +29,9 @@ span tables over groups of their slices, and a polynomial's value is a
 GF(2)-linear map of its coefficients: a per-field table gives, for each
 coefficient c, which slices of a^i sum to each slice of c*a^i.
 
-The irreducibility test starts with a root test: every element of the
-field is a lane, and one such evaluation over the whole field (tables kept
-per field) rejects a candidate with a root, which is Ben-Or's first gcd.
+The irreducibility test starts with Ben-Or's first gcd as a root test: one
+such evaluation with every field element a lane (tables kept per field)
+rejects a candidate with a root, x | p among them, as lane 0 holds p(0).
 The rest runs on packed polynomials: one int with a 16-bit slot per
 coefficient (slot i holds the coefficient of x^i), packed and unpacked
 through `array` and `int.from_bytes`/`int.to_bytes`.  One shift and XOR
@@ -468,8 +468,8 @@ def is_irreducible(p: FieldPoly) -> bool:
 
     Step i = 1 is a root test: x^q - x is the product of x - a over the
     field, so its gcd with p is 1 iff p has no root.  sliced_eval of p over
-    the whole field (FieldCtx.root_tables) gives every value p(a) at once,
-    and the gcds run from i = 2 (McBits' bit-sliced evaluation).
+    the whole field (FieldCtx.root_tables) gives every p(a) at once, p(0)
+    too (so x | p), and the gcds run from i = 2 (McBits' bit-sliced evaluation).
 
     The rest runs on packed polynomials, p made monic (scaling keeps its
     factors).  r = x^(q^i) mod p advances by m squarings: the squares of
@@ -484,8 +484,6 @@ def is_irreducible(p: FieldPoly) -> bool:
         return False
     if d == 1:
         return True
-    if p.coeffs[0] == 0:
-        return False  # divisible by x
     ctx = p.ctx
     if sliced_zeros(sliced_eval(p, ctx.root_tables(d)), (1 << ctx.order) - 1):
         return False

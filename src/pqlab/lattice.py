@@ -171,7 +171,7 @@ def lattice_encrypt(key: NtruLatticeKey, m: Sequence[int], r: Sequence[int]) -> 
         raise DimensionError("message and blinding must have length N")
     _check_ternary_bounded(m, params.shape, "message")
     _check_ternary_bounded(r, params.shape, "blinding")
-    rh = circulant_mul(key.h, r, params.q)
+    rh = circulant_mul(key.h, r)
     return center_mod([a + b for a, b in zip(m, rh)], params.q)
 
 

@@ -153,7 +153,7 @@ def keygen(
     if systematic:
         for _ in range(SYSTEMATIC_TRIES):
             p = f2linalg.random_permutation(n, rng)
-            tail = BinMatrix(k, k, [r >> (n - k) for r in p.apply_columns(columns, k).data])
+            tail = BinMatrix(k, k, f2linalg.transpose([columns[i] for i in p._inv[n - k :]], k))
             try:
                 s = f2linalg.invert(tail)
             except SingularMatrix:

@@ -95,6 +95,14 @@ class NtruKeyPair:
 KEYGEN_TRIES = 100
 
 
+def _keypair(
+    params: NtruParams, f: list[int], f_p_inv: list[int], f_q_inv: list[int], g: list[int]
+) -> NtruKeyPair:
+    """Private (f, f_p^-1) with the public h = f_q^-1 * g mod q."""
+    h = conv_mul(f_q_inv, g, params.q)
+    return NtruKeyPair(NtruPublicKey(params, tuple(h)), tuple(f), tuple(f_p_inv))
+
+
 def keygen(params: NtruParams, rng: random.Random) -> NtruKeyPair:
     """Sample ternary f until invertible mod p and mod q, sample ternary g,
     publish h = f_q^-1 * g mod q."""
@@ -107,13 +115,7 @@ def keygen(params: NtruParams, rng: random.Random) -> NtruKeyPair:
             f_q_inv = invert_mod(f, params.q)
         except NotInvertible:
             continue
-        g = sample_ternary(n, d_plus, d_minus, rng)
-        h = conv_mul(f_q_inv, g, params.q)
-        return NtruKeyPair(
-            public=NtruPublicKey(params, tuple(h)),
-            f=tuple(f),
-            f_p_inv=tuple(f_p_inv),
-        )
+        return _keypair(params, f, f_p_inv, f_q_inv, sample_ternary(n, d_plus, d_minus, rng))
     raise SamplingExhausted(f"no invertible f in {KEYGEN_TRIES} draws")
 
 
@@ -121,12 +123,7 @@ def keypair_from_values(
     params: NtruParams, f: list[int], g: list[int]
 ) -> NtruKeyPair:
     """Key pair from explicit f, g (used by replays and tests)."""
-    f_p_inv = invert_mod(f, params.p)
-    f_q_inv = invert_mod(f, params.q)
-    h = conv_mul(f_q_inv, g, params.q)
-    return NtruKeyPair(
-        public=NtruPublicKey(params, tuple(h)), f=tuple(f), f_p_inv=tuple(f_p_inv)
-    )
+    return _keypair(params, f, invert_mod(f, params.p), invert_mod(f, params.q), g)
 
 
 def encrypt(

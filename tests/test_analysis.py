@@ -361,6 +361,23 @@ def test_attack_trials_report_invariants():
     assert "ntru-lll" in report.summary()
 
 
+@pytest.mark.parametrize("n", [7, 11])
+def test_attack_trials_concatenate_the_per_seed_attacks(n):
+    # the merged report holds each seed's own attack details, candidate
+    # lists included, and counts the successful ones
+    params = NtruParams(n, 3, 41, 2)
+    seeds = list(range(6))
+    expected = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        kp = ntru_keygen(params, rng)
+        expected += ntru_lll_attack(kp.public.h, params, rng, seed_label=seed).details
+    report = run_attack_trials(params, seeds)
+    assert report.details == expected
+    assert report.seeds == seeds
+    assert report.successes == sum(1 for d in expected if d["success"])
+
+
 def test_attack_large_modulus_demonstration():
     # recorded, not asserted: success rate at N=11, q=2048 (the lattice gap
     # actually widens with q at fixed N, so recovery stays easy here; the

@@ -1,6 +1,9 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +389,41 @@ def test_info_output_is_pinned(capsys):
         "pqlab: unknown preset 'nope'; choices: "
         "demo, legacy, pq128, revised, toy, attack7, rec443, toy11\n"
     ))
+
+
+# -- the documented entry point --
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python_m_pqlab(cwd, *argv):
+    """Run `python -m pqlab` in a child process with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "pqlab", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_python_m_pqlab_round_trip(tmp_path):
+    (tmp_path / "msg.bin").write_bytes(bytes(range(64)))
+    steps = [
+        ["keygen", "--scheme", "mceliece", "--preset", "toy", "--seed", "1", "--out", "keys"],
+        ["encrypt", "--pub", "keys/key.mcpub", "--in", "msg.bin", "--out", "msg.ct", "--seed", "2"],
+        ["decrypt", "--priv", "keys/key.mcpriv", "--in", "msg.ct", "--out", "msg.out"],
+    ]
+    for argv in steps:
+        assert _python_m_pqlab(tmp_path, *argv).returncode == 0, argv
+    assert (tmp_path / "msg.out").read_bytes() == bytes(range(64))
+
+
+def test_python_m_pqlab_info_matches_main(tmp_path, capsys):
+    assert main(["info", "--params", "toy"]) == 0
+    run = _python_m_pqlab(tmp_path, "info", "--params", "toy")
+    assert (run.returncode, run.stdout) == (0, capsys.readouterr().out)
+
+
+def test_python_m_pqlab_unknown_subcommand(tmp_path):
+    assert _python_m_pqlab(tmp_path, "frobnicate").returncode == 1
 
 
 # -- decrypt-time guards --

@@ -1,5 +1,6 @@
 """Round-trip and rejection tests for the versioned text file formats."""
 
+import functools
 import hashlib
 import os
 import random
@@ -526,6 +527,80 @@ def test_ntru_public_h_loads_only_centered_and_nonzero(q, data):
     except FormatError:
         loads = False
     assert loads == (all(-q < 2 * c <= q for c in h) and any(h))
+
+
+# -- NTRU private keys edited consistently --
+
+
+@functools.cache
+def _rotation_case(name: str):
+    """A key of the preset, a plaintext and the ciphertext file of it."""
+    params = ntru.preset(name)
+    kp = ntru.keygen(params, random.Random(26))
+    plain = bytes(range(40))
+    blocks = ntru.encrypt_bytes(kp.public, plain, random.Random(27))
+    return kp, plain, serialize_ciphertext_ntru(params, blocks)
+
+
+@st.composite
+def _rotated_ntru_private(draw, kp):
+    """The private key file of kp with f made s * x^i * f and f_p_inv made
+    s * x^-i * f_p_inv, kept in [0, p), for a drawn i and sign s: f * f_p_inv
+    stays 1 mod p and f * h is s * x^i * g, still ternary, so the key loads,
+    and (x^i * f) * c = x^i * (f * c) centers the same way, so it decrypts."""
+    n, p = kp.params.n, kp.params.p
+    i = draw(st.integers(0, n - 1))
+    s = draw(st.sampled_from([1, -1]))
+    f = [s * kp.f[(j - i) % n] for j in range(n)]
+    f_p_inv = [s * kp.f_p_inv[(j + i) % n] % p for j in range(n)]
+    return serialize_ntru_private(ntru.NtruKeyPair(kp.public, tuple(f), tuple(f_p_inv)))
+
+
+@pytest.mark.parametrize("name", ["toy11", "rec443"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_rotated_ntru_private_key_decrypts(name, data):
+    kp, plain, ct_text = _rotation_case(name)
+    text = data.draw(_rotated_ntru_private(kp))
+    with tempfile.TemporaryDirectory() as tmp:
+        key, ct, out = (os.path.join(tmp, f) for f in ("key", "ct", "out"))
+        for path, content in ((key, text), (ct, ct_text)):
+            with open(path, "w") as fh:
+                fh.write(content)
+        assert cli.main(["decrypt", "--priv", key, "--in", ct, "--out", out]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == plain
+
+
+# -- line ends --
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_load_as_lf(tmp_path, end, mce_kp, ntru_kp):
+    # a file whose lines end in CRLF or CR loads to the object its LF form
+    # loads to, compared by serializing it again
+    rng = random.Random(28)
+    mce_blocks = mceliece.encrypt_long(mce_kp.public, b"line ends", rng)
+    ntru_blocks = ntru.encrypt_bytes(ntru_kp.public, b"line ends", rng)
+    files = {
+        "mceliece-public": (serialize_mceliece_public(mce_kp.public), serialize_mceliece_public),
+        "mceliece-private": (serialize_mceliece_private(mce_kp), serialize_mceliece_private),
+        "ntru-public": (serialize_ntru_public(ntru_kp.public), serialize_ntru_public),
+        "ntru-private": (serialize_ntru_private(ntru_kp), serialize_ntru_private),
+        "mceliece-ciphertext": (
+            serialize_ciphertext_mceliece(mce_kp.public, mce_blocks),
+            lambda ct: serialize_ciphertext_mceliece(mce_kp.public, ct.blocks),
+        ),
+        "ntru-ciphertext": (
+            serialize_ciphertext_ntru(ntru_kp.params, ntru_blocks),
+            lambda ct: serialize_ciphertext_ntru(ntru_kp.params, ct.blocks),
+        ),
+    }
+    for kind, (text, serialize) in files.items():
+        lf, other = tmp_path / f"{kind}.lf", tmp_path / f"{kind}.other"
+        lf.write_bytes(text.encode("ascii"))
+        other.write_bytes(text.replace("\n", end).encode("ascii"))
+        assert serialize(load_file(str(other))[2]) == serialize(load_file(str(lf))[2]) == text, kind
 
 
 def test_ciphertext_block_count_must_match(ntru_kp):

@@ -286,6 +286,23 @@ def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
         assert len(inverted) == len(drawn) + 1
 
 
+def test_systematic_keygen_and_public_move_columns_once(monkeypatch):
+    # a tried tail is cut from the k columns P sends to the last k places,
+    # so the one n-column move by P is the one that forms the public matrix
+    calls = []
+    real_apply_columns = f2linalg.PermMatrix.apply_columns
+
+    def counting_apply_columns(self, columns, rows):
+        calls.append(rows)
+        return real_apply_columns(self, columns, rows)
+
+    monkeypatch.setattr(f2linalg.PermMatrix, "apply_columns", counting_apply_columns)
+    kp = keygen(8, 10, random.Random(0), systematic=True)
+    assert calls == []
+    kp.public
+    assert calls == [kp.k]
+
+
 @pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
 def test_private_key_load_forms_no_public_matrix(monkeypatch, rng, systematic):
     # loading and decrypting go through S alone: G_hat = S.G.P is formed only
