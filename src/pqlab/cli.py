@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_seed(explicit: int | None) -> int:
+def _seeded_rng(explicit: int | None) -> random.Random:
     env = os.environ.get("PQLAB_SEED")
     if env is not None:
         try:
@@ -60,7 +60,7 @@ def _resolve_seed(explicit: int | None) -> int:
     else:
         seed = secrets.randbits(64)
     print(f"seed: {seed}", file=sys.stderr)
-    return seed
+    return random.Random(seed)
 
 
 def _int_csv(text: str, count: int, what: str) -> list[int]:
@@ -96,8 +96,7 @@ def _cmd_keygen(args) -> int:
         raise UnknownParams("--preset and --params are mutually exclusive")
     if args.systematic and args.scheme != "mceliece":
         raise UnknownParams("--systematic applies to mceliece keys only")
-    seed = _resolve_seed(args.seed)
-    rng = random.Random(seed)
+    rng = _seeded_rng(args.seed)
     if args.scheme == "mceliece":
         if args.params:
             m, t = _int_csv(args.params, 2, "mceliece (m,t)")
@@ -149,8 +148,7 @@ def _cmd_encrypt(args) -> int:
     if kind != "public":
         raise FormatError(f"{args.pub} is a {scheme} {kind} file, not a public key")
     data = formats.read_bytes(args.infile)
-    seed = _resolve_seed(args.seed)
-    rng = random.Random(seed)
+    rng = _seeded_rng(args.seed)
     if scheme == "mceliece":
         blocks = mceliece.encrypt_long(key, data, rng)
         text = formats.serialize_ciphertext_mceliece(key, blocks)

@@ -4,16 +4,18 @@ Every file starts with the magic line "PQLAB1 <scheme> <kind>".  Bodies are
 "param <name> <int>" lines followed by typed payload sections: matrices as
 hex-packed rows (bit j of the row integer is column j), polynomials and
 permutations as space-separated integers, and a closing "end" line.  One
-writer, `_text`, emits that layout and `_Parser` reads it back; each
-serializer is its params plus its body.  Serialization is canonical, so
-identical inputs give byte-identical files; ciphertexts carry a hash of the
-scheme parameters that decryption checks before touching any block.
+writer, `_text`, emits that layout and `parse_file` reads it back, so each
+serializer is its params plus its body and each reader its body alone (the
+NTRU private reader reads h with the public one).  Serialization is
+canonical, so identical inputs give byte-identical files; ciphertexts carry
+a hash of the scheme parameters that decryption checks before any block.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from . import mceliece as mce
 from .convring import conv_mul, poly_to_text, ternary_shape
@@ -42,7 +44,7 @@ def _matrix_lines(name: str, m: BinMatrix) -> list[str]:
 
 
 def _text(head: str, params: dict[str, int], body: list[str]) -> str:
-    """The mirror of _Parser: the magic line, one param line per item in
+    """The mirror of parse_file: the magic line, one param line per item in
     order, the body lines and the end line."""
     lines = [f"{MAGIC} {head}", *(f"param {k} {v}" for k, v in params.items())]
     return "\n".join([*lines, *body, "end"]) + "\n"
@@ -117,8 +119,8 @@ def serialize_mceliece_public(pub: mce.McEliecePublicKey) -> str:
     return _text("mceliece public", params, body)
 
 
-def _parse_mceliece_public(p: _Parser) -> mce.McEliecePublicKey:
-    params = p.params()
+def _mceliece_nkt(params: dict[str, int]) -> tuple[int, int, int]:
+    """(n, k, t) of a McEliece key file, public or private."""
     n, k, t = params["n"], params["k"], params["t"]
     # a block carries k message bits
     if k < 1:
@@ -126,6 +128,11 @@ def _parse_mceliece_public(p: _Parser) -> mce.McEliecePublicKey:
     # a t-error-correcting code has distance 2t + 1 <= n - k + 1 (Singleton)
     if not 1 <= t <= (n - k) // 2:
         raise FormatError(f"param t {t} outside [1, {(n - k) // 2}]")
+    return n, k, t
+
+
+def _parse_mceliece_public(p: _Parser, params: dict[str, int]) -> mce.McEliecePublicKey:
+    n, k, t = _mceliece_nkt(params)
     systematic = bool(params.get("systematic", 0))
     if systematic:
         a = p.matrix("a")
@@ -137,7 +144,6 @@ def _parse_mceliece_public(p: _Parser) -> mce.McEliecePublicKey:
         g_hat = p.matrix("g_hat")
         if (g_hat.rows, g_hat.cols) != (k, n):
             raise FormatError("public matrix has wrong shape")
-    p.expect_end()
     return mce.McEliecePublicKey(g_hat, t, systematic)
 
 
@@ -162,27 +168,24 @@ def serialize_mceliece_private(kp: mce.McElieceKeyPair) -> str:
     return _text("mceliece private", params, body)
 
 
-def _parse_mceliece_private(p: _Parser) -> mce.McElieceKeyPair:
-    params = p.params()
+def _parse_mceliece_private(p: _Parser, params: dict[str, int]) -> mce.McElieceKeyPair:
+    n, k, t = _mceliece_nkt(params)
     s = p.matrix("s")
     perm = PermMatrix(p.int_list("perm", "p"))
     ctx = FieldCtx(params["m"], params["modulus"])
     g = FieldPoly(p.int_list("poly", "g"), ctx)
     support = p.int_list("support", "l")
-    p.expect_end()
     for field, values in (("poly g coefficient", g.coeffs), ("support l element", support)):
         for v in values:
             if not 0 <= v < ctx.order:
                 raise FormatError(f"{field} {v} outside [0, {ctx.order})")
-    if params["k"] < 1:
-        raise FormatError(f"param k {params['k']} is below 1")
-    if g.degree != params["t"]:
-        raise FormatError(f"param t {params['t']} != deg g {g.degree}")
+    if g.degree != t:
+        raise FormatError(f"param t {t} != deg g {g.degree}")
     try:
         code = GoppaCode(ctx, g, support)
     except DivisionByZero:
         raise FormatError("Goppa polynomial g is not squarefree: gcd(g, g') != 1") from None
-    if code.k != params["k"] or code.n != params["n"]:
+    if code.k != k or code.n != n:
         raise FormatError("code parameters do not match the stored key")
     try:
         kp = mce.McElieceKeyPair(s, code, perm, code.t, bool(params.get("systematic", 0)))
@@ -199,13 +202,11 @@ def serialize_ntru_public(pub: NtruPublicKey) -> str:
     return _text("ntru public", asdict(pub.params), [f"poly h {poly_to_text(pub.h)}"])
 
 
-def _parse_ntru_public(p: _Parser) -> NtruPublicKey:
-    params = p.params()
+def _parse_ntru_public(p: _Parser, params: dict[str, int]) -> NtruPublicKey:
     np_ = NtruParams(params["n"], params["p"], params["q"], params["d_f"])
     h = p.int_list("poly", "h")
     if len(h) != np_.n:
         raise FormatError("public polynomial has wrong degree")
-    p.expect_end()
     # every writer centers h mod q; h = 0 would send the message in the clear
     q = np_.q
     if not all(-q < 2 * c <= q for c in h):
@@ -224,25 +225,21 @@ def serialize_ntru_private(kp: NtruKeyPair) -> str:
     return _text("ntru private", asdict(kp.params), body)
 
 
-def _parse_ntru_private(p: _Parser) -> NtruKeyPair:
-    params = p.params()
-    np_ = NtruParams(params["n"], params["p"], params["q"], params["d_f"])
+def _parse_ntru_private(p: _Parser, params: dict[str, int]) -> NtruKeyPair:
     f = p.int_list("poly", "f")
     f_p_inv = p.int_list("poly", "f_p_inv")
-    h = p.int_list("poly", "h")
-    p.expect_end()
-    if not len(f) == len(f_p_inv) == len(h) == np_.n:
+    public = _parse_ntru_public(p, params)
+    np_ = public.params
+    if not len(f) == len(f_p_inv) == np_.n:
         raise FormatError("private polynomials have wrong degree")
-    kp = NtruKeyPair(
-        public=NtruPublicKey(np_, tuple(h)), f=tuple(f), f_p_inv=tuple(f_p_inv)
-    )
+    kp = NtruKeyPair(public=public, f=tuple(f), f_p_inv=tuple(f_p_inv))
     # the checks multiply the operands decrypt keeps with the key
     f_packed, f_p_inv_packed = kp.operands
     if conv_mul(f_packed, f_p_inv_packed, np_.p) != [1] + [0] * (np_.n - 1):
         raise FormatError("f * f_p_inv is not 1 mod p")
     # g = f * h mod q is ternary for every key keygen writes; an h taken
     # from another key's file gives a g of full-size residues
-    if ternary_shape(conv_mul(f_packed, h, np_.q)) is None:
+    if ternary_shape(conv_mul(f_packed, public.h, np_.q)) is None:
         raise FormatError("f * h is not ternary mod q")
     return kp
 
@@ -280,8 +277,7 @@ def serialize_ciphertext_ntru(params: NtruParams, blocks: list[list[int]]) -> st
     return _text("ntru ciphertext", {"blocks": len(blocks), "n": params.n}, body)
 
 
-def _parse_ciphertext(p: _Parser, scheme: str) -> CiphertextFile:
-    params = p.params()
+def _parse_ciphertext(p: _Parser, params: dict[str, int], scheme: str) -> CiphertextFile:
     nblocks = params["blocks"]
     # the 10* padding fills at least one block
     if nblocks < 1:
@@ -305,33 +301,37 @@ def _parse_ciphertext(p: _Parser, scheme: str) -> CiphertextFile:
             if len(coeffs) != n:
                 raise FormatError("bad ntru block length")
             blocks.append(coeffs)
-    p.expect_end()
     return CiphertextFile(scheme=scheme, hash=digest, blocks=blocks)
 
 
 # -- top-level load --
 
 
+_READERS = {
+    ("mceliece", "public"): _parse_mceliece_public,
+    ("mceliece", "private"): _parse_mceliece_private,
+    ("ntru", "public"): _parse_ntru_public,
+    ("ntru", "private"): _parse_ntru_private,
+    ("mceliece", "ciphertext"): partial(_parse_ciphertext, scheme="mceliece"),
+    ("ntru", "ciphertext"): partial(_parse_ciphertext, scheme="ntru"),
+}
+
+
 def parse_file(text: str):
-    """Parse any pqlab file; returns (scheme, kind, object)."""
+    """Parse any pqlab file, the mirror of _text; returns (scheme, kind, object)."""
     p = _Parser(text)
     scheme, kind = p.expect_magic()
+    reader = _READERS.get((scheme, kind))
+    if reader is None:
+        raise FormatError(f"unknown file type {scheme!r} {kind!r}")
     try:
-        if scheme == "mceliece" and kind == "public":
-            return scheme, kind, _parse_mceliece_public(p)
-        if scheme == "mceliece" and kind == "private":
-            return scheme, kind, _parse_mceliece_private(p)
-        if scheme == "ntru" and kind == "public":
-            return scheme, kind, _parse_ntru_public(p)
-        if scheme == "ntru" and kind == "private":
-            return scheme, kind, _parse_ntru_private(p)
-        if kind == "ciphertext" and scheme in ("mceliece", "ntru"):
-            return scheme, kind, _parse_ciphertext(p, scheme)
+        obj = reader(p, p.params())
     except FormatError:
         raise
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"malformed {scheme} {kind} file: {exc}") from exc
-    raise FormatError(f"unknown file type {scheme!r} {kind!r}")
+    p.expect_end()
+    return scheme, kind, obj
 
 
 def read_bytes(path: str) -> bytes:

@@ -329,13 +329,9 @@ class FieldPoly:
 
     def square(self) -> "FieldPoly":
         # Frobenius: (sum a_i x^i)^2 = sum a_i^2 x^(2i) in characteristic 2
-        ctx = self.ctx
-        exp, log = ctx.exp, ctx.log
         out = [0] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[2 * i] = exp[2 * log[a]]
-        return FieldPoly(out, ctx)
+        out[::2] = map(self.ctx.squares.__getitem__, self.coeffs)
+        return FieldPoly(out, self.ctx)
 
     def sqrt_split(self) -> tuple["FieldPoly", "FieldPoly"]:
         """(U0, U1) with self = U0^2 + x*U1^2: U0 takes the field square

@@ -189,11 +189,10 @@ def lattice_decrypt(key: NtruLatticeKey, c: Sequence[int]) -> IntVector:
 
 
 def lattice_identity_check(key: NtruLatticeKey, m: Sequence[int], r: Sequence[int]) -> bool:
-    """True iff f*m + g*r over the integers is inside (-q/2, q/2]."""
-    fm = conv_mul(key.f, m)
-    gr = conv_mul(key.g, r)
-    q = key.params.q
-    return all(-q < 2 * (a + b) <= q for a, b in zip(fm, gr))
+    """True iff f*m + g*r over the integers is inside (-q/2, q/2]: ntru's
+    check with g = p*t_g."""
+    p = key.params.p
+    return ntru.decryption_identity_check(key.f, [c // p for c in key.g], r, m, key.params)
 
 
 # -- exact Gram-Schmidt and LLL --

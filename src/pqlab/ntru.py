@@ -47,7 +47,7 @@ class NtruParams:
         q_pe = convring.prime_power(self.q)
         if q_pe is None or not (q_pe[1] == 1 or q_pe[0] == 2):
             raise ValueError("q must be prime or a power of two")
-        if 2 * self.d_f + 1 > self.n:
+        if not 0 < 2 * self.d_f + 1 <= self.n:
             raise ValueError("ternary shape does not fit the ring degree")
 
     @property

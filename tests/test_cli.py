@@ -1,6 +1,8 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -243,11 +245,17 @@ def test_bad_custom_params(tmp_path, capsys):
      "cannot write {tmp}/X/m.ct: No such file or directory"),
     (["decrypt", "--priv", "{tmp}/k/key.mcpriv", "--in", "{tmp}/m.ct", "--out", "{tmp}/X/m.out"],
      "cannot write {tmp}/X/m.out: No such file or directory"),
+    # d_f = -1 would draw f with no coefficients at all
+    (["keygen", "--scheme", "ntru", "--params", "11,3,41,-1"],
+     "invalid ntru parameters: ternary shape does not fit the ring degree"),
+    (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "1", "--d-f", "-1"],
+     "invalid ntru parameters: ternary shape does not fit the ring degree"),
 ], ids=[
     "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "ntru-p5", "ntru-n5", "ntru-n3", "mceliece-m",
     "mceliece-t", "mceliece-t1", "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
     "attack-p2", "preset-and-params", "ntru-systematic", "keygen-out-under-file",
-    "encrypt-out-missing-dir", "decrypt-out-missing-dir",
+    "encrypt-out-missing-dir", "decrypt-out-missing-dir", "ntru-d_f-negative",
+    "attack-d_f-negative",
 ])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
     out = tmp_path / "X"
@@ -393,7 +401,30 @@ def test_info_output_is_pinned(capsys):
 
 # -- the documented entry point --
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = str(_ROOT / "src")
+
+
+def test_readme_examples_parse_and_run(capsys):
+    # every `pqlab ...` line of the README's code blocks, split as a shell
+    # would; the info and paper-example lines also run, to the exit code
+    # their comment gives (0 without one)
+    commands, in_block = [], False
+    for line in (_ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("pqlab "):
+            commands.append((shlex.split(line, comments=True)[1:], line))
+    assert {"keygen", "encrypt", "decrypt", "demo", "info"} <= {a[0] for a, _ in commands}
+    for argv, line in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        if argv[0] == "info" or argv[:2] == ["demo", "paper-example"]:
+            expected = re.search(r"# exit (\d)", line)
+            assert main(argv) == (int(expected[1]) if expected else 0), line
+    capsys.readouterr()
 
 
 def _python_m_pqlab(cwd, *argv):
@@ -497,6 +528,26 @@ _ZERO_K_KEYS = {
 }
 
 
+def test_zero_t_mceliece_private_key_rejected(tmp_path, capsys):
+    # n = k = 16 with a constant g: identity S and P, and no error to correct,
+    # so every "ciphertext" would be the message in the clear
+    perm = " ".join(map(str, range(16)))
+    key = tmp_path / "key.mcpriv"
+    key.write_text(
+        "PQLAB1 mceliece private\nparam n 16\nparam k 16\nparam t 0\nparam m 4\n"
+        "param modulus 19\nparam systematic 0\nmatrix s 16 16\n"
+        + "".join(f"{1 << i:04x}\n" for i in range(16))
+        + f"perm p {perm}\npoly g 5\nsupport l {perm}\nend\n"
+    )
+    ct = tmp_path / "m.ct"
+    ct.write_text("PQLAB1 mceliece ciphertext\nparam blocks 1\nparam n 16\nhash 0\nblock 0\nend\n")
+    capsys.readouterr()
+    assert main(["decrypt", "--priv", str(key), "--in", str(ct), "--out", str(tmp_path / "m.out")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pqlab: format error: param t 0 outside [1, 0]"
+    )
+
+
 @pytest.mark.parametrize("kind", list(_ZERO_K_KEYS))
 def test_zero_k_mceliece_key_rejected(tmp_path, capsys, kind):
     # encrypting with such a public key divided by zero in the block packer;
@@ -547,29 +598,56 @@ def test_ciphertext_without_blocks_rejected(tmp_path, capsys, blocks):
 
 
 @pytest.mark.parametrize(
-    "h, reason",
+    "h, reason, kind",
     [
-        ("0 0 0 0 0 0 0 0 0 0 0", "public polynomial h is zero"),
-        ("41 82 0 0 0 0 0 0 0 -41 0", "public polynomial h is not centered mod 41"),
+        ("0 0 0 0 0 0 0 0 0 0 0", "public polynomial h is zero", "pub"),
+        ("41 82 0 0 0 0 0 0 0 -41 0", "public polynomial h is not centered mod 41", "pub"),
+        ("0 0 0 0 0 0 0 0 0 0 0", "public polynomial h is zero", "priv"),
+        ("41 82 0 0 0 0 0 0 0 -41 0", "public polynomial h is not centered mod 41", "priv"),
     ],
-    ids=["zero", "multiples-of-q"],
+    ids=["zero", "multiples-of-q", "private-zero", "private-multiples-of-q"],
 )
-def test_zero_or_uncentered_public_h_rejected(tmp_path, capsys, h, reason):
+def test_zero_or_uncentered_public_h_rejected(tmp_path, capsys, h, reason, kind):
     # both are h = 0 mod q, so c = p.r.h + m = m would carry the message in
-    # the clear; every writer emits h centered mod q and nonzero
+    # the clear; every writer emits h centered mod q and nonzero.  The
+    # private key holds the same h, and f * h stays ternary for both
+    keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
+
+    def put_h(lines):
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("poly h "))
+        lines[idx] = f"poly h {h}"
+
+    capsys.readouterr()
+    if kind == "priv":
+        assert _encrypt_then_decrypt_with(tmp_path, keys, "nt", put_h) == 2
+    else:
+        pub = keys / "key.ntpub"
+        lines = pub.read_text().splitlines()
+        put_h(lines)
+        pub.write_text("\n".join(lines) + "\n")
+        plain = tmp_path / "m.bin"
+        plain.write_bytes(b"hello")
+        assert main([
+            "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
+        ]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
+
+
+def test_negative_d_f_public_key_rejected(tmp_path, capsys):
+    # d_f = -1 leaves r no coefficients, so encrypt could not blind m
     keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
     pub = keys / "key.ntpub"
-    lines = pub.read_text().splitlines()
-    idx = next(i for i, ln in enumerate(lines) if ln.startswith("poly h "))
-    lines[idx] = f"poly h {h}"
-    pub.write_text("\n".join(lines) + "\n")
+    pub.write_text(pub.read_text().replace("param d_f 2\n", "param d_f -1\n"))
     plain = tmp_path / "m.bin"
     plain.write_bytes(b"hello")
     capsys.readouterr()
     assert main([
         "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
     ]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pqlab: format error: malformed ntru public file: "
+        "ternary shape does not fit the ring degree"
+    )
 
 
 def test_key_kind_checks(tmp_path, capsys):

@@ -59,7 +59,10 @@ def test_params_validation():
         NtruParams(11, 3, 41, 6)  # 2*6+1 > 11
     with pytest.raises(ValueError):
         NtruParams(2, 3, 41, 0)
+    with pytest.raises(ValueError, match="^ternary shape does not fit the ring degree$"):
+        NtruParams(11, 3, 41, -1)  # f would have no coefficients at all
     assert NtruParams(11, 3, 64, 2).q == 64  # power of two accepted
+    assert NtruParams(11, 3, 41, 0).shape == (1, 0)  # one +1 and no -1 stays valid
 
 
 def test_params_shape():
