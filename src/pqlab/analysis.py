@@ -4,12 +4,16 @@ security calculators, and the toy lattice attack on small NTRU keys.
 Everything here is meant to make claims checkable at toy sizes.  The
 exhaustive oracles weigh all 2^k codewords by bit-slicing: the messages of
 the last min(k, 14) generator rows are the lanes of one int, one column of
-their codewords is one lane mask, and a ripple counter over the n columns
-gives every lane's weight at once; an outer loop runs over the messages of
-the other rows.  Lanes and outer loop both go in bit-0-first message order
-(message bits compared from bit 0 up, a 0 first), so the first lane to
-reach a weight is the first message at it: that is the tie-break of
-`nearest_codeword_bruteforce` and the witness of `min_weight_bruteforce`.
+their codewords is one lane mask, and a carry-save counter of full adders
+over the n columns gives every lane's weight at once, as binary slices; an
+outer loop runs over the messages of the other rows.  Each oracle builds
+from the slices only the lane masks it reads: the nearest and minimum
+weight oracles descend the slices to a block's least distance, and the
+spectrum splits them into one mask per weight that occurs.  Lanes and
+outer loop both go in bit-0-first message order (message bits compared
+from bit 0 up, a 0 first), so the first lane to reach a weight is the first
+message at it: that is the tie-break of `nearest_codeword_bruteforce` and
+the witness of `min_weight_bruteforce`.
 The attack runs LLL on the public lattice basis and tests whether any
 short row works as a decryption key.  Published attack costs for the
 full-size parameter sets are echoed as literature values, never
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -56,6 +61,41 @@ def _lane_columns(hi: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
     return tuple((c, c ^ full) for c in columns)
 
 
+def _weight_slices(columns) -> list[int]:
+    """Binary weight slices of lane masks: lane l of slice i is bit i of
+    the number of columns with lane l set, up to the highest nonzero slice.
+
+    A carry-save counter: at each level i at most two vectors of weight 2^i
+    wait, and a third one meets them in a full adder (five operations),
+    which leaves their sum bit waiting at level i and sends their carry on
+    to level i + 1.  At the end each level adds its waiting vectors to the
+    carry from below, which gives slice i.  A lane's count has one binary
+    form, so these are the slices any exact counter gives.
+    """
+    levels: list[list[int]] = []
+    for x in columns:
+        for waiting in levels:
+            if len(waiting) == 1:
+                waiting.append(x)
+                break
+            a, b = waiting
+            u = a ^ b
+            waiting[:] = (u ^ x,)
+            x = (a & b) | (u & x)
+        else:
+            levels.append([x])
+    slices, carry = [], 0
+    for waiting in levels:
+        a, b = waiting if len(waiting) == 2 else (waiting[0], 0)
+        u = a ^ b
+        slices.append(u ^ carry)
+        carry = (a & b) | (u & carry)
+    slices.append(carry)
+    while slices and not slices[-1]:
+        slices.pop()
+    return slices
+
+
 def _weight_blocks(g: BinMatrix, target: int):
     """Bit-sliced Hamming distances from `target` of all 2^k codewords.
 
@@ -65,14 +105,14 @@ def _weight_blocks(g: BinMatrix, target: int):
     column j of the lane codewords is one mask.  The first k - h rows give
     the outer words a, from a span table over the same rows reversed, so
     the table runs in bit-reversed message order too.  Per a, the columns
-    where a ^ target has a 1 are flipped, a ripple counter adds the n
-    columns into weight bit-slices, and splitting on the slices, highest
-    first, leaves one lane mask per weight.
+    where a ^ target has a 1 are flipped and `_weight_slices` counts the n
+    columns into binary distance slices.
 
-    Yields (a, hi, masks) per outer word, masks[w] holding the lanes at
-    distance w.  Blocks come in bit-0-first message order, and so do the
-    lanes within a block, so the lowest lane of the first block reaching a
-    distance is the first message at it.
+    Yields (a, hi, full, slices) per outer word: full is the mask of all
+    2^h lanes and bit i of a lane's distance is its bit in slices[i].
+    Blocks come in bit-0-first message order, and so do the lanes within a
+    block, so the lowest lane of the first block reaching a distance is the
+    first message at it.
     """
     k, n = g.rows, g.cols
     h = min(k, _LANE_BITS)
@@ -81,35 +121,39 @@ def _weight_blocks(g: BinMatrix, target: int):
     pairs = _lane_columns(hi, n)
     fmt = f"0{n}b"
     for a in _span_table(g.data[: k - h][::-1]):
-        slices: list[int] = []
-        for (plain, flipped), bit in zip(pairs, format(a ^ target, fmt)[::-1]):
-            x = flipped if bit == "1" else plain
-            for i, s in enumerate(slices):
-                if not x:
-                    break
-                slices[i] = s ^ x
-                x &= s
-            else:
-                if x:
-                    slices.append(x)
-        masks = [full]
-        for s in reversed(slices):
-            ns = ~s
-            masks = [y for m in masks for y in (m & ns, m & s)]
-        yield a, hi, masks
+        slices = _weight_slices(
+            flipped if bit == "1" else plain
+            for (plain, flipped), bit in zip(pairs, format(a ^ target, fmt)[::-1])
+        )
+        yield a, hi, full, slices
 
 
 def _first_nearest(g: BinMatrix, target: int, least: int) -> tuple[int, int]:
     """(distance, codeword) of the first codeword in bit-0-first message
-    order at the least distance >= `least` from `target`; the distance is
-    g.cols + 1 and the codeword 0 when none is that far."""
+    order at the least distance >= `least` (0 or 1) from `target`; the
+    distance is g.cols + 1 and the codeword 0 when none is that far.
+
+    Per block the least distance is read off the slices, highest first: the
+    lanes whose next bit is 0 are kept when there are any, and otherwise
+    that bit of the distance is 1.  The lanes left are the block's lanes at
+    its least distance, and only a block that beats the best so far counts.
+    """
     best_d, best = g.cols + 1, 0
-    for a, hi, masks in _weight_blocks(g, target):
-        for d in range(least, min(best_d, len(masks))):
-            lanes = masks[d]
-            if lanes:
-                best_d = d
-                best = a ^ _xor_rows(hi, (lanes & -lanes).bit_length() - 1)
+    for a, hi, full, slices in _weight_blocks(g, target):
+        lanes = functools.reduce(operator.or_, slices, 0) if least else full
+        if not lanes:
+            continue
+        d = 0
+        for i in range(len(slices) - 1, -1, -1):
+            low = lanes ^ (lanes & slices[i])
+            if low:
+                lanes = low
+            else:
+                d |= 1 << i
+        if d < best_d:
+            best_d = d
+            best = a ^ _xor_rows(hi, (lanes & -lanes).bit_length() - 1)
+            if d == least:
                 break
     return best_d, best
 
@@ -130,14 +174,29 @@ def min_weight_bruteforce(g: BinMatrix) -> tuple[int, BinVector]:
 
 
 def weight_spectrum(g: BinMatrix) -> dict[int, int]:
-    """Codeword weight histogram over all 2^k messages (k <= 24), counted
-    from the bit-sliced per-weight lane masks, in ascending weight order."""
+    """Codeword weight histogram over all 2^k messages (k <= 24), in
+    ascending weight order.  Per block the lanes are split on the weight
+    slices, highest first, into one mask per weight prefix; a prefix whose
+    least weight exceeds n, or whose mask is empty, is dropped."""
     _check_dimension(g)
-    counts = [0] * (g.cols + 1)
-    for _, _, masks in _weight_blocks(g, 0):
-        for w, lanes in enumerate(masks):
-            if lanes:  # masks past weight n are empty
-                counts[w] += lanes.bit_count()
+    n = g.cols
+    counts = [0] * (n + 1)
+    for _, _, full, slices in _weight_blocks(g, 0):
+        prefixes = [(0, full)]
+        for i in range(len(slices) - 1, -1, -1):
+            s, bit = slices[i], 1 << i
+            split = []
+            for w, lanes in prefixes:
+                if w + bit <= n:
+                    one = lanes & s
+                    if one:
+                        split.append((w + bit, one))
+                        lanes ^= one
+                if lanes:
+                    split.append((w, lanes))
+            prefixes = split
+        for w, lanes in prefixes:
+            counts[w] += lanes.bit_count()
     return {w: c for w, c in enumerate(counts) if c}
 
 

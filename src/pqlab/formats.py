@@ -6,15 +6,18 @@ hex-packed rows (bit j of the row integer is column j), polynomials and
 permutations as space-separated integers, and a closing "end" line.  One
 writer, `_text`, emits that layout and `parse_file` reads it back, so each
 serializer is its params plus its body and each reader its body alone (the
-NTRU private reader reads h with the public one).  Serialization is
-canonical, so identical inputs give byte-identical files; ciphertexts carry
-a hash of the scheme parameters that decryption checks before any block.
+NTRU private reader reads h with the public one).  A file is read as its
+writer wrote it: each param name at most once and only names the writer of
+that (scheme, kind) emits (`systematic` is optional in McEliece keys), and
+no line after "end".  Serialization is canonical, so identical inputs give
+byte-identical files; ciphertexts carry a hash of the scheme parameters that
+decryption checks before any block.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from . import mceliece as mce
@@ -71,10 +74,15 @@ class _Parser:
             raise FormatError(f"bad magic line (expected '{MAGIC} <scheme> <kind>')")
         return parts[1], parts[2]
 
-    def params(self) -> dict[str, int]:
+    def params(self, names: tuple[str, ...]) -> dict[str, int]:
+        """The param lines, each name once and one of `names`."""
         out: dict[str, int] = {}
         while self.pos < len(self.lines) and self.peek().startswith("param "):
             _, name, value = self.next().split()
+            if name in out:
+                raise FormatError(f"param {name} repeated")
+            if name not in names:
+                raise FormatError(f"unknown param {name}")
             out[name] = int(value)
         return out
 
@@ -103,6 +111,8 @@ class _Parser:
     def expect_end(self) -> None:
         if self.next() != "end":
             raise FormatError("missing end line")
+        if self.pos < len(self.lines):
+            raise FormatError(f"line {self.pos + 1} follows the end line")
 
 
 # -- McEliece --
@@ -307,13 +317,18 @@ def _parse_ciphertext(p: _Parser, params: dict[str, int], scheme: str) -> Cipher
 # -- top-level load --
 
 
+# the param names each writer emits, and the reader of the body
+_NTRU_PARAMS = tuple(f.name for f in fields(NtruParams))
 _READERS = {
-    ("mceliece", "public"): _parse_mceliece_public,
-    ("mceliece", "private"): _parse_mceliece_private,
-    ("ntru", "public"): _parse_ntru_public,
-    ("ntru", "private"): _parse_ntru_private,
-    ("mceliece", "ciphertext"): partial(_parse_ciphertext, scheme="mceliece"),
-    ("ntru", "ciphertext"): partial(_parse_ciphertext, scheme="ntru"),
+    ("mceliece", "public"): (("n", "k", "t", "systematic"), _parse_mceliece_public),
+    ("mceliece", "private"): (
+        ("n", "k", "t", "m", "modulus", "systematic"),
+        _parse_mceliece_private,
+    ),
+    ("ntru", "public"): (_NTRU_PARAMS, _parse_ntru_public),
+    ("ntru", "private"): (_NTRU_PARAMS, _parse_ntru_private),
+    ("mceliece", "ciphertext"): (("blocks", "n"), partial(_parse_ciphertext, scheme="mceliece")),
+    ("ntru", "ciphertext"): (("blocks", "n"), partial(_parse_ciphertext, scheme="ntru")),
 }
 
 
@@ -321,11 +336,11 @@ def parse_file(text: str):
     """Parse any pqlab file, the mirror of _text; returns (scheme, kind, object)."""
     p = _Parser(text)
     scheme, kind = p.expect_magic()
-    reader = _READERS.get((scheme, kind))
-    if reader is None:
+    if (scheme, kind) not in _READERS:
         raise FormatError(f"unknown file type {scheme!r} {kind!r}")
+    names, reader = _READERS[scheme, kind]
     try:
-        obj = reader(p, p.params())
+        obj = reader(p, p.params(names))
     except FormatError:
         raise
     except (KeyError, ValueError, IndexError) as exc:

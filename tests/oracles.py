@@ -104,6 +104,24 @@ def gauss_jordan(a):
     return rows, pivots
 
 
+def ripple_weight_slices(columns):
+    """Binary weight slices of lane masks by a ripple counter: each column
+    is added into the slices from slice 0 up, its carry ANDed out slice by
+    slice, and a carry left over starts a new slice.  The reference for
+    the carry-save counter analysis._weight_slices."""
+    slices = []
+    for x in columns:
+        for i, s in enumerate(slices):
+            if not x:
+                break
+            slices[i] = s ^ x
+            x &= s
+        else:
+            if x:
+                slices.append(x)
+    return slices
+
+
 def gray_codewords(g):
     """Yield (message_int, codeword_bits) over all 2^k messages, flipping one
     message bit per step so each codeword is one row XOR away from the last."""

@@ -11,6 +11,7 @@ from oracles import (
     gray_codewords,
     min_weight_gray,
     nearest_codeword_gray,
+    ripple_weight_slices,
     weight_spectrum_gray,
 )
 from pqlab import analysis, kat
@@ -261,6 +262,73 @@ def test_sliced_oracles_match_gray_sweep_at_narrow_lanes(lane_bits, g, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_LANE_BITS", lane_bits)
         _assert_oracles_match_gray(g, data)
+
+
+@st.composite
+def wide_codes(draw):
+    """A k x n generator with k in [0, 8] and n in [60, 80]; rows are
+    random, dense (7 of 8 bits set), all ones, zero or sums of two earlier
+    rows, so codewords of weight 64 and up, which take a seventh weight
+    slice, are common, and so are spectrum prefixes past n."""
+    k = draw(st.integers(0, 8))
+    n = draw(st.integers(60, 80))
+    full = (1 << n) - 1
+    word = st.integers(0, full)
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["random", "dense", "ones", "zero", "sum"]))
+        if kind == "random":
+            rows.append(draw(word))
+        elif kind == "dense":
+            rows.append(full ^ (draw(word) & draw(word) & draw(word)))
+        elif kind == "ones":
+            rows.append(full)
+        elif kind == "sum" and rows:
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+        else:
+            rows.append(0)
+    return BinMatrix(k, n, rows)
+
+
+@pytest.mark.parametrize("lane_bits", [14, 3])
+@settings(max_examples=60, deadline=None)
+@given(wide_codes(), st.data())
+def test_sliced_oracles_match_gray_sweep_on_wide_codes(lane_bits, g, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_LANE_BITS", lane_bits)
+        _assert_oracles_match_gray(g, data)
+
+
+# -- the carry-save weight counter --
+
+
+@st.composite
+def lane_columns(draw):
+    """0 to 80 lane masks of one width in [1, 300], in random order: a run
+    of all-ones columns (64 of them carry out of the top level) and others
+    that are as often all zeros or all ones as random."""
+    width = draw(st.integers(1, 300))
+    ones = (1 << width) - 1
+    run = draw(st.integers(0, 80))
+    column = st.sampled_from([0, ones]) | st.integers(0, ones)
+    rest = draw(st.lists(column, max_size=80 - run))
+    return draw(st.permutations([ones] * run + rest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_columns())
+def test_weight_slices_match_ripple_counter(columns):
+    assert analysis._weight_slices(iter(columns)) == ripple_weight_slices(columns)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 63, 64, 65, 80])
+def test_weight_slices_of_all_ones_columns(count):
+    # every lane counts to `count`, so slice i is all ones where bit i of
+    # count is set, up to its top bit
+    ones = (1 << 37) - 1
+    slices = analysis._weight_slices([ones] * count)
+    assert slices == [ones if count >> i & 1 else 0 for i in range(count.bit_length())]
+    assert analysis._weight_slices([0] * count) == []
 
 
 @pytest.mark.parametrize("k", [0, 1, 16])

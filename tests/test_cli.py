@@ -650,6 +650,75 @@ def test_negative_d_f_public_key_rejected(tmp_path, capsys):
     )
 
 
+def _edit_and_use(tmp_path, scheme, file, edit):
+    """Make a toy key pair and a ciphertext under it, rewrite the public
+    key, the private key or the ciphertext with edit(text), and return that
+    text before the edit and the exit code of using the file: encrypt with
+    the public key, decrypt the ciphertext with the private key."""
+    preset, ext = ("toy", "mc") if scheme == "mceliece" else ("toy11", "nt")
+    keys = _keygen(tmp_path, "k", "--scheme", scheme, "--preset", preset, "--seed", "1")
+    pub, priv = keys / f"key.{ext}pub", keys / f"key.{ext}priv"
+    plain, ct = tmp_path / "m.bin", tmp_path / "m.ct"
+    plain.write_bytes(b"abc")
+    assert main(["encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(ct), "--seed", "2"]) == 0
+    path = {"pub": pub, "priv": priv, "ct": ct}[file]
+    text = path.read_text()
+    edited = edit(text)
+    assert edited != text
+    path.write_text(edited)
+    if file == "pub":
+        argv = ["encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m2.ct")]
+    else:
+        argv = ["decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(tmp_path / "m.out")]
+    return text, main(argv)
+
+
+@pytest.mark.parametrize(
+    "scheme, file, edit, reason",
+    [
+        ("ntru", "pub", lambda t: t + "garbage after end\n", "line {after} follows the end line"),
+        ("ntru", "pub", lambda t: t + t, "line {after} follows the end line"),
+        ("mceliece", "priv", lambda t: t + "\n", "line {after} follows the end line"),
+        ("ntru", "ct", lambda t: t + "end\n", "line {after} follows the end line"),
+        ("ntru", "pub", lambda t: t.replace("param d_f 2\n", "param d_f 2\nparam d_f 3\n"),
+         "param d_f repeated"),
+        ("mceliece", "priv",
+         lambda t: t.replace("param systematic 0\n", "param systematic 0\nparam systematic 0\n"),
+         "param systematic repeated"),
+        ("ntru", "pub", lambda t: t.replace("param d_f 2\n", "param d_f 2\nparam bogus 7\n"),
+         "unknown param bogus"),
+        ("mceliece", "pub", lambda t: t.replace("param t 2\n", "param t 2\nparam m 4\n"),
+         "unknown param m"),
+        ("mceliece", "ct", lambda t: t.replace("param n 16\n", "param n 16\nparam t 2\n"),
+         "unknown param t"),
+    ],
+    ids=[
+        "garbage-after-end", "two-key-files", "blank-line-after-end", "ciphertext-after-end",
+        "repeated-d_f", "repeated-systematic", "unknown-bogus", "private-param-in-public",
+        "key-param-in-ciphertext",
+    ],
+)
+def test_lines_after_end_and_repeated_or_unknown_params_rejected(
+    tmp_path, capsys, scheme, file, edit, reason
+):
+    # the writers emit each of their params once, nothing else, and no line
+    # after end: a second file appended, or a second value of a param,
+    # used to load as if it were not there or as the last value
+    text, code = _edit_and_use(tmp_path, scheme, file, edit)
+    assert code == 2
+    after = len(text.splitlines()) + 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: {reason.format(after=after)}"
+    )
+
+
+@pytest.mark.parametrize("file", ["pub", "priv"])
+def test_mceliece_key_without_systematic_param_loads(tmp_path, file):
+    # systematic defaults to 0, so a key file may leave it out
+    _, code = _edit_and_use(tmp_path, "mceliece", file, lambda t: t.replace("param systematic 0\n", ""))
+    assert code == 0
+
+
 def test_key_kind_checks(tmp_path, capsys):
     keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
     plain = tmp_path / "m.bin"

@@ -474,6 +474,29 @@ def test_value_mutated_file_loads_or_raises_format_error(kind, data):
     assert 0 <= _exit_code_of_use(kind, text) <= 3
 
 
+@pytest.mark.parametrize("kind", list(_ALL_FILES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_line_after_end_exits_2(kind, data):
+    # a copy of one of the file's own lines, or up to three fuzz tokens
+    # (zero tokens make a blank line), appended after end
+    lines = _ALL_FILES[kind].splitlines()
+    extra = data.draw(st.sampled_from(lines) | st.lists(_FUZZ_TOKENS, max_size=3).map(" ".join))
+    assert _exit_code_of_use(kind, "\n".join([*lines, extra]) + "\n") == 2
+
+
+@pytest.mark.parametrize("kind", list(_ALL_FILES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_duplicated_param_line_exits_2(kind, data):
+    # a copy of one param line, put anywhere among the param lines
+    lines = _ALL_FILES[kind].splitlines()
+    params = [i for i, line in enumerate(lines) if line.startswith("param ")]
+    line = lines[data.draw(st.sampled_from(params))]
+    lines.insert(data.draw(st.integers(params[0], params[-1] + 1)), line)
+    assert _exit_code_of_use(kind, "\n".join(lines) + "\n") == 2
+
+
 # the demo key's perm p and support l lines, and its g and g's line
 _SWAP_LINES = [i for i, line in enumerate(_DEMO_LINES) if line.startswith(("perm p ", "support l "))]
 _DEMO_G = _DEMO_KP.code.g
