@@ -117,10 +117,7 @@ def _cmd_keygen(args) -> int:
     else:
         if args.params:
             params = _ntru_params(*_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
-            if params.p != 3:
-                raise UnknownParams(f"ntru keys need p = 3 for byte encryption, got p={params.p}")
-            if not ntru.block_bytes(params.n):
-                raise UnknownParams(f"ntru keys need N >= 6 for byte encryption, got N={params.n}")
+            ntru.check_byte_encoding(params)
         else:
             params = ntru.preset(args.preset or "toy11")
         kp = ntru.keygen(params, rng)

@@ -412,14 +412,9 @@ def sample_ternary(
 
 def ternary_shape(f: Coeffs) -> tuple[int, int] | None:
     """(count of +1, count of -1) if f is ternary, else None."""
-    plus = minus = 0
-    for c in f:
-        if c == 1:
-            plus += 1
-        elif c == -1:
-            minus += 1
-        elif c != 0:
-            return None
+    plus, minus = f.count(1), f.count(-1)
+    if plus + minus + f.count(0) != len(f):
+        return None
     return plus, minus
 
 

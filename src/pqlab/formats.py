@@ -8,10 +8,11 @@ writer, `_text`, emits that layout and `parse_file` reads it back, so each
 serializer is its params plus its body and each reader its body alone (the
 NTRU private reader reads h with the public one).  A file is read as its
 writer wrote it: each param name at most once and only names the writer of
-that (scheme, kind) emits (`systematic` is optional in McEliece keys), and
-no line after "end".  Serialization is canonical, so identical inputs give
-byte-identical files; ciphertexts carry a hash of the scheme parameters that
-decryption checks before any block.
+that (scheme, kind) emits (`systematic` is optional in McEliece keys), only
+values that writer emits (`systematic` 0 or 1, `modulus` the one modulus of
+GF(2^m)), and no line after "end".  Serialization is canonical, so
+identical inputs give byte-identical files; ciphertexts carry a hash of the
+scheme parameters that decryption checks before any block.
 """
 
 from __future__ import annotations
@@ -141,9 +142,17 @@ def _mceliece_nkt(params: dict[str, int]) -> tuple[int, int, int]:
     return n, k, t
 
 
+def _systematic(params: dict[str, int]) -> bool:
+    """The systematic flag of a McEliece key file, 0 when absent."""
+    flag = params.get("systematic", 0)
+    if flag not in (0, 1):
+        raise FormatError(f"param systematic {flag} is not 0 or 1")
+    return bool(flag)
+
+
 def _parse_mceliece_public(p: _Parser, params: dict[str, int]) -> mce.McEliecePublicKey:
     n, k, t = _mceliece_nkt(params)
-    systematic = bool(params.get("systematic", 0))
+    systematic = _systematic(params)
     if systematic:
         a = p.matrix("a")
         if (a.rows, a.cols) != (k, n - k):
@@ -182,7 +191,10 @@ def _parse_mceliece_private(p: _Parser, params: dict[str, int]) -> mce.McElieceK
     n, k, t = _mceliece_nkt(params)
     s = p.matrix("s")
     perm = PermMatrix(p.int_list("perm", "p"))
-    ctx = FieldCtx(params["m"], params["modulus"])
+    ctx = FieldCtx(params["m"])
+    modulus = params["modulus"]
+    if modulus != ctx.modulus:
+        raise FormatError(f"param modulus {modulus} != {ctx.modulus}, the modulus of GF(2^{ctx.m})")
     g = FieldPoly(p.int_list("poly", "g"), ctx)
     support = p.int_list("support", "l")
     for field, values in (("poly g coefficient", g.coeffs), ("support l element", support)):
@@ -198,7 +210,7 @@ def _parse_mceliece_private(p: _Parser, params: dict[str, int]) -> mce.McElieceK
     if code.k != k or code.n != n:
         raise FormatError("code parameters do not match the stored key")
     try:
-        kp = mce.McElieceKeyPair(s, code, perm, code.t, bool(params.get("systematic", 0)))
+        kp = mce.McElieceKeyPair(s, code, perm, code.t, _systematic(params))
         kp.s_inv  # formed here so that a singular S fails at load
         return kp
     except SingularMatrix:
@@ -259,7 +271,6 @@ def _parse_ntru_private(p: _Parser, params: dict[str, int]) -> NtruKeyPair:
 
 @dataclass(frozen=True)
 class CiphertextFile:
-    scheme: str
     hash: str
     blocks: list
 
@@ -311,7 +322,7 @@ def _parse_ciphertext(p: _Parser, params: dict[str, int], scheme: str) -> Cipher
             if len(coeffs) != n:
                 raise FormatError("bad ntru block length")
             blocks.append(coeffs)
-    return CiphertextFile(scheme=scheme, hash=digest, blocks=blocks)
+    return CiphertextFile(hash=digest, blocks=blocks)
 
 
 # -- top-level load --

@@ -1,12 +1,13 @@
 """Arithmetic in GF(2^m) and in the polynomial ring GF(2^m)[x].
 
 Field elements are plain machine integers in polynomial basis: bit i is the
-coefficient of x^i.  A FieldCtx fixes the extension degree m and the
-irreducible modulus, and carries log/antilog tables and a table of square
-roots.  Polynomials over the field are FieldPoly values: an immutable
-coefficient tuple, lowest degree first, with no trailing zeros.  Their
-product, division and square index the log/antilog tables directly, taking
-each operand's logs once per call.
+coefficient of x^i.  There is one field per extension degree m: a FieldCtx
+takes m alone, reduces modulo the fixed primitive polynomial MODULI[m], and
+carries log/antilog tables and a table of square roots.  Polynomials over
+the field are FieldPoly values: an immutable coefficient tuple, lowest
+degree first, with no trailing zeros.  Their product, division and square
+index the log/antilog tables directly, taking each operand's logs once per
+call.
 
 Square roots modulo g use Huber's identity: split u = U0^2 + x*U1^2 by
 field square roots of u's even and odd coefficients, then
@@ -56,9 +57,9 @@ from .f2linalg import _span_table, _xor_rows, transpose
 # per 4 slices keeps the tables within 4x the powers they index
 EVAL_GROUP = 4
 
-# Primitive polynomial for each supported extension degree, as an integer
+# The primitive polynomial of each supported extension degree, as an integer
 # bit mask (bit i = coefficient of x^i).  Primitivity means x generates the
-# multiplicative group, which the log-table build below re-verifies.
+# multiplicative group, so the log tables below index every nonzero element.
 MODULI = {
     2: 0b111,
     3: 0b1011,
@@ -76,39 +77,32 @@ MODULI = {
 
 
 class FieldCtx:
-    """The field GF(2^m) for 2 <= m <= 13, with a fixed modulus."""
+    """The field GF(2^m) for 2 <= m <= 13, modulo MODULI[m]: one field per m."""
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if m not in MODULI:
             raise ValueError(f"unsupported extension degree m={m}")
         self.m = m
         self.order = 1 << m
-        self.modulus = MODULI[m] if modulus is None else modulus
-        if self.modulus.bit_length() != m + 1:
-            raise ValueError("modulus degree does not match m")
+        self.modulus = MODULI[m]
         # x^m = sum of x^i over these i: the fold of a sliced product
         self.taps = [i for i in range(m) if self.modulus >> i & 1]
         self._root_tables: list[list[int]] = []
         self._build_tables()
 
     def _build_tables(self) -> None:
-        # exp[i] = x^i; log[exp[i]] = i for i in [0, 2^m - 1).
-        # x must have order 2^m - 1, which also proves the modulus
-        # irreducible (a reducible quotient has too few units).
+        # exp[i] = x^i; log[exp[i]] = i for i in [0, 2^m - 1), x having
+        # order 2^m - 1 as the modulus is primitive
         n1 = self.order - 1
         exp = [0] * (2 * n1)
         log = [0] * self.order
         a = 1
         for i in range(n1):
             exp[i] = a
-            if a == 1 and i > 0:
-                raise ValueError("modulus is not primitive over GF(2)")
             log[a] = i
             a <<= 1
             if a & self.order:
                 a ^= self.modulus
-        if a != 1:
-            raise ValueError("modulus is not primitive over GF(2)")
         # doubled table spares a reduction of log sums in mul
         for i in range(n1):
             exp[n1 + i] = exp[i]
@@ -185,17 +179,13 @@ class FieldCtx:
         return self.exp[(self.log[a] * e) % n1]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldCtx)
-            and other.m == self.m
-            and other.modulus == self.modulus
-        )
+        return isinstance(other, FieldCtx) and other.m == self.m
 
     def __hash__(self) -> int:
-        return hash((self.m, self.modulus))
+        return hash(self.m)
 
     def __repr__(self) -> str:
-        return f"FieldCtx(m={self.m}, modulus={bin(self.modulus)})"
+        return f"FieldCtx(m={self.m})"
 
 
 class FieldPoly:

@@ -239,10 +239,10 @@ def _blocks_to_bytes(blocks: list[list[int]], n: int) -> bytes:
     return unpack(values, width)
 
 
-def _check_byte_encoding(params: NtruParams) -> None:
+def check_byte_encoding(params: NtruParams) -> None:
     """Bytes go in blocks of N ternary digits: p = 3, and 3^N >= 256."""
     if params.p != 3:
-        raise UnknownParams("byte encoding is defined for p = 3 only")
+        raise UnknownParams(f"byte encoding is defined for p = 3 only, got p={params.p}")
     if not block_bytes(params.n):
         raise UnknownParams(f"byte encoding needs N >= 6 (3^N >= 256), got N={params.n}")
 
@@ -252,12 +252,12 @@ def encrypt_bytes(
 ) -> list[list[int]]:
     """Encrypt a byte stream as a sequence of ring ciphertexts, fresh r per
     block.  Requires p = 3 (ternary digit alphabet) and N >= 6."""
-    _check_byte_encoding(pub.params)
+    check_byte_encoding(pub.params)
     return [encrypt(pub, m, rng=rng) for m in _bytes_to_blocks(data, pub.params.n)]
 
 
 def decrypt_bytes(kp: NtruKeyPair, blocks: list[list[int]]) -> bytes:
-    _check_byte_encoding(kp.params)
+    check_byte_encoding(kp.params)
     return _blocks_to_bytes([decrypt(kp, c) for c in blocks], kp.params.n)
 
 

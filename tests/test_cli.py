@@ -212,11 +212,11 @@ def test_bad_custom_params(tmp_path, capsys):
     (["keygen", "--scheme", "ntru", "--params", "11,1,41,2"],
      "invalid ntru parameters: p must be a prime power >= 2"),
     (["keygen", "--scheme", "ntru", "--params", "11,5,41,2"],
-     "ntru keys need p = 3 for byte encryption, got p=5"),
+     "byte encoding is defined for p = 3 only, got p=5"),
     (["keygen", "--scheme", "ntru", "--params", "5,3,41,1"],
-     "ntru keys need N >= 6 for byte encryption, got N=5"),
+     "byte encoding needs N >= 6 (3^N >= 256), got N=5"),
     (["keygen", "--scheme", "ntru", "--params", "3,3,41,1"],
-     "ntru keys need N >= 6 for byte encryption, got N=3"),
+     "byte encoding needs N >= 6 (3^N >= 256), got N=3"),
     (["keygen", "--scheme", "mceliece", "--params", "20,2"],
      "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=20, t=2"),
     (["keygen", "--scheme", "mceliece", "--params", "4,0"],
@@ -650,13 +650,16 @@ def test_negative_d_f_public_key_rejected(tmp_path, capsys):
     )
 
 
-def _edit_and_use(tmp_path, scheme, file, edit):
-    """Make a toy key pair and a ciphertext under it, rewrite the public
-    key, the private key or the ciphertext with edit(text), and return that
-    text before the edit and the exit code of using the file: encrypt with
-    the public key, decrypt the ciphertext with the private key."""
+def _edit_and_use(tmp_path, scheme, file, edit, *keygen_args):
+    """Make a toy key pair (keygen_args added to the keygen command) and a
+    ciphertext under it, rewrite the public key, the private key or the
+    ciphertext with edit(text), and return that text before the edit and the
+    exit code of using the file: encrypt with the public key, decrypt the
+    ciphertext with the private key."""
     preset, ext = ("toy", "mc") if scheme == "mceliece" else ("toy11", "nt")
-    keys = _keygen(tmp_path, "k", "--scheme", scheme, "--preset", preset, "--seed", "1")
+    keys = _keygen(
+        tmp_path, "k", "--scheme", scheme, "--preset", preset, "--seed", "1", *keygen_args
+    )
     pub, priv = keys / f"key.{ext}pub", keys / f"key.{ext}priv"
     plain, ct = tmp_path / "m.bin", tmp_path / "m.ct"
     plain.write_bytes(b"abc")
@@ -717,6 +720,31 @@ def test_mceliece_key_without_systematic_param_loads(tmp_path, file):
     # systematic defaults to 0, so a key file may leave it out
     _, code = _edit_and_use(tmp_path, "mceliece", file, lambda t: t.replace("param systematic 0\n", ""))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "file, keygen_args, edit, reason",
+    [
+        ("priv", (), lambda t: t.replace("param modulus 19\n", "param modulus 25\n"),
+         "param modulus 25 != 19, the modulus of GF(2^4)"),
+        ("pub", ("--systematic",),
+         lambda t: t.replace("param systematic 1\n", "param systematic 7\n"),
+         "param systematic 7 is not 0 or 1"),
+        ("priv", ("--systematic",),
+         lambda t: t.replace("param systematic 1\n", "param systematic 7\n"),
+         "param systematic 7 is not 0 or 1"),
+    ],
+    ids=["modulus-25", "public-systematic-7", "private-systematic-7"],
+)
+def test_mceliece_param_values_the_writer_never_emits_rejected(
+    tmp_path, capsys, file, keygen_args, edit, reason
+):
+    # x^4 + x^3 + 1 (25) is primitive too, but GF(16) has one modulus, 19: a
+    # seed-1 key read under 25 used to load and fail at decrypt.  The writer
+    # emits systematic as 0 or 1, and 7 used to load as 1
+    _, code = _edit_and_use(tmp_path, "mceliece", file, edit, *keygen_args)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
 
 
 def test_key_kind_checks(tmp_path, capsys):

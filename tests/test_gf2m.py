@@ -42,7 +42,8 @@ def test_moduli_table_degrees():
 
 @pytest.mark.parametrize("m", sorted(MODULI))
 def test_every_modulus_builds_a_field(m):
-    # FieldCtx re-verifies primitivity while building log tables
+    # each MODULI[m] is primitive: the log tables FieldCtx builds from it
+    # must reach every nonzero element
     ctx = FieldCtx(m)
     assert ctx.order == 1 << m
     # x (element 0b10) generates the whole multiplicative group
@@ -60,17 +61,6 @@ def test_unsupported_degree_rejected():
         FieldCtx(1)
     with pytest.raises(ValueError):
         FieldCtx(14)
-
-
-def test_modulus_degree_mismatch_rejected():
-    with pytest.raises(ValueError):
-        FieldCtx(4, modulus=MODULI[5])
-
-
-def test_non_primitive_modulus_rejected():
-    # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5, not 15
-    with pytest.raises(ValueError):
-        FieldCtx(4, modulus=0b11111)
 
 
 def test_addition_is_xor():
