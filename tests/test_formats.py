@@ -474,6 +474,46 @@ def test_value_mutated_file_loads_or_raises_format_error(kind, data):
     assert 0 <= _exit_code_of_use(kind, text) <= 3
 
 
+def _respellings(token: str, is_hex: bool) -> list[str]:
+    """Spellings of the token's value that int() reads back but no writer
+    emits: '_' between digits, a '+' sign, and for hex a 0x prefix and
+    upper case.  Leading zeros and -0 are left out."""
+    sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
+    out = [f"{sign}{digits[0]}_{digits[1:]}"] if len(digits) > 1 else []
+    if not sign:
+        out.append("+" + token)
+    if is_hex:
+        out += ["0x" + token] + ([token.upper()] if token.upper() != token else [])
+    return out
+
+
+def _integer_slots(lines: list[str]) -> list[tuple[int, int, bool]]:
+    """(line, token, is_hex) for every integer a writer emits that has a
+    respelling: the payload values, the param values and the matrix shapes."""
+    slots = _payload_slots(lines)
+    for i, line in enumerate(lines):
+        tag = line.split()[0]
+        if tag in ("param", "matrix"):
+            slots += [(i, j, False) for j in range(2, len(line.split()))]
+    return [(i, j, h) for i, j, h in slots if _respellings(lines[i].split()[j], h)]
+
+
+@pytest.mark.parametrize("kind", list(_ALL_FILES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_respelled_integer_exits_2(kind, data):
+    # one integer spelled another way int() reads as the same value: the
+    # readers take values only as the writers spell them
+    lines = _ALL_FILES[kind].splitlines()
+    i, j, is_hex = data.draw(st.sampled_from(_integer_slots(lines)))
+    tokens = lines[i].split()
+    spelling = data.draw(st.sampled_from(_respellings(tokens[j], is_hex)))
+    assert int(spelling, 16 if is_hex else 10) == int(tokens[j], 16 if is_hex else 10)
+    tokens[j] = spelling
+    lines[i] = " ".join(tokens)
+    assert _exit_code_of_use(kind, "\n".join(lines) + "\n") == 2
+
+
 @pytest.mark.parametrize("kind", list(_ALL_FILES))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())

@@ -223,10 +223,9 @@ def test_decrypt_checks_against_the_key_solver(monkeypatch, rng):
         decrypt(kp, c)
 
 
-def test_decrypt_long_one_invert_per_key(monkeypatch, rng):
-    # S is inverted once per key pair, at load or at its first decrypt and
-    # never at keygen; every block is then one product v . S^-1, and no
-    # RowSolver is built for S
+def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
+    # S is factored once per key pair, at load or at its first decrypt and
+    # never at keygen; every block is then one solve, and nothing inverts S
     calls = {"invert": 0, "solver": 0}
     real_invert, real_init = f2linalg.invert, f2linalg.RowSolver.__init__
 
@@ -243,20 +242,18 @@ def test_decrypt_long_one_invert_per_key(monkeypatch, rng):
     kp = keygen(4, 2, rng)
     assert calls == {"invert": 0, "solver": 0}
     _, _, loaded = parse_file(serialize_mceliece_private(kp))
-    assert calls == {"invert": 1, "solver": 0}
+    assert calls == {"invert": 0, "solver": 1}
     data = rng.randbytes(5)
     blocks = encrypt_long(kp.public, data, rng)
     assert len(blocks) == 6
     assert decrypt_long(kp, blocks) == data
     assert decrypt_long(loaded, blocks) == data
-    assert calls == {"invert": 2, "solver": 0}
-    assert loaded.s_inv == kp.s_inv
-    assert calls == {"invert": 2, "solver": 0}
+    assert calls == {"invert": 0, "solver": 2}
 
 
 def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
     # each drawn permutation costs one invert of its k x k tail, and S is the
-    # inverse of the last tail; S^-1 (that tail) is formed only on first use
+    # inverse of the last tail; nothing else is inverted
     inverted, drawn = [], []
     real_invert, real_permutation = f2linalg.invert, f2linalg.random_permutation
 
@@ -282,8 +279,7 @@ def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
         assert inverted == tails
         assert kp.p == drawn[-1]
         assert kp.s == real_invert(tails[-1])
-        assert kp.s_inv == tails[-1]
-        assert len(inverted) == len(drawn) + 1
+        assert len(inverted) == len(drawn)
 
 
 def test_systematic_keygen_and_public_move_columns_once(monkeypatch):
