@@ -19,7 +19,6 @@ from .errors import (
     PqlabError,
     RankError,
     SamplingExhausted,
-    SingularMatrix,
     SupportError,
     UnknownParams,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ntru",
     "PqlabError",
     "DimensionError",
-    "SingularMatrix",
     "RankError",
     "SupportError",
     "DecodingFailure",

@@ -13,12 +13,9 @@ class DimensionError(PqlabError, ValueError):
     """Operands have incompatible dimensions or lengths."""
 
 
-class SingularMatrix(PqlabError, ValueError):
-    """Matrix inversion attempted on a singular matrix."""
-
-
 class RankError(PqlabError, ValueError):
-    """Input does not have the rank the operation requires."""
+    """Input does not have the rank the operation requires: a singular
+    matrix to invert or to solve through, or a word outside a row space."""
 
 
 class SupportError(PqlabError, ValueError):

@@ -4,11 +4,14 @@ Vectors and matrix rows are stored as Python integers: bit j of a row is
 column j.  Bitwise XOR is whole-row addition.  Elimination is one pass of
 the Method of Four Russians (Bard; Albrecht, Bard and Hart): 8 columns at a
 time, a 256-entry table of the window's pivot combinations clears every
-other row with one lookup, and products use the same tables.  Every bit
-reshape of the package goes through one transpose kernel: column moves,
-bit lists, and the bit-sliced field elements and ring residues of the
-other modules.  Messages are row vectors and multiply matrices from the
-left, so every formula reads the way the cryptosystem equations are written.
+other row with one lookup, and products use the same tables.  `invert` and
+`RowSolver` share one tagged pass of [A | I] (full for the inverse, forward
+for the solver's factor), and a rank below the row count is a RankError in
+both.  Every bit reshape of the package goes through one transpose kernel:
+column moves, bit lists, and the bit-sliced field elements and ring
+residues of the other modules.  Messages are row vectors and multiply
+matrices from the left, so every formula reads the way the cryptosystem
+equations are written.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import struct
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionError, RankError, SingularMatrix
+from .errors import DimensionError, RankError
 
 
 class BinVector:
@@ -373,30 +376,22 @@ def rank(a: BinMatrix) -> int:
     return len(_rref(a.data, a.cols, back=False)[0])
 
 
-def _reduce_with_identity(a: BinMatrix) -> tuple[list[int], list[int]]:
-    """Reduce A with an identity tagging along; returns (pivots, U) with
-    U x A = rref(A) padded by the tags of the zero rows.  Those tags span
-    the left kernel of A; when A has one, which basis comes out is not
-    unique, and neither are the pivot rows' tags."""
-    shift = a.cols
-    pivots, rows = _rref([r | (1 << (shift + i)) for i, r in enumerate(a.data)], shift)
-    return pivots, [r >> shift for r in rows]
+def _reduce_tagged(a: BinMatrix, back: bool) -> tuple[list[int], list[int]]:
+    """_rref of [A | I]: row i of A carries the tag bit a.cols + i, so the
+    bits at and above a.cols of each reduced row say which rows of A it
+    sums.  RankError below full row rank; returns (pivots, rows)."""
+    pivots, rows = _rref([r | 1 << (a.cols + i) for i, r in enumerate(a.data)], a.cols, back)
+    if len(pivots) < a.rows:
+        raise RankError(f"matrix does not have full row rank ({len(pivots)} < {a.rows})")
+    return pivots, rows
 
 
 def invert(a: BinMatrix) -> BinMatrix:
-    """Gauss-Jordan inverse over GF(2)."""
+    """Gauss-Jordan inverse over GF(2): [A | I] reduces to [I | A^-1].
+    DimensionError if A is not square, RankError if it is singular."""
     if a.rows != a.cols:
-        raise SingularMatrix("only square matrices can be inverted")
-    pivots, inv = _reduce_with_identity(a)
-    if len(pivots) < a.rows:
-        raise SingularMatrix(f"matrix is singular (rank {len(pivots)} < {a.rows})")
-    return BinMatrix(a.rows, a.rows, inv)
-
-
-def rref(a: BinMatrix) -> tuple[BinMatrix, list[int]]:
-    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    pivots, rows = _rref(a.data, a.cols)
-    return BinMatrix(len(pivots), a.cols, rows[: len(pivots)]), pivots
+        raise DimensionError("only square matrices can be inverted")
+    return BinMatrix(a.rows, a.rows, [r >> a.cols for r in _reduce_tagged(a, True)[1]])
 
 
 def kernel_columns(a: BinMatrix) -> tuple[list[int], list[int]]:
@@ -495,12 +490,11 @@ class PermMatrix:
 
 
 class RowSolver:
-    """Solve v . G = y for a fixed full-row-rank G by one forward pass of [G | I]."""
+    """Solve v . G = y for a fixed full-row-rank G by one forward pass of
+    [G | I]; RankError if G's rank is below its row count."""
 
     def __init__(self, g: BinMatrix):
-        pivots, rows = _rref([r | 1 << (g.cols + i) for i, r in enumerate(g.data)], g.cols, False)
-        if len(pivots) != g.rows:
-            raise RankError("generator does not have full row rank")
+        pivots, rows = _reduce_tagged(g, False)
         # at[p]: the tagged echelon row whose lowest set bit, its pivot, is p
         self.k, self.cols, self.at = g.rows, g.cols, dict(zip(pivots, rows))
 

@@ -151,10 +151,6 @@ class GoppaCode:
         decode."""
         return sliced_power_tables(self.ctx, self.support_slices, self.t, (1 << self.n) - 1)
 
-    @property
-    def params(self) -> tuple[int, int, int]:
-        return (self.n, self.k, self.t)
-
     def is_codeword(self, word: BinVector) -> bool:
         return f2linalg.mat_vec_mul(self.h_bin, word).bits == 0
 

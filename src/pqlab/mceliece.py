@@ -8,6 +8,8 @@ once.  Keygen eliminates H once and draws g with a root test ahead of
 Ben-Or (see gf2m).  Encryption adds a secret weight-t error to m . G_hat;
 decryption unwinds P, decodes the error, reads v = m . S off the codeword
 and solves it for m through one `RowSolver` of S per key pair, never at keygen.
+Systematic keygen redraws P while the tail block it inverts is singular
+(`f2linalg.invert` raises RankError, as the solver does for a singular S).
 Includes the key-size and work-factor calculators and block encryption for
 byte streams.
 """
@@ -24,7 +26,6 @@ from .errors import (
     DimensionError,
     RankError,
     SamplingExhausted,
-    SingularMatrix,
     UnknownParams,
 )
 from .f2linalg import BinMatrix, BinVector, PermMatrix
@@ -154,7 +155,7 @@ def keygen(
             tail = BinMatrix(k, k, f2linalg.transpose([columns[i] for i in p._inv[n - k :]], k))
             try:
                 s = f2linalg.invert(tail)
-            except SingularMatrix:
+            except RankError:
                 continue
             break
         else:

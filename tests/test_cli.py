@@ -1084,7 +1084,6 @@ EXIT_CODES = {
     errors.PqlabError: 3,
     errors.DivisionByZero: 3,
     errors.DimensionError: 3,
-    errors.SingularMatrix: 3,
     errors.RankError: 3,
     errors.SupportError: 3,
     errors.DecodingFailure: 3,

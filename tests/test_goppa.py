@@ -153,7 +153,7 @@ def test_partial_support():
     g = random_irreducible(ctx, 2, random.Random(3))
     code = GoppaCode(ctx, g, range(20))
     assert code.n == 20
-    assert code.params == (20, code.k, 2)
+    assert (code.n, code.k, code.t) == (20, code.k, 2)
 
 
 # -- syndromes --
@@ -344,7 +344,7 @@ def test_decoder_output_is_always_a_codeword(rng):
 
 def test_randomized_m6_t3(rng):
     code = make_code(6, 3, seed=9)
-    assert code.params == (64, code.k, 3)
+    assert (code.n, code.k, code.t) == (64, code.k, 3)
     for _ in range(100):
         word = code.encode(BinVector(code.k, rng.randrange(1 << code.k)))
         w = rng.randrange(code.t + 1)
