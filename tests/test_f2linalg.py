@@ -279,26 +279,34 @@ def test_rank_matches_span_oracle(a):
     assert rank(a) == span_rank(a)
 
 
-@given(matrices(), st.data())
-def test_invert_and_row_solver_raise_rank_error_below_full_rank(a, data):
-    # both go through one tagged pass of [A | I]: RankError exactly when
-    # A's rank is below its row count, and a non-square A is a shape error
+@given(matrices())
+def test_invert_matches_rank(a):
+    # a non-square A is a shape error; a square one is singular (RankError)
+    # exactly when its rank is below its row count
     if a.rows != a.cols:
         with pytest.raises(DimensionError):
             invert(a)
-    if span_rank(a) < a.rows:
-        if a.rows == a.cols:
-            with pytest.raises(RankError):
-                invert(a)
-        with pytest.raises(RankError):
-            RowSolver(a)
         return
-    if a.rows == a.cols:
-        inv = invert(a)
-        assert mat_mul(a, inv) == BinMatrix.identity(a.rows)
-        assert mat_mul(inv, a) == BinMatrix.identity(a.rows)
-    x = BinVector(a.rows, data.draw(st.integers(0, (1 << a.rows) - 1)))
-    assert RowSolver(a).solve(vec_mat_mul(x, a)) == x
+    if span_rank(a) < a.rows:
+        with pytest.raises(RankError):
+            invert(a)
+        return
+    inv = invert(a)
+    assert mat_mul(a, inv) == BinMatrix.identity(a.rows)
+    assert mat_mul(inv, a) == BinMatrix.identity(a.rows)
+
+
+@given(matrices(), st.data())
+def test_row_solver_matches_rank(g, data):
+    # the same tagged pass as invert, forward only: RankError exactly when
+    # G's rank is below its row count
+    if span_rank(g) < g.rows:
+        with pytest.raises(RankError):
+            RowSolver(g)
+        return
+    solver = RowSolver(g)
+    x = BinVector(g.rows, data.draw(st.integers(0, (1 << g.rows) - 1)))
+    assert solver.solve(vec_mat_mul(x, g)) == x
 
 
 @given(matrices())
