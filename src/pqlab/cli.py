@@ -184,7 +184,7 @@ def _cmd_decrypt(args) -> int:
     else:
         # every NTRU writer centers the coefficients mod q
         q = key.params.q
-        if any(2 * min(b) <= -q or 2 * max(b) > q for b in ct.blocks):
+        if not all(convring.centered(b, q) for b in ct.blocks):
             raise FormatError(f"ciphertext coefficient outside (-q/2, q/2] for q = {q}")
         data = ntru.decrypt_bytes(key, ct.blocks)
     _write(args.out, data)
@@ -220,10 +220,7 @@ class _Replay:
             match = canon(computed) == canon(reference)
         tail = "ok" if match else f"MISMATCH (stored reference: {fmt(reference)})"
         value = fmt(computed)
-        if "\n" in value:
-            print(f"{name} =\n{value}\n  [{tail}]")
-        else:
-            print(f"{name} = {value}  [{tail}]")
+        self.given(name, f"{value}\n  [{tail}]" if "\n" in value else f"{value}  [{tail}]")
         if not match:
             self.ok = False
 

@@ -21,11 +21,12 @@ N = 443, q = 2048 a ternary times a centered operand takes 3 bytes where
 the worst case (q - 1)^2 takes 4.  Packing goes through `struct`, one
 `bytes.translate` of one byte lane (the offset) and stride copies into a
 `bytearray`; the product comes back through `int.to_bytes` and `struct`.
-All of it runs in C while the coefficients fit in 8 bytes and span less
-than q (wider ones take a Python pass), so the one pass over the
-coefficients in Python is the centering of the result.  A key keeps its
-operands (`ntru` packs p*h, f and f_p^-1 once per key), and an operand
-keeps its packed int per slot width.
+All of it runs in C while the coefficients fit in 8 bytes, so the one pass
+over the coefficients in Python is the centering of the result.
+`conv_mul` is the one product-and-centre; outside this module only
+`ntru.decrypt` reads `_product`'s slots, to reduce them mod q and mod p in
+one pass.  A key keeps its operands (`ntru` packs p*h, f and f_p^-1 once
+per key), and an operand keeps its packed int per slot width.
 """
 
 from __future__ import annotations
@@ -41,20 +42,17 @@ from .f2linalg import transpose
 Coeffs = Sequence[int]
 
 
-def center(value: int, q: int) -> int:
-    """Representative of value mod q in (-q/2, q/2]."""
-    r = value % q
-    if 2 * r > q:
-        r -= q
-    return r
-
-
 def center_mod(f: Coeffs, q: int) -> list[int]:
     """Coefficient-wise centered reduction; idempotent."""
     if q < 2:
         raise ValueError("modulus must be >= 2")
     half = (q - 1) // 2
     return [(c + half) % q - half for c in f]
+
+
+def centered(f: Coeffs, q: int) -> bool:
+    """True iff every coefficient of f lies in (-q/2, q/2] (f empty included)."""
+    return not f or (-q < 2 * min(f) and 2 * max(f) <= q)
 
 
 # struct codes of little-endian signed (operand) and unsigned (slot) items
@@ -79,24 +77,14 @@ class Operand:
     `int.to_bytes` past 8).  low is lo rounded down to a multiple of
     256^(E-1), so subtracting it is one `bytes.translate` of byte E - 1 of
     each item.  top and total are the largest offset value and their sum.
-    Given q, a spanning q or more is reduced mod q first.  `packed(width)`
-    is one int of `width`-byte slots, kept per width.
+    The values are packed as given, of any size: products stay exact.
+    `packed(width)` is one int of `width`-byte slots, kept per width.
     """
 
     __slots__ = ("n", "low", "top", "total", "size", "stride", "data", "_ints")
 
-    def __init__(
-        self, a: Coeffs, q: int | None = None, bounds: tuple[int, int] | None = None
-    ):
-        if bounds is None:
-            lo = min(a)
-            hi = max(a)
-        else:
-            lo, hi = bounds
-        if q is not None and hi - lo >= q:
-            a = [c % q for c in a]
-            lo = min(a)
-            hi = max(a)
+    def __init__(self, a: Coeffs, bounds: tuple[int, int] | None = None):
+        lo, hi = (min(a), max(a)) if bounds is None else bounds
         n = len(a)
         size = max(hi, ~lo).bit_length() // 8 + 1  # E
         if size <= 8:
@@ -174,19 +162,15 @@ def _product(f: Operand, g: Operand, extra: Operand | None = None) -> tuple:
     return struct.unpack(f"<{n}{_UNSIGNED[item]}", data), offset
 
 
-def _product_mod(f: Operand, g: Operand, q: int, extra: Operand | None = None) -> list[int]:
-    """f*g + extra, centered mod q: the one pass over the slots."""
-    slots, offset = _product(f, g, extra)
-    half = (q - 1) // 2  # centered residues are (x + half) % q - half
-    offset += half
-    return [(s + offset) % q - half for s in slots]
-
-
-def conv_mul(f: Coeffs | Operand, g: Coeffs | Operand, q: int | None = None) -> list[int]:
-    """Cyclic convolution h_k = sum over i+j = k (mod N) of f_i g_j.
+def conv_mul(
+    f: Coeffs | Operand, g: Coeffs | Operand, q: int | None = None, extra: Operand | None = None
+) -> list[int]:
+    """Cyclic convolution h_k = sum over i+j = k (mod N) of f_i g_j, plus
+    extra_k when given.
 
     Exact over the integers when q is None; otherwise reduced to centered
-    representatives mod q.  Either operand may be an `Operand`.
+    representatives mod q.  Either factor may be an `Operand`, and extra
+    is added into the product's slots.
     """
     n = len(f)
     if len(g) != n:
@@ -194,13 +178,15 @@ def conv_mul(f: Coeffs | Operand, g: Coeffs | Operand, q: int | None = None) -> 
     if n == 0:
         return []
     if not isinstance(f, Operand):
-        f = Operand(f, q)
+        f = Operand(f)
     if not isinstance(g, Operand):
-        g = Operand(g, q)
+        g = Operand(g)
+    slots, offset = _product(f, g, extra)
     if q is None:
-        slots, offset = _product(f, g)
         return [s + offset for s in slots]
-    return _product_mod(f, g, q)
+    half = (q - 1) // 2  # centered residues are (x + half) % q - half
+    offset += half
+    return [(s + offset) % q - half for s in slots]
 
 
 def invert_mod_prime(f: Coeffs, p: int) -> list[int]:

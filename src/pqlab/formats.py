@@ -10,9 +10,10 @@ NTRU private reader reads h with the public one).  A file is read as its
 writer wrote it: each param name at most once and only names the writer of
 that (scheme, kind) emits (`systematic` is optional in McEliece keys), only
 values that writer emits (`systematic` 0 or 1, `modulus` the one modulus of
-GF(2^m)), spelled as it spells them (params in plain digits, integer lists
-in digits, '-' and spaces, rows as (cols + 3) // 4 lowercase hex digits),
-and no line after "end".
+GF(2^m)), spelled as it spells them (tokens one space apart, params and
+matrix shapes as str(int) spells them, integer lists in digits and '-',
+leading zeros allowed, rows as (cols + 3) // 4 lowercase hex digits), and
+no line after "end".
 Serialization is canonical, so identical inputs give byte-identical files;
 ciphertexts carry a hash of the scheme parameters that decryption checks
 before any block.
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from . import mceliece as mce
-from .convring import conv_mul, poly_to_text, ternary_shape
+from .convring import centered, conv_mul, poly_to_text, ternary_shape
 from .errors import DivisionByZero, FormatError, RankError
 from .f2linalg import BinMatrix, BinVector, PermMatrix
 from .gf2m import FieldCtx, FieldPoly
@@ -63,11 +64,12 @@ _HEX = b"0123456789abcdef"
 
 
 def _ints(text: str, what: str) -> list[int]:
-    """Space-separated integers as str(int) spells them: one translate of the
-    line rejects every other character int() takes ('+', '_', 'x', ...)."""
+    """Integers in digits and '-', one space apart: one translate of the line
+    rejects every other character int() takes ('+', '_', 'x', ...), and any
+    other spacing leaves an empty token that int() rejects."""
     if text.encode().translate(None, _DECIMAL):
         raise FormatError(f"bad integer in {what}")
-    return list(map(int, text.split()))
+    return list(map(int, text.split(" ")))
 
 
 def _hex(texts: list[str], cols: int, what: str) -> list[int]:
@@ -90,7 +92,7 @@ class _Parser:
         return self.lines[self.pos - 1]
 
     def expect_magic(self) -> tuple[str, str]:
-        parts = self.next().split()
+        parts = self.next().split(" ")
         if len(parts) != 3 or parts[0] != MAGIC:
             raise FormatError(f"bad magic line (expected '{MAGIC} <scheme> <kind>')")
         return parts[1], parts[2]
@@ -106,18 +108,21 @@ class _Parser:
         """The param lines, each name once and one of `names`."""
         out: dict[str, int] = {}
         while self.pos < len(self.lines) and self.lines[self.pos].startswith("param "):
-            _, name, value = self.next().split()
+            _, name, value = self.next().split(" ")
             if name in out:
                 raise FormatError(f"param {name} repeated")
             if name not in names:
                 raise FormatError(f"unknown param {name}")
-            if not (value.isdigit() and value.isascii()):
+            if not (value.isdigit() and value.isascii() and str(int(value)) == value):
                 raise FormatError(f"bad integer in param {name}")
             out[name] = int(value)
         return out
 
     def matrix(self, name: str) -> BinMatrix:
-        rows, cols = _ints(self.body(f"matrix {name}"), f"matrix {name}")
+        shape = self.body(f"matrix {name}")
+        rows, cols = _ints(shape, f"matrix {name}")
+        if shape != f"{rows} {cols}":
+            raise FormatError(f"bad integer in matrix {name}")
         return BinMatrix(rows, cols, _hex([self.next() for _ in range(rows)], cols, "row"))
 
     def int_list(self, tag: str, name: str) -> list[int]:
@@ -244,9 +249,8 @@ def _parse_ntru_public(p: _Parser, params: dict[str, int]) -> NtruPublicKey:
     if len(h) != np_.n:
         raise FormatError("public polynomial has wrong degree")
     # every writer centers h mod q; h = 0 would send the message in the clear
-    q = np_.q
-    if not all(-q < 2 * c <= q for c in h):
-        raise FormatError(f"public polynomial h is not centered mod {q}")
+    if not centered(h, np_.q):
+        raise FormatError(f"public polynomial h is not centered mod {np_.q}")
     if not any(h):
         raise FormatError("public polynomial h is zero")
     return NtruPublicKey(np_, tuple(h))

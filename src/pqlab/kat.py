@@ -64,11 +64,7 @@ MCE_C_HAT = BinVector.from_bits([1, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0]
 MCE_V = BinVector.from_bits([1, 1, 0, 0, 1, 1, 1, 1])
 MCE_MIN_WEIGHT = 5
 
-# -- NTRU reference example: N = 11, p = 3, q = 41 --
-
-NTRU_N = 11
-NTRU_P = 3
-NTRU_Q = 41
+# -- NTRU reference example: N = 11, p = 3, q = 41 (ntru.preset("toy11")) --
 
 NTRU_F = [1, -1, 0, 0, 0, 1, 1, 0, -1, 1, 0]
 NTRU_G_POLY = [-1, 0, 1, 1, 0, 0, -1, 1, 0, 0, 1]

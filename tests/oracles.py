@@ -3,12 +3,20 @@
 import math
 from fractions import Fraction
 
-from pqlab.convring import center
 from pqlab.errors import DimensionError, MessageRangeError, RankError
 from pqlab.f2linalg import BinVector
 from pqlab.gf2m import FieldPoly
 from pqlab.ntru import block_bytes
 from pqlab.packing import pack, unpack
+
+
+def center(value, q):
+    """Representative of value mod q in (-q/2, q/2], one scalar at a time:
+    the reference for convring.center_mod."""
+    r = value % q
+    if 2 * r > q:
+        r -= q
+    return r
 
 
 def poly_eval(p, x):

@@ -789,11 +789,13 @@ def test_ntru_ciphertext_coefficient_outside_centered_range_rejected(tmp_path, c
         ("ntru", "ct", _edit_first("block", lambda c: "+9" + c[1:]), "bad integer in ntru block"),
         ("ntru", "priv", _edit_first("poly f", lambda c: c.replace(" 1", " +1", 1)),
          "bad integer in poly f"),
+        ("mceliece", "ct", _edit_first("param n", lambda v: "0" + v), "bad integer in param n"),
+        ("mceliece", "priv", _edit_first("matrix s", lambda v: "0" + v), "bad integer in matrix s"),
     ],
     ids=[
         "block-0x", "block-plus", "block-upper", "block-wide", "row-upper", "param-plus",
         "param-underscore", "ntru-param-plus", "matrix-shape-plus", "ntru-block-plus",
-        "poly-plus",
+        "poly-plus", "param-leading-zero", "matrix-shape-leading-zero",
     ],
 )
 def test_integer_spellings_the_writers_never_emit_rejected(

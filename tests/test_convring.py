@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import prime_power_ref
+from oracles import center, prime_power_ref
 from pqlab import kat
 from pqlab.convring import (
     Operand,
     _invert_lists,
-    center,
     center_mod,
+    centered,
     conv_mul,
     invert_mod,
     invert_mod_prime,
@@ -61,6 +61,20 @@ def test_center_mod_idempotent(f, q):
     once = center_mod(f, q)
     assert center_mod(once, q) == once
     assert once == [center(c, q) for c in f]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_centered_matches_center_mod(data):
+    # f is centered exactly when centering leaves it as it is; the values
+    # are drawn at the least and greatest centered residue and one step on
+    # each side of each, around +-q/2
+    q = data.draw(st.sampled_from([2, 3, 41, 64, 2048, 2**64 + 13]))
+    lo, hi = -((q - 1) // 2), q // 2
+    edges = st.sampled_from([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1])
+    f = data.draw(st.lists(edges | st.integers(-q, q), max_size=8))
+    assert centered(f, q) == (center_mod(f, q) == list(f))
+    assert centered([], q)
 
 
 def test_center_mod_rejects_tiny_modulus():
@@ -157,11 +171,11 @@ def test_conv_every_slot_width_matches_multiply_then_fold(rng, n, q, bound, slot
         assert conv_mul(f, g, q) == center_mod(exact, q)
 
 
-def _operand_slot_bytes(n, f, g, q):
+def _operand_slot_bytes(n, f, g):
     # conv_mul's slot: as many bytes as N * top(f) * top(g) + top(f) +
     # top(g) needs, top being an operand's largest value once its offset is
     # subtracted
-    tf, tg = Operand(f, q).top, Operand(g, q).top
+    tf, tg = Operand(f).top, Operand(g).top
     return max(1, -(-(n * tf * tg + tf + tg).bit_length() // 8))
 
 
@@ -192,7 +206,7 @@ def test_conv_slot_width_follows_operand_ranges(rng, n, q, f_range, g_range, slo
     g = [rng.randint(*g_range) for _ in range(n)]
     f[0], f[-1] = f_range
     g[0], g[-1] = g_range
-    assert _operand_slot_bytes(n, f, g, q) == slot
+    assert _operand_slot_bytes(n, f, g) == slot
     exact = conv_oracle(f, g)
     assert conv_mul(f, g, q) == (exact if q is None else center_mod(exact, q))
 
@@ -219,7 +233,7 @@ def test_conv_ternary_times_centered_matches_oracle(fgq, pack_f, pack_g):
     exact = conv_oracle(f, g)
     want = exact if q is None else center_mod(exact, q)
     a = Operand(f) if pack_f else f
-    b = Operand(g, q) if pack_g else g
+    b = Operand(g) if pack_g else g
     assert conv_mul(a, b, q) == want
     assert conv_mul(b, a, q) == want
 
@@ -241,7 +255,7 @@ def test_conv_any_ranges_match_oracle(fg, q):
     f, g = fg
     exact = conv_oracle(f, g)
     assert conv_mul(f, g, q) == (exact if q is None else center_mod(exact, q))
-    assert conv_mul(Operand(f), Operand(g, q), q) == conv_mul(f, g, q)
+    assert conv_mul(Operand(f), Operand(g), q) == conv_mul(f, g, q)
 
 
 def test_cached_operand_matches_fresh_lists(rng):
@@ -250,9 +264,11 @@ def test_cached_operand_matches_fresh_lists(rng):
     for n in (11, 443):
         f = [rng.choice((-1, 0, 1)) for _ in range(n)]
         packed = Operand(f)
-        for q in (3, 41, 2048, None, 2048, 3):
-            g = [rng.randrange(-1000, 1001) for _ in range(n)]
-            assert conv_mul(packed, g, q) == conv_mul(f, g, q) == conv_mul(g, f, q)
+        for q in (3, 41, 2048, None):
+            # g's span sets the slot width: 1, 2 or 3 bytes at each n
+            for span in (1, 20, 1024, 10**6):
+                g = [rng.randint(-span, span) for _ in range(n)]
+                assert conv_mul(packed, g, q) == conv_mul(f, g, q) == conv_mul(g, f, q)
         assert len(packed._ints) >= 2
 
 

@@ -517,6 +517,25 @@ def test_respelled_integer_exits_2(kind, data):
 @pytest.mark.parametrize("kind", list(_ALL_FILES))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
+def test_respaced_line_exits_2(kind, data):
+    # one line with a doubled inner space, a leading space or a trailing
+    # space: the writers put tokens one space apart and none at either end
+    lines = _ALL_FILES[kind].splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    spaces = [j for j, ch in enumerate(line) if ch == " "]
+    edit = data.draw(st.sampled_from(["leading", "trailing"] + (["doubled"] if spaces else [])))
+    if edit == "doubled":
+        j = data.draw(st.sampled_from(spaces))
+        lines[i] = line[:j] + " " + line[j:]
+    else:
+        lines[i] = " " + line if edit == "leading" else line + " "
+    assert _exit_code_of_use(kind, "\n".join(lines) + "\n") == 2
+
+
+@pytest.mark.parametrize("kind", list(_ALL_FILES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
 def test_line_after_end_exits_2(kind, data):
     # a copy of one of the file's own lines, or up to three fuzz tokens
     # (zero tokens make a blank line), appended after end
