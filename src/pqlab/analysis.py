@@ -27,7 +27,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import lattice as lattice_mod
@@ -233,12 +233,11 @@ class AttackCandidate:
 
 @dataclass
 class AttackReport:
-    scheme: str
     params: NtruParams
     seeds: list[int]
     successes: int
     wall_time: float
-    details: list[dict] = field(default_factory=list)
+    details: list[dict]
 
     def csv_rows(self) -> list[str]:
         """Deterministic machine-readable rows (no timing: byte-stable
@@ -251,7 +250,7 @@ class AttackReport:
 
     def summary(self) -> str:
         return (
-            f"{self.scheme}: {self.successes}/{len(self.seeds)} keys recovered "
+            f"ntru-lll: {self.successes}/{len(self.seeds)} keys recovered "
             f"(N={self.params.n}, q={self.params.q}, d_f={self.params.d_f})"
         )
 
@@ -276,7 +275,7 @@ def _report(params: NtruParams, details: list[dict], start: float) -> AttackRepo
     """The report over per-seed details, seeds and successes read off them."""
     seeds = [d["seed"] for d in details]
     successes = sum(d["success"] for d in details)
-    return AttackReport("ntru-lll", params, seeds, successes, time.monotonic() - start, details)
+    return AttackReport(params, seeds, successes, time.monotonic() - start, details)
 
 
 # largest ring degree N the attack demo accepts
@@ -308,8 +307,6 @@ def ntru_lll_attack(
     for row in reduced:
         a, b = row[:n], row[n:]
         if ternary_shape(a) is None or ternary_shape(b) is None:
-            continue
-        if all(c == 0 for c in a):
             continue
         if not membership.contains(a, b):
             raise AssertionError("reduced row left the lattice")

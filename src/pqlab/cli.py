@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error or replay mismatch, 2 format/parse
 error, 3 cryptographic failure.  The env var PQLAB_SEED overrides --seed;
-the effective seed is always printed on the diagnostic stream so any run
-can be replayed.
+the effective seed is printed on the diagnostic stream by every run that
+draws from it, once its inputs are valid, so any run can be replayed.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _cmd_keygen(args) -> int:
         raise UnknownParams("--preset and --params are mutually exclusive")
     if args.systematic and args.scheme != "mceliece":
         raise UnknownParams("--systematic applies to mceliece keys only")
-    rng = _seeded_rng(args.seed)
+    # the seed is read and printed once the request is known to be valid
     if args.scheme == "mceliece":
         if args.params:
             m, t = _int_csv(args.params, 2, "mceliece (m,t)")
@@ -109,7 +109,7 @@ def _cmd_keygen(args) -> int:
         else:
             params = mceliece.preset(args.preset or "toy")
             m, t, n = params.m, params.t, params.n
-        kp = mceliece.keygen(m, t, rng, n=n, systematic=args.systematic)
+        kp = mceliece.keygen(m, t, _seeded_rng(args.seed), n=n, systematic=args.systematic)
         files = {
             "key.mcpub": formats.serialize_mceliece_public(kp.public),
             "key.mcpriv": formats.serialize_mceliece_private(kp),
@@ -120,7 +120,7 @@ def _cmd_keygen(args) -> int:
             ntru.check_byte_encoding(params)
         else:
             params = ntru.preset(args.preset or "toy11")
-        kp = ntru.keygen(params, rng)
+        kp = ntru.keygen(params, _seeded_rng(args.seed))
         files = {
             "key.ntpub": formats.serialize_ntru_public(kp.public),
             "key.ntpriv": formats.serialize_ntru_private(kp),

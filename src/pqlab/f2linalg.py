@@ -137,16 +137,6 @@ class BinMatrix:
     def __repr__(self) -> str:
         return f"BinMatrix({self.rows}x{self.cols})"
 
-    def __add__(self, other: "BinMatrix") -> "BinMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix shape mismatch")
-        return BinMatrix(
-            self.rows, self.cols, [a ^ b for a, b in zip(self.data, other.data)]
-        )
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
-
 
 def gather(indices: Sequence[int], n: int) -> Callable[[int], int]:
     """Bit picker: maps an n-bit int to the int whose bit i is bit

@@ -65,11 +65,17 @@ _HEX = b"0123456789abcdef"
 
 def _ints(text: str, what: str) -> list[int]:
     """Integers in digits and '-', one space apart: one translate of the line
-    rejects every other character int() takes ('+', '_', 'x', ...), and any
-    other spacing leaves an empty token that int() rejects."""
+    rejects every other character int() takes ('+', '_', 'x', ...), and int()
+    rejects the rest: an empty token, which any other spacing leaves, or a
+    misplaced '-'.  The spacing is looked at only then, so a valid line pays
+    for no search."""
     if text.encode().translate(None, _DECIMAL):
         raise FormatError(f"bad integer in {what}")
-    return list(map(int, text.split(" ")))
+    try:
+        return list(map(int, text.split(" ")))
+    except ValueError:
+        spacing = "  " in text or text.startswith(" ") or text.endswith(" ")
+        raise FormatError(f"bad {'spacing' if spacing else 'integer'} in {what}") from None
 
 
 def _hex(texts: list[str], cols: int, what: str) -> list[int]:
@@ -108,7 +114,10 @@ class _Parser:
         """The param lines, each name once and one of `names`."""
         out: dict[str, int] = {}
         while self.pos < len(self.lines) and self.lines[self.pos].startswith("param "):
-            _, name, value = self.next().split(" ")
+            line = self.next()
+            if "  " in line or line.endswith(" "):
+                raise FormatError("bad spacing in param line")
+            _, name, value = line.split(" ")
             if name in out:
                 raise FormatError(f"param {name} repeated")
             if name not in names:

@@ -258,8 +258,6 @@ class FieldPoly:
 
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
         ctx = self.ctx
-        if self.is_zero() or other.is_zero():
-            return FieldPoly.zero(ctx)
         exp, log = ctx.exp, ctx.log
         logs = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -276,8 +274,6 @@ class FieldPoly:
 
     def shift(self, k: int) -> "FieldPoly":
         """Multiply by x^k."""
-        if self.is_zero():
-            return self
         return FieldPoly((0,) * k + self.coeffs, self.ctx)
 
     def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:

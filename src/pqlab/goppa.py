@@ -185,6 +185,9 @@ def patterson_decode(
     partial EEA into a = b*R (mod g) with deg a <= t/2, deg b <= (t-1)/2,
     giving sigma = a^2 + x b^2 whose roots over the support mark the error
     positions.  T = x needs no branch: R = 0 splits as (0, 1), so sigma = x.
+    Nor does a zero sigma: its odd part x b^2 vanishes only with b, which
+    the partial EEA never returns as zero, and the root count would reject
+    it anyway, as every lane is a root of it and its degree is -1.
 
     The corrected word needs no parity check: sigma = b^2 T (mod g), so
     sigma * s = sigma' (mod g), and a sigma with deg(sigma) distinct roots
@@ -203,8 +206,6 @@ def patterson_decode(
     r = sqrt_mod_g(T + x, g, code.sqrt_x)
     a, b = poly_eea_partial(g, r, t // 2)
     sigma = a.square() + b.square().shift(1)
-    if sigma.is_zero():
-        raise DecodingFailure("error locator degenerated to zero")
     # sigma (deg <= t) at every support element at once: the error bits are
     # the lanes where it vanishes
     err_bits = sliced_zeros(sliced_eval(sigma, code.power_tables), (1 << code.n) - 1)

@@ -412,6 +412,20 @@ def test_attack_dimension_bound(rng):
         ntru_lll_attack(list(kp.public.h), params, rng)
 
 
+def test_attack_asserts_that_candidates_are_lattice_members(monkeypatch, rng):
+    # LLL keeps every row in the lattice; a ternary row that is not a member
+    # can only come from a broken reduction, and the attack refuses it
+    params = NtruParams(7, 3, 41, 2)
+    kp = ntru_keygen(params, rng)
+    h = list(kp.public.h)
+    f = [1, 0, 0, 0, 0, 0, 0]
+    g = [1, 0, 0, 0, 0, 0, 0]
+    assert not ConvModLattice(h, params.q).contains(f, g)
+    monkeypatch.setattr(analysis, "lll_reduce", lambda basis: [f + g])
+    with pytest.raises(AssertionError, match="reduced row left the lattice"):
+        ntru_lll_attack(h, params, rng)
+
+
 def test_attack_trials_report_invariants():
     params = NtruParams(7, 3, 41, 2)
     report = run_attack_trials(params, [0, 1, 2])

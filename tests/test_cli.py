@@ -141,7 +141,10 @@ def test_unknown_preset(tmp_path, capsys):
         "--out", str(tmp_path), "--seed", "1",
     ])
     assert rc == 1
-    assert "unknown mceliece preset" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown mceliece preset" in err
+    # the seed is read and reported only for a request that draws from it
+    assert "seed:" not in err
 
 
 def test_unknown_ntru_preset_lists_choices(tmp_path, capsys):
@@ -150,9 +153,11 @@ def test_unknown_ntru_preset_lists_choices(tmp_path, capsys):
         "--out", str(tmp_path), "--seed", "1",
     ])
     assert rc == 1
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
         "pqlab: unknown ntru preset 'nope'; choices: toy11, attack7, rec443"
     )
+    assert "seed:" not in err
 
 
 @pytest.mark.parametrize("name", ["toy", "demo"])
@@ -250,12 +255,14 @@ def test_bad_custom_params(tmp_path, capsys):
      "invalid ntru parameters: ternary shape does not fit the ring degree"),
     (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "41", "--seeds", "1", "--d-f", "-1"],
      "invalid ntru parameters: ternary shape does not fit the ring degree"),
+    (["keygen", "--scheme", "ntru", "--params", "11,3,41,x"],
+     "--params must be comma-separated integers"),
 ], ids=[
     "ntru-q", "ntru-shape", "ntru-p6", "ntru-p1", "ntru-p5", "ntru-n5", "ntru-n3", "mceliece-m",
     "mceliece-t", "mceliece-t1", "mceliece-mt", "attack-q", "attack-n", "attack-seeds", "attack-p6",
     "attack-p2", "preset-and-params", "ntru-systematic", "keygen-out-under-file",
     "encrypt-out-missing-dir", "decrypt-out-missing-dir", "ntru-d_f-negative",
-    "attack-d_f-negative",
+    "attack-d_f-negative", "ntru-not-integer",
 ])
 def test_invalid_custom_params_are_usage_errors(tmp_path, capsys, argv, reason):
     out = tmp_path / "X"
@@ -733,15 +740,18 @@ def test_mceliece_key_without_systematic_param_loads(tmp_path, file):
         ("priv", ("--systematic",),
          lambda t: t.replace("param systematic 1\n", "param systematic 7\n"),
          "param systematic 7 is not 0 or 1"),
+        ("pub", (), lambda t: t.replace("param k 8\n", "param k 7\n"),
+         "public matrix has wrong shape"),
     ],
-    ids=["modulus-25", "public-systematic-7", "private-systematic-7"],
+    ids=["modulus-25", "public-systematic-7", "private-systematic-7", "public-k-7"],
 )
 def test_mceliece_param_values_the_writer_never_emits_rejected(
     tmp_path, capsys, file, keygen_args, edit, reason
 ):
     # x^4 + x^3 + 1 (25) is primitive too, but GF(16) has one modulus, 19: a
     # seed-1 key read under 25 used to load and fail at decrypt.  The writer
-    # emits systematic as 0 or 1, and 7 used to load as 1
+    # emits systematic as 0 or 1, and 7 used to load as 1.  k = 7 passes the
+    # range checks, but the toy key's 8 x 16 matrix is not k x n
     _, code = _edit_and_use(tmp_path, "mceliece", file, edit, *keygen_args)
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
@@ -808,6 +818,41 @@ def test_integer_spellings_the_writers_never_emit_rejected(
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
 
 
+@pytest.mark.parametrize(
+    "scheme, edit, reason",
+    [
+        ("ntru", lambda t: t.replace("param n 11\n", "param n  11\n"), "bad spacing in param line"),
+        ("ntru", lambda t: t.replace("param n 11\n", "param n 11 \n"), "bad spacing in param line"),
+        ("ntru", _edit_first("poly h", lambda c: c.replace(" ", "  ", 1)), "bad spacing in poly h"),
+        ("mceliece", _edit_first("matrix g_hat", lambda v: v.replace(" ", "  ")),
+         "bad spacing in matrix g_hat"),
+        ("ntru", _edit_first("poly h", lambda c: c.replace(" ", "-", 1)), "bad integer in poly h"),
+    ],
+    ids=[
+        "param-doubled", "param-trailing", "poly-doubled", "matrix-shape-doubled",
+        "poly-inner-minus",
+    ],
+)
+def test_spacing_or_misplaced_minus_named(tmp_path, capsys, scheme, edit, reason):
+    # the writers put tokens one space apart and '-' only at the start of a
+    # token; these used to surface as a tuple-unpacking or int() message
+    # that named neither the fault nor the line
+    _, code = _edit_and_use(tmp_path, scheme, "pub", edit)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
+
+
+def test_non_ascii_key_file_rejected(tmp_path, capsys):
+    pub, plain = tmp_path / "key.ntpub", tmp_path / "m.bin"
+    pub.write_bytes("PQLAB1 ntru public\nparam n 1\u00b9\n".encode())
+    plain.write_bytes(b"x")
+    rc = main(["encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: {pub} is not a text key file"
+    )
+
+
 def test_key_kind_checks(tmp_path, capsys):
     keys = _keygen(tmp_path, "k", "--scheme", "ntru", "--preset", "toy11", "--seed", "1")
     plain = tmp_path / "m.bin"
@@ -826,6 +871,15 @@ def test_key_kind_checks(tmp_path, capsys):
     ])
     assert rc == 2
     assert "not a private key" in capsys.readouterr().err
+    # decrypting a key file in place of a ciphertext is refused
+    rc = main([
+        "decrypt", "--priv", str(keys / "key.ntpriv"),
+        "--in", str(keys / "key.ntpub"), "--out", str(tmp_path / "m.out"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: {keys / 'key.ntpub'} is not a ciphertext file"
+    )
 
 
 def _encrypt_then_decrypt_with(tmp_path, keys, ext, edit_private):

@@ -194,6 +194,21 @@ def test_perm_validation():
         PermMatrix([0, 2])
 
 
+def test_length_mismatches_rejected():
+    # each operand length is checked against the other before any bit moves
+    p = PermMatrix([1, 2, 0])
+    with pytest.raises(DimensionError):
+        vec_mat_mul(BinVector(2), BinMatrix.identity(3))
+    with pytest.raises(DimensionError):
+        p.apply_vec_inverse(BinVector(4))
+    with pytest.raises(DimensionError):
+        p.apply_mat(BinMatrix.identity(4))
+    with pytest.raises(DimensionError):
+        p.apply_columns([0b1, 0b10], 2)
+    with pytest.raises(DimensionError):
+        BinMatrix(2, 3, [0b101])
+
+
 # -- random generators --
 
 

@@ -393,6 +393,8 @@ def test_decode_length_mismatch():
         patterson_decode(code, BinVector(8))
     with pytest.raises(DimensionError):
         code.syndrome(BinVector(8))
+    with pytest.raises(DimensionError):
+        bruteforce_decode(code, BinVector(8), 1)
 
 
 # -- exhaustive decoder --

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqlab import kat
+from pqlab import kat, lattice, ntru
 from pqlab.convring import center_mod, conv_mul, invert_mod, sample_ternary
-from pqlab.errors import DimensionError, MessageRangeError, RankError
+from pqlab.errors import (
+    DimensionError,
+    MessageRangeError,
+    NotInvertible,
+    RankError,
+    SamplingExhausted,
+)
 from pqlab.lattice import (
     ConvModLattice,
     build_public_basis,
@@ -128,6 +134,21 @@ def test_lattice_keygen_congruences(rng):
     assert ConvModLattice(key.h, q).contains(list(key.f), list(key.g))
     # public basis has the right shape
     assert len(build_public_basis(list(key.h), q)) == 2 * n
+
+
+def test_lattice_keygen_gives_up_after_its_tries(monkeypatch, rng):
+    # every f drawn is non-invertible mod q: keygen draws KEYGEN_TRIES of them
+    # and then raises instead of looping on
+    draws = []
+
+    def never_invertible(f, q):
+        draws.append(f)
+        raise NotInvertible("no inverse")
+
+    monkeypatch.setattr(lattice, "invert_mod", never_invertible)
+    with pytest.raises(SamplingExhausted):
+        lattice_keygen(TOY, rng)
+    assert len(draws) == ntru.KEYGEN_TRIES
 
 
 def test_lattice_encrypt_trivial_cases(rng):
@@ -516,6 +537,8 @@ def test_det_known_values():
         [[-1, 0, 2], [1, 1, 1], [3, 5, 6]]
     )
     assert det([]) == 1
+    # no pivot in the first column: singular before any elimination step
+    assert det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
     with pytest.raises(DimensionError):
         det([[1, 2, 3], [4, 5, 6]])
 

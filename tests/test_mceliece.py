@@ -8,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqlab import f2linalg, goppa, kat
-from pqlab.errors import DecodingFailure, DimensionError, PqlabError, UnknownParams
+from pqlab.errors import (
+    DecodingFailure,
+    DimensionError,
+    FormatError,
+    PqlabError,
+    RankError,
+    SamplingExhausted,
+    UnknownParams,
+)
 from pqlab.f2linalg import BinMatrix, BinVector, mat_mul, rank, vec_mat_mul
 from pqlab.formats import parse_file, serialize_mceliece_private
 from pqlab.goppa import GoppaCode, LinearCode
 from pqlab.mceliece import (
     PRESETS,
+    SYSTEMATIC_TRIES,
     McElieceParams,
     decrypt,
     decrypt_long,
@@ -282,6 +291,21 @@ def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
         assert len(inverted) == len(drawn)
 
 
+def test_systematic_keygen_gives_up_when_no_tail_inverts(monkeypatch):
+    # a singular tail for every permutation drawn: keygen raises after
+    # SYSTEMATIC_TRIES draws instead of looping on
+    tries = []
+
+    def singular(a):
+        tries.append(a)
+        raise RankError("singular")
+
+    monkeypatch.setattr(f2linalg, "invert", singular)
+    with pytest.raises(SamplingExhausted):
+        keygen(4, 2, random.Random(0), systematic=True)
+    assert len(tries) == SYSTEMATIC_TRIES
+
+
 def test_systematic_keygen_and_public_move_columns_once(monkeypatch):
     # a tried tail is cut from the k columns P sends to the last k places,
     # so the one n-column move by P is the one that forms the public matrix
@@ -440,6 +464,14 @@ def test_from_components_opaque_code(rng):
         m = BinVector(kp.k, rng.randrange(1 << kp.k))
         c = encrypt(kp.public, m, rng=rng)
         assert decrypt(kp, c) == m
+
+
+def test_from_components_key_cannot_be_serialized():
+    # the file format stores a Goppa code as (g, support); an opaque
+    # generator has neither
+    kp = from_components(kat.MCE_S, kat.MCE_G, kat.MCE_P, kat.MCE_T)
+    with pytest.raises(FormatError, match="only Goppa-backed private keys"):
+        serialize_mceliece_private(kp)
 
 
 # -- byte-stream blocks --
