@@ -15,8 +15,10 @@ from bit 0 up, a 0 first), so the first lane to reach a weight is the first
 message at it: that is the tie-break of `nearest_codeword_bruteforce` and
 the witness of `min_weight_bruteforce`.
 The attack runs LLL on the public lattice basis and tests whether any
-short row works as a decryption key.  Published attack costs for the
-full-size parameter sets are echoed as literature values, never
+short row works as a decryption key.  Its limits, p >= 3 (the test message
+is ternary) and N <= ATTACK_MAX_N, are checked here once, before any key is
+drawn; a set outside them raises UnknownParams.  Published attack costs for
+the full-size parameter sets are echoed as literature values, never
 recomputed.
 """
 
@@ -282,6 +284,16 @@ def _report(params: NtruParams, details: list[dict], start: float) -> AttackRepo
 ATTACK_MAX_N = 12
 
 
+def _check_attack_params(params: NtruParams) -> None:
+    """The attack demo's limits, checked before any key is drawn."""
+    if params.p < 3:
+        raise UnknownParams(
+            f"attack trials draw ternary messages, so p must be >= 3, got p={params.p}"
+        )
+    if params.n > ATTACK_MAX_N:
+        raise UnknownParams(f"attack demo limited to N <= {ATTACK_MAX_N}, got N={params.n}")
+
+
 def ntru_lll_attack(
     h: Sequence[int], params: NtruParams, rng: random.Random, seed_label: int = 0
 ) -> AttackReport:
@@ -294,9 +306,8 @@ def ntru_lll_attack(
     ciphertext; rotations x^i * f and negations count, as they are valid
     keys in their own right.
     """
+    _check_attack_params(params)
     n = params.n
-    if n > ATTACK_MAX_N:
-        raise DimensionError(f"attack demo limited to N <= {ATTACK_MAX_N}")
     start = time.monotonic()
     basis = build_public_basis(h, params.q)
     reduced = lll_reduce(basis)
@@ -331,6 +342,7 @@ def ntru_lll_attack(
 def run_attack_trials(params: NtruParams, seeds: list[int]) -> AttackReport:
     """Fresh key per seed, one attack per key, merged into one report in
     seed order."""
+    _check_attack_params(params)
     start = time.monotonic()
     details = []
     for seed in seeds:

@@ -73,11 +73,14 @@ def _int_csv(text: str, count: int, what: str) -> list[int]:
         raise UnknownParams("--params must be comma-separated integers") from None
 
 
-def _ntru_params(n: int, p: int, q: int, d_f: int) -> NtruParams:
+def _params(cls, *values):
+    """cls(*values) for NtruParams or McElieceParams; a set the class
+    rejects is a usage error."""
     try:
-        return NtruParams(n, p, q, d_f)
+        return cls(*values)
     except ValueError as exc:
-        raise UnknownParams(f"invalid ntru parameters: {exc}") from None
+        scheme = cls.__name__.removesuffix("Params").lower()
+        raise UnknownParams(f"invalid {scheme} parameters: {exc}") from None
 
 
 def _write(path: str, data: bytes) -> None:
@@ -100,23 +103,23 @@ def _cmd_keygen(args) -> int:
     if args.scheme == "mceliece":
         if args.params:
             m, t = _int_csv(args.params, 2, "mceliece (m,t)")
-            # full support n = 2^m: t = 1 puts the root of g on the support
-            if m not in MODULI or t < 2 or m * t >= 2**m:
-                raise UnknownParams(
-                    f"mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m={m}, t={t}"
-                )
-            n = None
+            # m names the field, and guards 2**m; at the full support n = 2^m,
+            # t = 1 puts the root of g on the support
+            if m not in MODULI or t < 2:
+                raise UnknownParams(f"mceliece needs 2 <= m <= 13 and t >= 2, got m={m}, t={t}")
+            params = _params(mceliece.McElieceParams, 2**m, 2**m - m * t, t)
         else:
             params = mceliece.preset(args.preset or "toy")
-            m, t, n = params.m, params.t, params.n
-        kp = mceliece.keygen(m, t, _seeded_rng(args.seed), n=n, systematic=args.systematic)
+        kp = mceliece.keygen(
+            params.m, params.t, _seeded_rng(args.seed), n=params.n, systematic=args.systematic
+        )
         files = {
             "key.mcpub": formats.serialize_mceliece_public(kp.public),
             "key.mcpriv": formats.serialize_mceliece_private(kp),
         }
     else:
         if args.params:
-            params = _ntru_params(*_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
+            params = _params(NtruParams, *_int_csv(args.params, 4, "ntru (n,p,q,d_f)"))
             ntru.check_byte_encoding(params)
         else:
             params = ntru.preset(args.preset or "toy11")
@@ -283,15 +286,7 @@ def _cmd_demo_example(args) -> int:
 
 
 def _cmd_demo_attack(args) -> int:
-    params = _ntru_params(args.n, args.p, args.q, args.d_f)
-    if params.p < 3:
-        raise UnknownParams(
-            f"attack trials draw ternary messages, so p must be >= 3, got p={params.p}"
-        )
-    if args.n > analysis.ATTACK_MAX_N:
-        raise UnknownParams(
-            f"attack demo limited to N <= {analysis.ATTACK_MAX_N}, got N={args.n}"
-        )
+    params = _params(NtruParams, args.n, args.p, args.q, args.d_f)
     if args.seeds < 1:
         raise UnknownParams(f"--seeds must be at least 1, got {args.seeds}")
     report = analysis.run_attack_trials(params, list(range(args.seeds)))

@@ -13,7 +13,9 @@ values that writer emits (`systematic` 0 or 1, `modulus` the one modulus of
 GF(2^m)), spelled as it spells them (tokens one space apart, params and
 matrix shapes as str(int) spells them, integer lists in digits and '-',
 leading zeros allowed, rows as (cols + 3) // 4 lowercase hex digits), and
-no line after "end".
+no line after "end".  A key's scheme parameters are a set its params class
+(`McElieceParams`, `NtruParams`) accepts; the ValueError of any other set
+reads as a FormatError.
 Serialization is canonical, so identical inputs give byte-identical files;
 ciphertexts carry a hash of the scheme parameters that decryption checks
 before any block.
@@ -22,7 +24,7 @@ before any block.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
 from . import mceliece as mce
@@ -117,7 +119,10 @@ class _Parser:
             line = self.next()
             if "  " in line or line.endswith(" "):
                 raise FormatError("bad spacing in param line")
-            _, name, value = line.split(" ")
+            parts = line.split(" ")
+            if len(parts) != 3:
+                raise FormatError("bad param line")
+            _, name, value = parts
             if name in out:
                 raise FormatError(f"param {name} repeated")
             if name not in names:
@@ -158,18 +163,6 @@ def serialize_mceliece_public(pub: mce.McEliecePublicKey) -> str:
     return _text("mceliece public", params, body)
 
 
-def _mceliece_nkt(params: dict[str, int]) -> tuple[int, int, int]:
-    """(n, k, t) of a McEliece key file, public or private."""
-    n, k, t = params["n"], params["k"], params["t"]
-    # a block carries k message bits
-    if k < 1:
-        raise FormatError(f"param k {k} is below 1")
-    # a t-error-correcting code has distance 2t + 1 <= n - k + 1 (Singleton)
-    if not 1 <= t <= (n - k) // 2:
-        raise FormatError(f"param t {t} outside [1, {(n - k) // 2}]")
-    return n, k, t
-
-
 def _systematic(params: dict[str, int]) -> bool:
     """The systematic flag of a McEliece key file, 0 when absent."""
     flag = params.get("systematic", 0)
@@ -179,7 +172,7 @@ def _systematic(params: dict[str, int]) -> bool:
 
 
 def _parse_mceliece_public(p: _Parser, params: dict[str, int]) -> mce.McEliecePublicKey:
-    n, k, t = _mceliece_nkt(params)
+    n, k, t = astuple(mce.McElieceParams(params["n"], params["k"], params["t"]))
     systematic = _systematic(params)
     if systematic:
         a = p.matrix("a")
@@ -216,7 +209,7 @@ def serialize_mceliece_private(kp: mce.McElieceKeyPair) -> str:
 
 
 def _parse_mceliece_private(p: _Parser, params: dict[str, int]) -> mce.McElieceKeyPair:
-    n, k, t = _mceliece_nkt(params)
+    n, k, t = astuple(mce.McElieceParams(params["n"], params["k"], params["t"]))
     s = p.matrix("s")
     perm = PermMatrix(p.int_list("perm", "p"))
     ctx = FieldCtx(params["m"])

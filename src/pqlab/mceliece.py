@@ -36,15 +36,19 @@ from .packing import pack, unpack
 
 @dataclass(frozen=True)
 class McElieceParams:
+    """(n, k, t) of a binary Goppa code: the one McEliece parameter rule."""
+
     n: int
     k: int
     t: int
 
     def __post_init__(self):
-        if self.n <= 0 or self.k <= 0 or self.t <= 0:
-            raise ValueError("parameters must be positive")
-        if self.k > self.n:
-            raise ValueError("k cannot exceed n")
+        # a block carries k message bits
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got k={self.k}")
+        # a t-error-correcting code has distance 2t + 1 <= n - k + 1 (Singleton)
+        if not 1 <= self.t <= (self.n - self.k) // 2:
+            raise ValueError(f"t must lie in [1, {(self.n - self.k) // 2}], got t={self.t}")
 
     @property
     def m(self) -> int:

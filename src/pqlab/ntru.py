@@ -187,14 +187,8 @@ def decryption_identity_check(
     """True iff every coefficient of p*(r*g) + f*m over the integers lies in
     (-q/2, q/2], exactly when centering f*c mod q strips the q-multiples
     and decryption is guaranteed correct."""
-    rg = conv_mul(r, g)
-    fm = conv_mul(f, m)
-    q = params.q
-    for a, b in zip(rg, fm):
-        v = params.p * a + b
-        if not (-q < 2 * v <= q):
-            return False
-    return True
+    p = params.p
+    return convring.centered([p * a + b for a, b in zip(conv_mul(r, g), conv_mul(f, m))], params.q)
 
 
 # -- byte-stream encryption --

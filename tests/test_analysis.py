@@ -408,7 +408,7 @@ def test_attack_candidates_all_pass_membership():
 def test_attack_dimension_bound(rng):
     params = NtruParams(13, 3, 41, 2)
     kp = ntru_keygen(params, rng)
-    with pytest.raises(DimensionError):
+    with pytest.raises(UnknownParams, match="attack demo limited to N <= 12, got N=13"):
         ntru_lll_attack(list(kp.public.h), params, rng)
 
 

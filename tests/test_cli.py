@@ -223,13 +223,14 @@ def test_bad_custom_params(tmp_path, capsys):
     (["keygen", "--scheme", "ntru", "--params", "3,3,41,1"],
      "byte encoding needs N >= 6 (3^N >= 256), got N=3"),
     (["keygen", "--scheme", "mceliece", "--params", "20,2"],
-     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=20, t=2"),
+     "mceliece needs 2 <= m <= 13 and t >= 2, got m=20, t=2"),
     (["keygen", "--scheme", "mceliece", "--params", "4,0"],
-     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=4, t=0"),
+     "mceliece needs 2 <= m <= 13 and t >= 2, got m=4, t=0"),
     (["keygen", "--scheme", "mceliece", "--params", "2,1"],
-     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=2, t=1"),
+     "mceliece needs 2 <= m <= 13 and t >= 2, got m=2, t=1"),
+    # m*t >= 2^m leaves k = 2^m - m*t below 1
     (["keygen", "--scheme", "mceliece", "--params", "4,5"],
-     "mceliece needs 2 <= m <= 13, t >= 2 and m*t < 2^m, got m=4, t=5"),
+     "invalid mceliece parameters: k must be at least 1, got k=-4"),
     (["demo", "attack", "--scheme", "ntru", "--n", "7", "--q", "40", "--seeds", "2"],
      "invalid ntru parameters: q must be prime or a power of two"),
     (["demo", "attack", "--scheme", "ntru", "--n", "13", "--q", "41", "--seeds", "2"],
@@ -338,6 +339,26 @@ def test_demo_attack_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_refused_attack_draws_no_key(monkeypatch, capsys):
+    # the attack's limits are checked in analysis before the first keygen
+    from pqlab import analysis, ntru
+
+    def no_keygen(*args):
+        raise AssertionError("a refused attack drew a key")
+
+    monkeypatch.setattr(ntru, "keygen", no_keygen)
+    attack = ["demo", "attack", "--scheme", "ntru", "--q", "41", "--seeds", "2"]
+    for extra, reason in [
+        (["--n", "7", "--p", "2"],
+         "attack trials draw ternary messages, so p must be >= 3, got p=2"),
+        (["--n", "13"], "attack demo limited to N <= 12, got N=13"),
+    ]:
+        assert main([*attack, *extra]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: {reason}"
+    with pytest.raises(errors.UnknownParams):
+        analysis.run_attack_trials(ntru.NtruParams(13, 3, 41, 2), [0])
 
 
 # -- info --
@@ -519,7 +540,10 @@ def test_out_of_range_public_t_rejected(tmp_path, capsys, t):
     assert main([
         "encrypt", "--pub", str(pub), "--in", str(plain), "--out", str(tmp_path / "m.ct"),
     ]) == 2
-    reason = "bad integer in param t" if t < 0 else f"param t {t} outside [1, 4]"
+    reason = (
+        "bad integer in param t" if t < 0
+        else f"malformed mceliece public file: t must lie in [1, 4], got t={t}"
+    )
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"
 
 
@@ -551,7 +575,7 @@ def test_zero_t_mceliece_private_key_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["decrypt", "--priv", str(key), "--in", str(ct), "--out", str(tmp_path / "m.out")]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "pqlab: format error: param t 0 outside [1, 0]"
+        "pqlab: format error: malformed mceliece private file: t must lie in [1, 0], got t=0"
     )
 
 
@@ -575,7 +599,9 @@ def test_zero_k_mceliece_key_rejected(tmp_path, capsys, kind):
     else:
         argv = ["decrypt", "--priv", str(key), "--in", str(ct), "--out", str(tmp_path / "m.out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "pqlab: format error: param k 0 is below 1"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pqlab: format error: malformed mceliece {kind} file: k must be at least 1, got k=0"
+    )
 
 
 @pytest.mark.parametrize("blocks", [0, -1])
@@ -823,20 +849,23 @@ def test_integer_spellings_the_writers_never_emit_rejected(
     [
         ("ntru", lambda t: t.replace("param n 11\n", "param n  11\n"), "bad spacing in param line"),
         ("ntru", lambda t: t.replace("param n 11\n", "param n 11 \n"), "bad spacing in param line"),
+        ("ntru", lambda t: t.replace("param n 11\n", "param n\n"), "bad param line"),
+        ("ntru", lambda t: t.replace("param n 11\n", "param n 11 7\n"), "bad param line"),
+        ("ntru", lambda t: t.replace("param n 11\n", "param n\t11\n"), "bad param line"),
         ("ntru", _edit_first("poly h", lambda c: c.replace(" ", "  ", 1)), "bad spacing in poly h"),
         ("mceliece", _edit_first("matrix g_hat", lambda v: v.replace(" ", "  ")),
          "bad spacing in matrix g_hat"),
         ("ntru", _edit_first("poly h", lambda c: c.replace(" ", "-", 1)), "bad integer in poly h"),
     ],
     ids=[
-        "param-doubled", "param-trailing", "poly-doubled", "matrix-shape-doubled",
-        "poly-inner-minus",
+        "param-doubled", "param-trailing", "param-one-token", "param-four-tokens", "param-tab",
+        "poly-doubled", "matrix-shape-doubled", "poly-inner-minus",
     ],
 )
 def test_spacing_or_misplaced_minus_named(tmp_path, capsys, scheme, edit, reason):
-    # the writers put tokens one space apart and '-' only at the start of a
-    # token; these used to surface as a tuple-unpacking or int() message
-    # that named neither the fault nor the line
+    # the writers put tokens one space apart, three on a param line, and '-'
+    # only at the start of a token; these used to surface as a
+    # tuple-unpacking or int() message that named neither the fault nor the line
     _, code = _edit_and_use(tmp_path, scheme, "pub", edit)
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"pqlab: format error: {reason}"

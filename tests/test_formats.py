@@ -289,6 +289,27 @@ def test_every_preset_t_passes_the_public_range_check(params):
         parse_file(text)
 
 
+def test_public_key_loads_exactly_when_mceliece_params_accept():
+    # one McEliece rule: a minimal public key, a zero g_hat of k x n, loads
+    # exactly when McElieceParams takes its (n, k, t)
+    for n in range(1, 21):
+        for k in range(n + 2):
+            rows = f"{0:0{(n + 3) // 4}x}\n" * k
+            for t in range(13):
+                text = (
+                    f"PQLAB1 mceliece public\nparam n {n}\nparam k {k}\nparam t {t}\n"
+                    f"param systematic 0\nmatrix g_hat {k} {n}\n{rows}end\n"
+                )
+                try:
+                    mceliece.McElieceParams(n, k, t)
+                except ValueError:
+                    with pytest.raises(FormatError):
+                        parse_file(text)
+                else:
+                    _, _, pub = parse_file(text)
+                    assert (pub.n, pub.k, pub.t) == (n, k, t)
+
+
 # a demo-preset private key and a fixed ciphertext under it; the fuzz below
 # edits the integers of its param, perm p, poly g and support l lines
 _DEMO = mceliece.preset("demo")

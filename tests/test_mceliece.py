@@ -520,6 +520,10 @@ def test_params_validation():
         McElieceParams(0, 1, 1)
     with pytest.raises(ValueError):
         McElieceParams(10, 11, 1)
+    # no binary Goppa code has them: 2t <= n - k (Singleton)
+    for n, k, t in [(16, 8, 5), (10, 9, 1)]:
+        with pytest.raises(ValueError, match=r"t must lie in \[1, \d\], got t="):
+            McElieceParams(n, k, t)
 
 
 def test_key_sizes_all_presets():

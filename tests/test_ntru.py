@@ -1,10 +1,13 @@
 """NTRU ring encryption: keygen invariants, the reference chain, wrap
 analysis, and byte-stream blocks."""
 
+import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import blocks_to_bytes_ref, bytes_to_blocks_ref
 from pqlab import formats, kat, ntru
@@ -21,6 +24,7 @@ from pqlab.errors import (
     SamplingExhausted,
     UnknownParams,
 )
+from pqlab.lattice import circulant_mul
 from pqlab.ntru import (
     PRESETS,
     NtruKeyPair,
@@ -232,6 +236,37 @@ def test_wrap_failure_decrypts_wrong():
     kp = keypair_from_values(params, f, g)
     c = encrypt(kp.public, m, r=r)
     assert decrypt(kp, c) != m
+
+
+# small q, odd and even; only an even q can put a coefficient on +-q/2
+_SMALL_Q = (3, 4, 5, 7, 8, 11, 13, 16, 17, 32)
+
+
+@st.composite
+def _identity_operands(draw):
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(3, 8))
+    f, g, r, m = (draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)) for _ in range(4))
+    # q = twice an extreme coefficient puts it on q/2 or -q/2, and q one off
+    # puts it just inside or outside; any valid small q when none of them is
+    v = [p * a + b for a, b in zip(circulant_mul(g, r), circulant_mul(m, f))]
+    edges = {2 * max(v), -2 * min(v)}
+    qs = [q for q in _SMALL_Q if p < q and math.gcd(p, q) == 1]
+    exact = [q for q in qs if q in edges]
+    near = [q for q in qs if edges & {q - 1, q + 1}]
+    return f, g, r, m, NtruParams(n, p, draw(st.sampled_from(exact or near or qs)), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_identity_operands())
+def test_identity_check_matches_circulant_reference(operands):
+    # the products come from the literal circulant matrices of lattice
+    f, g, r, m, params = operands
+    p, q = params.p, params.q
+    reference = all(
+        -q < 2 * (p * a + b) <= q for a, b in zip(circulant_mul(g, r), circulant_mul(m, f))
+    )
+    assert decryption_identity_check(f, g, r, m, params) == reference
 
 
 def test_keypair_from_values_skips_shape_checks():
