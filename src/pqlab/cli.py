@@ -23,6 +23,7 @@ import os
 import random
 import secrets
 import sys
+from dataclasses import asdict
 
 from . import analysis, convring, formats, kat, mceliece, ntru
 from .errors import (
@@ -170,12 +171,8 @@ def _cmd_decrypt(args) -> int:
         raise FormatError(
             f"ciphertext scheme {ct_scheme!r} does not match key scheme {scheme!r}"
         )
-    if scheme == "mceliece":
-        expected = formats.mceliece_params_hash(key.n, key.k, key.t)
-        n = key.n
-    else:
-        expected = formats.ntru_params_hash(key.params)
-        n = key.params.n
+    expected = formats.params_hash(scheme, asdict(key.params))
+    n = key.params.n
     if ct.hash != expected:
         raise FormatError(
             f"params-hash mismatch: key expects {expected}, ciphertext has {ct.hash}"

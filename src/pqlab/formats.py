@@ -15,9 +15,11 @@ matrix shapes as str(int) spells them, integer lists in digits and '-',
 leading zeros allowed, rows as (cols + 3) // 4 lowercase hex digits), and
 no line after "end".  A key's scheme parameters are a set its params class
 (`McElieceParams`, `NtruParams`) accepts; the ValueError of any other set
-reads as a FormatError.
+reads as a FormatError.  Every key exposes that set as `params`: its file's
+param lines open with the fields of `params` in field order, and the readers
+take those names from the class.
 Serialization is canonical, so identical inputs give byte-identical files;
-ciphertexts carry a hash of the scheme parameters that decryption checks
+ciphertexts carry params_hash of the key's `params`, which decryption checks
 before any block.
 """
 
@@ -159,7 +161,7 @@ def serialize_mceliece_public(pub: mce.McEliecePublicKey) -> str:
         body = _matrix_lines("a", a)
     else:
         body = _matrix_lines("g_hat", pub.g_hat)
-    params = {"n": n, "k": k, "t": pub.t, "systematic": int(pub.systematic)}
+    params = {**asdict(pub.params), "systematic": int(pub.systematic)}
     return _text("mceliece public", params, body)
 
 
@@ -191,14 +193,8 @@ def serialize_mceliece_private(kp: mce.McElieceKeyPair) -> str:
     code = kp.code
     if not isinstance(code, GoppaCode):
         raise FormatError("only Goppa-backed private keys can be serialized")
-    params = {
-        "n": kp.n,
-        "k": kp.k,
-        "t": kp.t,
-        "m": code.ctx.m,
-        "modulus": code.ctx.modulus,
-        "systematic": int(kp.systematic),
-    }
+    params = {**asdict(kp.params), "m": code.ctx.m, "modulus": code.ctx.modulus}
+    params["systematic"] = int(kp.systematic)
     body = [
         *_matrix_lines("s", kp.s),
         f"perm p {poly_to_text(kp.p.perm)}",
@@ -295,26 +291,17 @@ class CiphertextFile:
     blocks: list
 
 
-def mceliece_params_hash(n: int, k: int, t: int) -> str:
-    return params_hash("mceliece", {"n": n, "k": k, "t": t})
-
-
-def ntru_params_hash(params: NtruParams) -> str:
-    return params_hash("ntru", asdict(params))
-
-
 def serialize_ciphertext_mceliece(
     pub: mce.McEliecePublicKey, blocks: list[BinVector]
 ) -> str:
-    body = [
-        f"hash {mceliece_params_hash(pub.n, pub.k, pub.t)}",
-        *(f"block {_hex_row(b.bits, b.n)}" for b in blocks),
-    ]
+    digest = params_hash("mceliece", asdict(pub.params))
+    body = [f"hash {digest}", *(f"block {_hex_row(b.bits, b.n)}" for b in blocks)]
     return _text("mceliece ciphertext", {"blocks": len(blocks), "n": pub.n}, body)
 
 
 def serialize_ciphertext_ntru(params: NtruParams, blocks: list[list[int]]) -> str:
-    body = [f"hash {ntru_params_hash(params)}", *(f"block {poly_to_text(b)}" for b in blocks)]
+    digest = params_hash("ntru", asdict(params))
+    body = [f"hash {digest}", *(f"block {poly_to_text(b)}" for b in blocks)]
     return _text("ntru ciphertext", {"blocks": len(blocks), "n": params.n}, body)
 
 
@@ -338,11 +325,12 @@ def _parse_ciphertext(p: _Parser, params: dict[str, int], scheme: str) -> Cipher
 
 
 # the param names each writer emits, and the reader of the body
+_MCE_PARAMS = tuple(f.name for f in fields(mce.McElieceParams))
 _NTRU_PARAMS = tuple(f.name for f in fields(NtruParams))
 _READERS = {
-    ("mceliece", "public"): (("n", "k", "t", "systematic"), _parse_mceliece_public),
+    ("mceliece", "public"): ((*_MCE_PARAMS, "systematic"), _parse_mceliece_public),
     ("mceliece", "private"): (
-        ("n", "k", "t", "m", "modulus", "systematic"),
+        (*_MCE_PARAMS, "m", "modulus", "systematic"),
         _parse_mceliece_private,
     ),
     ("ntru", "public"): (_NTRU_PARAMS, _parse_ntru_public),

@@ -223,8 +223,8 @@ def bruteforce_decode(
 ) -> tuple[BinVector, BinVector]:
     """Exhaustive nearest-codeword search over error patterns of weight <= t.
 
-    Works for any object exposing n and is_codeword (Goppa codes and opaque
-    linear codes alike).  Desk-scale only: n <= 24, t <= 3.
+    Works for any object exposing n and is_codeword: a Goppa code tests H.v,
+    a linear code solves v . G = word.  Desk-scale only: n <= 24, t <= 3.
     """
     n = code.n
     if n > 24 or t > 3:
@@ -243,26 +243,29 @@ def bruteforce_decode(
 class LinearCode:
     """A plain linear code given by a generator matrix (no Goppa structure).
 
-    Used where a code must be decoded without knowing (g, L): membership
-    comes from the null space of G serving as a parity check.
+    Used where a code must be decoded without knowing (g, L): one RowSolver
+    of G, formed here (RankError below full row rank), reads messages off
+    codewords, and a word is a codeword exactly when that solve succeeds.
     """
 
     def __init__(self, generator: BinMatrix):
         self.generator = generator
         self.n = generator.cols
         self.k = generator.rows
-        self.h_rows = f2linalg.null_space(generator)
+        self._solver = f2linalg.RowSolver(generator)
 
     @cached_property
     def generator_columns(self) -> list[int]:
         return f2linalg.transpose(self.generator.data, self.n)
 
-    @cached_property
-    def _solver(self) -> f2linalg.RowSolver:
-        return f2linalg.RowSolver(self.generator)
-
     def is_codeword(self, word: BinVector) -> bool:
-        return f2linalg.mat_vec_mul(self.h_rows, word).bits == 0
+        if word.n != self.n:
+            raise DimensionError("word length mismatch")
+        try:
+            self._solver.solve(word)
+        except RankError:
+            return False
+        return True
 
     def message_of(self, codeword: BinVector) -> BinVector:
         return self._solver.solve(codeword)

@@ -10,8 +10,9 @@ decryption unwinds P, decodes the error, reads v = m . S off the codeword
 and solves it for m through one `RowSolver` of S per key pair, never at keygen.
 Systematic keygen redraws P while the tail block it inverts is singular
 (`f2linalg.invert` raises RankError, as the solver does for a singular S).
-Includes the key-size and work-factor calculators and block encryption for
-byte streams.
+Both key classes expose their (n, k, t) as `params`, a McElieceParams, as
+NTRU keys expose NtruParams.  Includes the key-size and work-factor
+calculators and block encryption for byte streams.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class McEliecePublicKey:
     def k(self) -> int:
         return self.g_hat.rows
 
+    @property
+    def params(self) -> McElieceParams:
+        return McElieceParams(self.n, self.k, self.t)
+
 
 @dataclass(frozen=True)
 class McElieceKeyPair:
@@ -125,6 +130,10 @@ class McElieceKeyPair:
     @property
     def k(self) -> int:
         return self.code.k
+
+    @property
+    def params(self) -> McElieceParams:
+        return McElieceParams(self.n, self.k, self.t)
 
 
 def keygen(
@@ -174,7 +183,8 @@ def from_components(
     s: BinMatrix, generator: BinMatrix, p: PermMatrix, t: int
 ) -> McElieceKeyPair:
     """Key pair from explicit (S, G, P) with G treated as an opaque linear
-    code (decoding falls back to the exhaustive oracle)."""
+    code (decoding falls back to the exhaustive oracle); RankError if G is
+    below full row rank."""
     return McElieceKeyPair(s, LinearCode(generator), p, t)
 
 

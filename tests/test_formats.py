@@ -5,6 +5,7 @@ import hashlib
 import os
 import random
 import tempfile
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,8 +16,6 @@ from pqlab.errors import DecodingFailure, FormatError
 from pqlab.f2linalg import BinVector
 from pqlab.formats import (
     load_file,
-    mceliece_params_hash,
-    ntru_params_hash,
     params_hash,
     parse_file,
     serialize_ciphertext_mceliece,
@@ -60,22 +59,25 @@ def test_params_hash_oracle():
     # canonical form: scheme;k1=v1;... with sorted names, sha256, first 16 hex
     expected = hashlib.sha256(b"mceliece;k=8;n=16;t=2").hexdigest()[:16]
     assert params_hash("mceliece", {"n": 16, "t": 2, "k": 8}) == expected
-    assert mceliece_params_hash(16, 8, 2) == expected
+    assert params_hash("mceliece", asdict(mceliece.McElieceParams(16, 8, 2))) == expected
 
 
 def test_params_hash_regression():
     # frozen so an accidental canonicalization change shows up
-    assert mceliece_params_hash(16, 8, 2) == "68ca8b6a0d9f1d6b"
+    assert params_hash("mceliece", asdict(mceliece.McElieceParams(16, 8, 2))) == "68ca8b6a0d9f1d6b"
     toy = ntru.PRESETS["toy11"]
-    assert ntru_params_hash(toy) == hashlib.sha256(
+    assert params_hash("ntru", asdict(toy)) == hashlib.sha256(
         f"ntru;d_f={toy.d_f};n={toy.n};p={toy.p};q={toy.q}".encode()
     ).hexdigest()[:16]
 
 
 def test_params_hash_distinguishes():
-    assert mceliece_params_hash(16, 8, 2) != mceliece_params_hash(16, 8, 3)
-    assert ntru_params_hash(NtruParams(11, 3, 41, 2)) != ntru_params_hash(
-        NtruParams(11, 3, 43, 2)
+    mce = mceliece.McElieceParams
+    assert params_hash("mceliece", asdict(mce(16, 8, 2))) != params_hash(
+        "mceliece", asdict(mce(16, 8, 3))
+    )
+    assert params_hash("ntru", asdict(NtruParams(11, 3, 41, 2))) != params_hash(
+        "ntru", asdict(NtruParams(11, 3, 43, 2))
     )
 
 
@@ -123,6 +125,40 @@ def test_ntru_public_roundtrip(ntru_kp):
     assert serialize_ntru_public(pub) == text
 
 
+@pytest.fixture(scope="module")
+def mce_kp_demo_sys():
+    demo = mceliece.PRESETS["demo"]
+    return mceliece.keygen(demo.m, demo.t, random.Random(4), n=demo.n, systematic=True)
+
+
+@pytest.mark.parametrize("part", ["public", "private"])
+@pytest.mark.parametrize("fixture", ["mce_kp", "mce_kp_demo_sys", "ntru_kp"])
+def test_key_params_match_file(request, rng, fixture, part):
+    # every key carries its scheme's params class; its file's param lines
+    # open with those fields, and ciphertexts under it hash them
+    kp = request.getfixturevalue(fixture)
+    if fixture == "ntru_kp":
+        scheme, cls = "ntru", NtruParams
+        writers = {"public": serialize_ntru_public, "private": serialize_ntru_private}
+        ct = serialize_ciphertext_ntru(kp.params, ntru.encrypt_bytes(kp.public, b"pq", rng))
+    else:
+        scheme, cls = "mceliece", mceliece.McElieceParams
+        writers = {"public": serialize_mceliece_public, "private": serialize_mceliece_private}
+        blocks = mceliece.encrypt_long(kp.public, b"pq", rng)
+        ct = serialize_ciphertext_mceliece(kp.public, blocks)
+    key = kp.public if part == "public" else kp
+    text = writers[part](key)
+    loaded = parse_file(text)[2]
+    expected = asdict(key.params)
+    assert list(expected) == [f.name for f in fields(cls)]
+    lines = [line.split(" ") for line in text.splitlines() if line.startswith("param ")]
+    assert [(name, int(v)) for _, name, v in lines[: len(expected)]] == list(expected.items())
+    for k in (key, loaded):
+        assert isinstance(k.params, cls)
+        assert k.params == key.params
+    assert parse_file(ct)[2].hash == params_hash(scheme, expected)
+
+
 def test_ntru_private_roundtrip(ntru_kp):
     text = serialize_ntru_private(ntru_kp)
     scheme, kind, kp = parse_file(text)
@@ -139,7 +175,7 @@ def test_mceliece_ciphertext_roundtrip(mce_kp, rng):
     scheme, kind, ct = parse_file(text)
     assert (scheme, kind) == ("mceliece", "ciphertext")
     assert ct.blocks == blocks
-    assert ct.hash == mceliece_params_hash(mce_kp.n, mce_kp.k, mce_kp.t)
+    assert ct.hash == params_hash("mceliece", asdict(mce_kp.params))
     assert serialize_ciphertext_mceliece(mce_kp.public, ct.blocks) == text
 
 
@@ -153,7 +189,7 @@ def test_ntru_ciphertext_roundtrip(ntru_kp, rng):
     scheme, kind, ct = parse_file(text)
     assert (scheme, kind) == ("ntru", "ciphertext")
     assert ct.blocks == blocks
-    assert ct.hash == ntru_params_hash(params)
+    assert ct.hash == params_hash("ntru", asdict(params))
     assert serialize_ciphertext_ntru(params, ct.blocks) == text
 
 

@@ -466,6 +466,17 @@ def test_from_components_opaque_code(rng):
         assert decrypt(kp, c) == m
 
 
+def test_from_components_refuses_rank_deficient_generator():
+    # row 7 of the KAT G replaced by row 0 + row 1: such a key used to
+    # encrypt, and every decrypt of its own ciphertext then failed the
+    # re-encryption check; the code's solver now refuses it at build time
+    rows = list(kat.MCE_G.data)
+    rows[7] = rows[0] ^ rows[1]
+    g2 = BinMatrix(kat.MCE_G.rows, kat.MCE_G.cols, rows)
+    with pytest.raises(RankError):
+        from_components(kat.MCE_S, g2, kat.MCE_P, 2)
+
+
 def test_from_components_key_cannot_be_serialized():
     # the file format stores a Goppa code as (g, support); an opaque
     # generator has neither
