@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import random
 import struct
-from operator import itemgetter
+from functools import reduce
+from itertools import compress
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, RankError
@@ -156,8 +158,15 @@ def gather(indices: Sequence[int], n: int) -> Callable[[int], int]:
     return lambda bits: int(join(pick(format(bits, fmt))), 2)
 
 
+_PICKS = bytes.maketrans(b"01", b"\x00\x01")  # bit characters to 0/1 bytes
+
+
 def _xor_rows(rows: Sequence[int], bits: int) -> int:
-    """XOR of rows[j] over the set bits j of `bits`."""
+    """XOR of rows[j] over the set bits j of `bits`.  Past 16 bits, where
+    that is faster, bin(bits) reversed, as 0/1 bytes, picks the rows at C
+    level; field-element masks (gf2m's packed gcd) take the bit loop."""
+    if bits >> 16:
+        return reduce(xor, compress(rows, bin(bits).encode().translate(_PICKS)[:1:-1]), 0)
     acc = 0
     while bits:
         low = bits & -bits

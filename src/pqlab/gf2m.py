@@ -5,9 +5,11 @@ coefficient of x^i.  There is one field per extension degree m: a FieldCtx
 takes m alone, reduces modulo the fixed primitive polynomial MODULI[m], and
 carries log/antilog tables and a table of square roots.  Polynomials over
 the field are FieldPoly values: an immutable coefficient tuple, lowest
-degree first, with no trailing zeros.  Their product, division and square
-index the log/antilog tables directly, taking each operand's logs once per
-call.
+degree first, with no trailing zeros.  Their product, division and
+square root mod g go through two list kernels that index the log/antilog
+tables directly; a fixed operand is read as its (index, log) terms, made
+once per FieldPoly, so a modulus kept by its owner (goppa's g and sqrt(x))
+is taken apart once.
 
 Square roots modulo g use Huber's identity: split u = U0^2 + x*U1^2 by
 field square roots of u's even and odd coefficients, then
@@ -48,7 +50,7 @@ import sys
 from array import array
 from functools import cached_property
 from operator import xor
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DivisionByZero
 from .f2linalg import _span_table, _xor_rows, transpose
@@ -188,10 +190,13 @@ class FieldCtx:
         return f"FieldCtx(m={self.m})"
 
 
+_Terms = list[tuple[int, int]]  # (j, log c_j) for each nonzero c_j
+
+
 class FieldPoly:
     """Polynomial over GF(2^m): immutable, trailing zeros stripped."""
 
-    __slots__ = ("coeffs", "ctx")
+    __slots__ = ("coeffs", "ctx", "_logs")
 
     def __init__(self, coeffs: Iterable[int], ctx: FieldCtx):
         cs = list(coeffs)
@@ -243,6 +248,15 @@ class FieldPoly:
     def __repr__(self) -> str:
         return f"FieldPoly({list(self.coeffs)}, m={self.ctx.m})"
 
+    def _terms(self) -> _Terms:
+        """This polynomial as the kernels below read an operand."""
+        try:
+            return self._logs
+        except AttributeError:
+            log = self.ctx.log
+            self._logs = [(j, log[c]) for j, c in enumerate(self.coeffs) if c]
+            return self._logs
+
     # -- arithmetic --
 
     def __add__(self, other: "FieldPoly") -> "FieldPoly":
@@ -258,49 +272,22 @@ class FieldPoly:
 
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
         ctx = self.ctx
-        exp, log = ctx.exp, ctx.log
-        logs = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                la = log[a]
-                for j, lb in logs:
-                    out[i + j] ^= exp[la + lb]
-        return FieldPoly(out, ctx)
+        return FieldPoly(_mul_add(out, self.coeffs, other._terms(), ctx), ctx)
 
     def scale(self, c: int) -> "FieldPoly":
-        mul = self.ctx.mul
-        return FieldPoly([mul(c, a) for a in self.coeffs], self.ctx)
-
-    def shift(self, k: int) -> "FieldPoly":
-        """Multiply by x^k."""
-        return FieldPoly((0,) * k + self.coeffs, self.ctx)
+        if not c:
+            return FieldPoly.zero(self.ctx)
+        exp, log = self.ctx.exp, self.ctx.log
+        lc = log[c]
+        return FieldPoly([exp[log[a] + lc] if a else 0 for a in self.coeffs], self.ctx)
 
     def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        ctx = self.ctx
-        exp, log = ctx.exp, ctx.log
-        n1 = ctx.order - 1
-        dd = other.degree
-        # the leading term cancels by construction, so only the lower terms
-        # are subtracted and the remainder is what is left below degree dd
-        logs = [(j, log[b]) for j, b in enumerate(other.coeffs[:-1]) if b]
-        inv_lead = n1 - log[other.coeffs[-1]]
         rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            lq = log[c] + inv_lead
-            if lq >= n1:
-                lq -= n1
-            base = i - dd
-            quo[base] = exp[lq]
-            for j, lb in logs:
-                rem[base + j] ^= exp[lq + lb]
-        return FieldPoly(quo, ctx), FieldPoly(rem[:dd], ctx)
+        quo = _divide(rem, other._terms(), self.ctx)
+        return FieldPoly(quo, self.ctx), FieldPoly(rem[: other.degree], self.ctx)
 
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
         return self.divmod(other)[1]
@@ -329,6 +316,39 @@ class FieldPoly:
             FieldPoly([sq[a] for a in cs[0::2]], ctx),
             FieldPoly([sq[a] for a in cs[1::2]], ctx),
         )
+
+
+def _mul_add(out: list[int], a: Sequence[int], b: _Terms, ctx: FieldCtx) -> list[int]:
+    """out + a*b in place, b given by its _terms(); out reaches deg a + deg b."""
+    exp, log = ctx.exp, ctx.log
+    for i, c in enumerate(a):
+        if c:
+            la = log[c]
+            for j, lb in b:
+                out[i + j] ^= exp[la + lb]
+    return out
+
+
+def _divide(rem: list[int], divisor: _Terms, ctx: FieldCtx) -> list[int]:
+    """Divide rem in place by a nonzero divisor of degree d given by its
+    _terms(): returns the quotient and leaves the remainder in rem[:d].  The
+    lead cancels by construction, so only the lower terms are subtracted."""
+    exp, log = ctx.exp, ctx.log
+    n1 = ctx.order - 1
+    *terms, (d, lead) = divisor
+    inv_lead = n1 - lead
+    quo = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            lq = log[c] + inv_lead
+            if lq >= n1:
+                lq -= n1
+            base = i - d
+            quo[base] = exp[lq]
+            for j, lb in terms:
+                rem[base + j] ^= exp[lq + lb]
+    return quo
 
 
 def poly_eea_partial(
@@ -376,8 +396,9 @@ def poly_eea_partial(
 def poly_inv_mod(p: FieldPoly, mod: FieldPoly) -> FieldPoly:
     """Inverse of p modulo mod.  The partial EEA stops at a remainder r of
     degree <= 0 with r = v*p (mod mod): r = 0 means gcd(p, mod) != 1, and a
-    nonzero constant r gives the inverse v/r."""
-    r, v = poly_eea_partial(mod, p % mod, 0)
+    nonzero constant r gives the inverse v/r.  An unreduced p needs no
+    p % mod first: the EEA's first division reduces it."""
+    r, v = poly_eea_partial(mod, p, 0)
     if r.is_zero():
         raise DivisionByZero("polynomial is not invertible modulo the given modulus")
     return v.scale(p.ctx.inv(r.coeffs[0]))
@@ -534,8 +555,13 @@ def sqrt_mod_g(u: FieldPoly, g: FieldPoly, sqrt_x: FieldPoly) -> FieldPoly:
     unique when g is irreducible: squaring is then a bijection of the
     quotient field GF(2^(mt)).
     """
-    u0, u1 = (u % g).sqrt_split()
-    return (u0 + sqrt_x * u1) % g
+    ctx, sq, t = g.ctx, g.ctx.sqrt, g.degree
+    cs = u.coeffs
+    # U0 + sqrt(x)*U1 formed whole, then reduced once
+    out = [sq[c] for c in cs[0::2]] + [0] * (len(cs) // 2 + t)
+    _mul_add(out, [sq[c] for c in cs[1::2]], sqrt_x._terms(), ctx)
+    _divide(out, g._terms(), ctx)
+    return FieldPoly(out[:t], ctx)
 
 
 # -- bit-sliced vectors of field elements --

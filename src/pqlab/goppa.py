@@ -29,7 +29,7 @@ coefficients: one table lookup per coefficient, slice and slice group.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Sequence
 
 from . import f2linalg
@@ -181,7 +181,8 @@ def patterson_decode(
 ) -> tuple[BinVector, BinVector]:
     """Decode up to t errors; returns (codeword, error) or DecodingFailure.
 
-    Key equation split: with T = 1/s mod g, R = sqrt(T + x) is split by a
+    Key equation split: with T = 1/s mod g, R = sqrt(T + x) = sqrt(T) +
+    sqrt(x) (the square root mod g is additive) is split by a
     partial EEA into a = b*R (mod g) with deg a <= t/2, deg b <= (t-1)/2,
     giving sigma = a^2 + x b^2 whose roots over the support mark the error
     positions.  T = x needs no branch: R = 0 splits as (0, 1), so sigma = x.
@@ -199,13 +200,12 @@ def patterson_decode(
     s = code.syndrome(received)
     if s.is_zero():
         return received, BinVector(code.n, 0)
-    g = code.g
-    t = code.t
-    x = FieldPoly.x(code.ctx)
-    T = poly_inv_mod(s, g)
-    r = sqrt_mod_g(T + x, g, code.sqrt_x)
-    a, b = poly_eea_partial(g, r, t // 2)
-    sigma = a.square() + b.square().shift(1)
+    g, sq = code.g, code.ctx.squares
+    r = sqrt_mod_g(poly_inv_mod(s, g), g, code.sqrt_x) + code.sqrt_x
+    a, b = poly_eea_partial(g, r, code.t // 2)
+    # a^2 + x b^2: the squares of a and b interleaved
+    pairs = zip_longest(a.coeffs, b.coeffs, fillvalue=0)
+    sigma = FieldPoly([sq[c] for pair in pairs for c in pair], code.ctx)
     # sigma (deg <= t) at every support element at once: the error bits are
     # the lanes where it vanishes
     err_bits = sliced_zeros(sliced_eval(sigma, code.power_tables), (1 << code.n) - 1)

@@ -3,7 +3,13 @@
 import math
 from fractions import Fraction
 
-from pqlab.errors import DimensionError, MessageRangeError, RankError
+from pqlab.errors import (
+    DecodingFailure,
+    DimensionError,
+    DivisionByZero,
+    MessageRangeError,
+    RankError,
+)
 from pqlab.f2linalg import BinVector
 from pqlab.gf2m import FieldPoly
 from pqlab.ntru import block_bytes
@@ -43,6 +49,40 @@ def poly_eea_partial_ref(p, q, stop_deg):
         r0, r1 = r1, rem
         v0, v1 = v1, v0 + quo * v1
     return r1, v1
+
+
+def patterson_decode_ref(code, received):
+    """Patterson's decoder stage by stage on FieldPoly arithmetic: the
+    reference for goppa.patterson_decode.
+
+    The inverses come from the textbook EEA above, sqrt(x) and sqrt(T + x)
+    from the split of g and of T + x (Huber), and the root search evaluates
+    sigma at each support element by poly_eval, so the decoder's stages
+    share only FieldPoly's product and division with it.
+    """
+    if received.n != code.n:
+        raise DimensionError("received word length mismatch")
+    s = code.syndrome(received)
+    if s.is_zero():
+        return received, BinVector(code.n, 0)
+    g, ctx = code.g, code.ctx
+
+    def inverse(p):
+        r, v = poly_eea_partial_ref(g, p % g, 0)
+        if r.is_zero():
+            raise DivisionByZero("polynomial is not invertible modulo the given modulus")
+        return v.scale(ctx.inv(r.coeffs[0]))
+
+    g0, g1 = g.sqrt_split()
+    sqrt_x = g0 * inverse(g1) % g
+    u0, u1 = ((inverse(s) + FieldPoly.x(ctx)) % g).sqrt_split()
+    a, b = poly_eea_partial_ref(g, (u0 + sqrt_x * u1) % g, code.t // 2)
+    sigma = a.square() + FieldPoly.x(ctx) * b.square()
+    roots = [j for j, alpha in enumerate(code.support) if not poly_eval(sigma, alpha)]
+    if len(roots) != sigma.degree:
+        raise DecodingFailure(f"locator of degree {sigma.degree} has {len(roots)} support roots")
+    error = BinVector.from_support(code.n, roots)
+    return received + error, error
 
 
 def poly_gcd(p, q):

@@ -76,6 +76,19 @@ def test_matrix_row_packing():
         BinMatrix(1, 2, [0b100])
 
 
+def test_empty_matrix_from_rows():
+    assert BinMatrix.from_rows([]) == BinMatrix(0, 0, [])
+
+
+def test_reprs_and_hashes():
+    # equal vectors hash equal; matrices and permutations define no hash
+    v, w = BinVector.from_bits([1, 0, 1]), BinVector(3, 0b101)
+    assert hash(v) == hash(w) and {v, w} == {v}
+    assert repr(v) == "BinVector([1, 0, 1])"
+    assert repr(BinMatrix.identity(2)) == "BinMatrix(2x2)"
+    assert repr(PermMatrix([2, 0, 1])) == "PermMatrix([2, 0, 1])"
+
+
 def test_mat_mul_identity(rng):
     m = BinMatrix(4, 6, [rng.randrange(64) for _ in range(4)])
     assert mat_mul(m, BinMatrix.identity(6)) == m
@@ -508,6 +521,18 @@ def test_mat_mul_xors_the_selected_rows(rows, inner, cols, data):
     product = mat_mul(BinMatrix(rows, inner, a), BinMatrix(inner, cols, b))
     assert (product.rows, product.cols) == (rows, cols)
     assert product.data == expected
+
+
+@given(st.integers(0, 200), st.integers(0, 100), st.data())
+def test_vec_mat_mul_xors_the_selected_rows(rows, cols, data):
+    # 0 rows included, and v's top bits clear or set
+    a = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    v = BinVector(rows, data.draw(st.integers(0, (1 << rows) - 1)))
+    expected = 0
+    for j in range(rows):
+        if (v.bits >> j) & 1:
+            expected ^= a[j]
+    assert vec_mat_mul(v, BinMatrix(rows, cols, a)) == BinVector(cols, expected)
 
 
 # -- the bit-gather kernel against the per-bit definition --

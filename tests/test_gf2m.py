@@ -140,6 +140,15 @@ def test_poly_basics():
     assert x.degree == 1 and x[1] == 1
 
 
+def test_reprs_hashes_and_monic_zero():
+    ctx = FieldCtx(4)
+    assert hash(FieldCtx(4)) == hash(ctx) and repr(ctx) == "FieldCtx(m=4)"
+    p, q = FieldPoly([1, 0, 3], ctx), FieldPoly([1, 0, 3, 0], FieldCtx(4))
+    assert hash(p) == hash(q) and {p, q} == {p}
+    assert repr(p) == "FieldPoly([1, 0, 3], m=4)"
+    assert FieldPoly.zero(ctx).monic() == FieldPoly.zero(ctx)
+
+
 def test_poly_add_is_coefficientwise_xor():
     ctx = FieldCtx(4)
     p = FieldPoly([1, 2, 3], ctx)
@@ -469,7 +478,7 @@ def test_kernels_match_schoolbook(m):
         q = _any_poly(ctx, rng.randrange(-1, 12), rng)
         # every fourth divisor is one term c*x^k; most divisors are not monic
         if trial % 4 == 0:
-            d = _any_poly(ctx, 0, rng).shift(rng.randrange(0, 4))
+            d = FieldPoly([0] * rng.randrange(0, 4) + [rng.randrange(1, ctx.order)], ctx)
         else:
             d = _any_poly(ctx, rng.randrange(0, 8), rng)
         assert p * q == _schoolbook_mul(p, q)

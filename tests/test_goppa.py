@@ -4,9 +4,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pqlab import goppa
-from pqlab.errors import DecodingFailure, DimensionError, RankError, SupportError
+from pqlab.errors import DecodingFailure, DimensionError, DivisionByZero, RankError, SupportError
 from pqlab.f2linalg import BinMatrix, BinVector, mat_vec_mul, null_space, rank
 from pqlab.gf2m import FieldCtx, FieldPoly, poly_inv_mod, random_irreducible, sliced_horner
 from pqlab.goppa import (
@@ -17,7 +19,7 @@ from pqlab.goppa import (
     patterson_decode,
 )
 
-from oracles import poly_eval
+from oracles import patterson_decode_ref, poly_eval
 
 
 def make_code(m, t, seed=1):
@@ -385,6 +387,64 @@ def test_root_search_matches_sliced_horner(monkeypatch, rng):
             assert [outcome(code, word) for word in words] == fast
         outcomes.update(type(o).__name__ for o in fast)
     assert outcomes == {"tuple", "str"}
+
+
+@st.composite
+def _desk_decodes(draw):
+    """(code, received word) over GF(2^m), m = 4-6, t = 2-4: g irreducible,
+    or squarefree and reducible (the key loader trusts irreducibility), on
+    a random support subset avoiding g's roots; the word is a codeword plus
+    0 to t + 2 errors."""
+    m, t = draw(st.integers(4, 6)), draw(st.integers(2, 4))
+    ctx = FieldCtx(m)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        g = random_irreducible(ctx, t, rng)
+    else:
+        d = draw(st.integers(1, t - 1))
+        f1, f2 = random_irreducible(ctx, d, rng), random_irreducible(ctx, t - d, rng)
+        assume(f1 != f2)
+        g = f1 * f2
+    field = [a for a in range(ctx.order) if poly_eval(g, a)]
+    n = rng.randrange(min(m * t + 1, len(field)), len(field) + 1)
+    code = GoppaCode(ctx, g, sorted(rng.sample(field, n)))
+    word = code.encode(BinVector(code.k, rng.getrandbits(code.k)))
+    errors = rng.sample(range(n), draw(st.integers(0, t + 2)))
+    return code, word + BinVector.from_support(n, errors)
+
+
+def _outcome(decode, code, received):
+    try:
+        return decode(code, received)
+    except (DecodingFailure, DivisionByZero) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_desk_decodes())
+def test_patterson_matches_fieldpoly_reference(case):
+    # the same (codeword, error) pair, or the same exception and message
+    code, received = case
+    expected = _outcome(patterson_decode_ref, code, received)
+    assert _outcome(patterson_decode, code, received) == expected
+
+
+def test_patterson_matches_reference_on_reducible_g():
+    # every word of weight 1 to t + 1 over one squarefree g with a linear
+    # factor: some syndromes share that factor with g, and both decoders
+    # must then raise the same DivisionByZero
+    ctx = FieldCtx(4)
+    rng = random.Random(5)
+    g = random_irreducible(ctx, 1, rng) * random_irreducible(ctx, 2, rng)
+    code = GoppaCode(ctx, g, [a for a in range(ctx.order) if poly_eval(g, a)])
+    kinds = set()
+    for w in range(1, code.t + 2):
+        for errors in combinations(range(code.n), w):
+            received = BinVector.from_support(code.n, errors)
+            got = _outcome(patterson_decode, code, received)
+            assert got == _outcome(patterson_decode_ref, code, received)
+            kinds.add(got[0] if isinstance(got[0], type) else tuple)
+    assert kinds == {tuple, DecodingFailure, DivisionByZero}
 
 
 def test_decode_length_mismatch():

@@ -8,6 +8,8 @@ code of that size, and a legacy (1024, 524, 50) key.  The LLL attack report (std
 pinned for N = 7, 9, 11 and 12, the largest N the CLI accepts.  A
 refactor must leave every key file, ciphertext and attack report here
 byte-identical; re-pin only for an intended format or algorithm change.
+Each pinned ciphertext is also decrypted under its pinned key, so the
+decoder runs on every pinned McEliece shape.
 """
 
 import hashlib
@@ -101,6 +103,13 @@ def test_pinned_keys_and_ciphertexts(tmp_path, name):
             "--in", str(plain), "--out", str(ct), "--seed", str(size + 1),
         ]) == 0
         got[f"{name}/{size}.ct"] = _sha256(ct)
+        # the pinned ciphertext decrypts to its payload under the pinned key
+        out = tmp_path / f"{size}.out"
+        assert main([
+            "decrypt", "--priv", str(keys / f"key.{ext}priv"),
+            "--in", str(ct), "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == plain.read_bytes()
     assert got == {k: v for k, v in DIGESTS.items() if k.startswith(name + "/")}
 
 
