@@ -20,13 +20,13 @@ about N * max(f') * max(g') needs for the offset operands f', g', so at
 N = 443, q = 2048 a ternary times a centered operand takes 3 bytes where
 the worst case (q - 1)^2 takes 4.  Packing goes through `struct`, one
 `bytes.translate` of one byte lane (the offset) and stride copies into a
-`bytearray`; the product comes back through `int.to_bytes` and `struct`.
-All of it runs in C while the coefficients fit in 8 bytes, so the one pass
-over the coefficients in Python is the centering of the result.
-`conv_mul` is the one product-and-centre; outside this module only
-`ntru.decrypt` reads `_product`'s slots, to reduce them mod q and mod p in
-one pass.  A key keeps its operands (`ntru` packs p*h, f and f_p^-1 once
-per key), and an operand keeps its packed int per slot width.
+`bytearray`.  A product mod q is reduced in its slots by whole-int
+operations (`_reduce`), and its centered values come out through one signed
+`struct.unpack`: while q fits in 8 bytes, no pass over the coefficients runs
+in Python.  `conv_mul` is the one product-and-centre; outside this module
+only `ntru.decrypt` reads `_product`'s slots, to reduce them mod q and then
+mod p.  A key keeps its operands (`ntru` packs p*h, f and f_p^-1 once per
+key), and an operand keeps its packed int per slot width.
 """
 
 from __future__ import annotations
@@ -66,6 +66,17 @@ _ITEM_BYTES = [0, 1, 2, 4, 4, 8, 8, 8, 8]
 def _add_table(t: int) -> bytes:
     """bytes.translate table adding t to every byte, mod 256."""
     return bytes(range(t, 256)) + bytes(range(t))
+
+
+def _restride(data: bytes, n: int, src: int, dst: int, keep: int) -> bytes:
+    """n slots of src bytes laid dst bytes apart: bytes 0 to keep - 1 of each
+    slot copied, the rest zero (data itself when nothing moves)."""
+    if src == dst == keep:
+        return data
+    buf = bytearray(n * dst)
+    for j in range(keep):
+        buf[j::dst] = data[j::src]
+    return buf
 
 
 class Operand:
@@ -111,25 +122,31 @@ class Operand:
         self.data = data
         self._ints = {}
 
+    @classmethod
+    def from_slots(cls, x: int, n: int, stride: int, top: int) -> Operand:
+        """The operand of x's n stride-byte slots, each in [0, top]."""
+        op = cls.__new__(cls)
+        op.n, op.low, op.top, op.stride, op._ints = n, 0, top, stride, {stride: x}
+        op.size = size = top.bit_length() // 8 + 1
+        op.data = data = x.to_bytes(n * stride, "little")
+        op.total = sum(sum(data[j::stride]) << 8 * j for j in range(size))
+        return op
+
     def __len__(self) -> int:
         return self.n
 
     def packed(self, width: int) -> int:
         x = self._ints.get(width)
         if x is None:
-            size, stride, data = self.size, self.stride, self.data
             # bytes E and up of an item are sign bits: copy bytes 0 to E - 1
-            if not width == size == stride:
-                buf = bytearray(self.n * width)
-                for j in range(min(size, width)):
-                    buf[j::width] = data[j::stride]
-                data = buf
+            data = _restride(self.data, self.n, self.stride, width, min(self.size, width))
             x = self._ints[width] = int.from_bytes(data, "little")
         return x
 
 
-def _product(f: Operand, g: Operand, extra: Operand | None = None) -> tuple:
-    """(slots, offset) with (f*g + extra)_k = slots[k] + offset.
+def _product(f: Operand, g: Operand, extra: Operand | None = None) -> tuple[int, int, int, int]:
+    """(x, width, top, offset): x holds n width-byte slots s_k <= top with
+    (f*g + extra)_k = s_k + offset.
 
     For f = f' + a*J and g = g' + b*J, a and b the lows, f*g = f'*g' +
     (a*sum(g') + b*sum(f') + N*a*b)*J.  One multiply of the packed offset
@@ -139,27 +156,60 @@ def _product(f: Operand, g: Operand, extra: Operand | None = None) -> tuple:
     product and each operand.
     """
     n = f.n
-    bound = n * f.top * g.top + f.top + g.top
+    top = n * f.top * g.top + f.top + g.top
     offset = f.low * g.total + g.low * f.total + n * f.low * g.low
     if extra is not None:
-        bound += extra.top
+        top += extra.top
         offset += extra.low
-    width = -(-bound.bit_length() // 8) or 1
+    width = -(-top.bit_length() // 8) or 1
     size = n * width
-    prod = f.packed(width) * g.packed(width)
-    prod = (prod & ((1 << 8 * size) - 1)) + (prod >> 8 * size)
+    x = f.packed(width) * g.packed(width)
+    x = (x & ((1 << 8 * size) - 1)) + (x >> 8 * size)
     if extra is not None:
-        prod += extra.packed(width)
-    data = prod.to_bytes(size, "little")
-    if width > 8:
-        return [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)], offset
-    item = _ITEM_BYTES[width]
-    if item != width:
-        buf = bytearray(n * item)
-        for j in range(width):
-            buf[j::item] = data[j::width]
-        data = buf
-    return struct.unpack(f"<{n}{_UNSIGNED[item]}", data), offset
+        x += extra.packed(width)
+    return x, width, top, offset
+
+
+@lru_cache(maxsize=None)
+def _barrett(n: int, width: int, k: int, q: int) -> tuple:
+    """`_reduce`'s constants for n width-byte slots below 2^k, mod q: W, the
+    fewest bytes that hold x*M for M = floor(2^k/q), the carry bit 2^b >= q
+    and a centered E-byte item r - half kept as r + 2^(8E) - half (so its
+    carry stays in the slot); then per W-byte slot 1, M, the quotient mask,
+    b, 2^b - q, 2^(8E) - half, and the reader of the centered items."""
+    m = (1 << k) // q
+    b = (q - 1).bit_length()
+    half = (q - 1) // 2
+    item = max(e := (q - 1 - half).bit_length() // 8 + 1, _ITEM_BYTES[min(e, 8)])
+    bits = max((((1 << k) - 1) * m).bit_length(), b + 1, 8 * item + 1)
+    size = max(width, -(-bits // 8))
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    if item <= 8:
+        unpack = struct.Struct("<" + f"{_SIGNED[item]}{size - item}x" * n).unpack
+    else:
+        def unpack(d):
+            return [int.from_bytes(d[i:i + item], "little", signed=True)
+                    for i in range(0, len(d), size)]
+    mask = ((1 << 8 * size - k) - 1) * ones
+    return size, ones, m, mask, b, ((1 << b) - q) * ones, ((1 << 8 * item) - half) * ones, unpack
+
+
+def _reduce(x: int, n: int, width: int, top: int, q: int, add: int) -> tuple[int, tuple]:
+    """(y, `_barrett`'s constants): y's W-byte slots hold (s_k + add) mod q for
+    x's n width-byte slots s_k <= top.  Barrett (1986) per slot, SWAR (Lamport
+    1975): for x_k = s_k + (add mod q) < 2^k, (x_k*M) >> k is floor(x_k/q) or
+    one less, so x_k less that many q is r in [0, 2q); bit b of r + 2^b - q,
+    set iff r >= q, times q is the one conditional subtract."""
+    k = (top + q - 1).bit_length()
+    const = _barrett(n, width, k, q)
+    size, ones, m, mask, b, lift, _, _ = const
+    if size != width:
+        data = _restride(x.to_bytes(n * width, "little"), n, width, size, width)
+        x = int.from_bytes(data, "little")
+    x += add % q * ones
+    x -= (x * m >> k & mask) * q
+    x -= (x + lift >> b & ones) * q
+    return x, const
 
 
 def conv_mul(
@@ -181,12 +231,22 @@ def conv_mul(
         f = Operand(f)
     if not isinstance(g, Operand):
         g = Operand(g)
-    slots, offset = _product(f, g, extra)
-    if q is None:
-        return [s + offset for s in slots]
-    half = (q - 1) // 2  # centered residues are (x + half) % q - half
-    offset += half
-    return [(s + offset) % q - half for s in slots]
+    x, width, top, offset = _product(f, g, extra)
+    if q is not None:
+        return _centred(x, n, width, top, q, offset)
+    data, item = x.to_bytes(n * width, "little"), _ITEM_BYTES[min(width, 8)]
+    if width > 8:
+        slots = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    else:
+        slots = struct.unpack(f"<{n}{_UNSIGNED[item]}", _restride(data, n, width, item, width))
+    return [s + offset for s in slots]
+
+
+def _centred(x: int, n: int, width: int, top: int, q: int, offset: int) -> list[int]:
+    """Centered residues mod q of s_k + offset, s_k <= top the slots of x."""
+    half = (q - 1) // 2
+    x, (size, _, _, _, _, _, centre, unpack) = _reduce(x, n, width, top, q, offset + half)
+    return list(unpack((x + centre).to_bytes(n * size, "little")))
 
 
 def invert_mod_prime(f: Coeffs, p: int) -> list[int]:

@@ -10,10 +10,9 @@ NTRU private reader reads h with the public one).  A file is read as its
 writer wrote it: each param name at most once and only names the writer of
 that (scheme, kind) emits (`systematic` is optional in McEliece keys), only
 values that writer emits (`systematic` 0 or 1, `modulus` the one modulus of
-GF(2^m)), spelled as it spells them (tokens one space apart, params and
-matrix shapes as str(int) spells them, integer lists in digits and '-',
-leading zeros allowed, rows as (cols + 3) // 4 lowercase hex digits), and
-no line after "end".  A key's scheme parameters are a set its params class
+GF(2^m)), spelled as it spells them (tokens one space apart, every decimal
+integer as str(int) spells it, rows as (cols + 3) // 4 lowercase hex digits),
+and no line after "end".  A key's scheme parameters are a set its params class
 (`McElieceParams`, `NtruParams`) accepts; the ValueError of any other set
 reads as a FormatError.  Every key exposes that set as `params`: its file's
 param lines open with the fields of `params` in field order, and the readers
@@ -26,6 +25,7 @@ before any block.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
@@ -68,15 +68,16 @@ _HEX = b"0123456789abcdef"
 
 
 def _ints(text: str, what: str) -> list[int]:
-    """Integers in digits and '-', one space apart: one translate of the line
-    rejects every other character int() takes ('+', '_', 'x', ...), and int()
-    rejects the rest: an empty token, which any other spacing leaves, or a
-    misplaced '-'.  The spacing is looked at only then, so a valid line pays
-    for no search."""
-    if text.encode().translate(None, _DECIMAL):
+    """Integers as str(int) spells them, one space apart: one translate of
+    the line rejects every other character int() takes ('+', '_', 'x', ...),
+    '-0' and the empty line are looked for by name, and JSON's number
+    grammar, read at C speed, rejects the rest: a leading zero, an empty
+    token (which any other spacing leaves) or a misplaced '-'.  The spacing
+    is looked at only then, so a valid line pays for no search."""
+    if not text or "-0" in text or text.encode().translate(None, _DECIMAL):
         raise FormatError(f"bad integer in {what}")
     try:
-        return list(map(int, text.split(" ")))
+        return json.loads("[" + text.replace(" ", ",") + "]")
     except ValueError:
         spacing = "  " in text or text.startswith(" ") or text.endswith(" ")
         raise FormatError(f"bad {'spacing' if spacing else 'integer'} in {what}") from None
@@ -137,8 +138,6 @@ class _Parser:
     def matrix(self, name: str) -> BinMatrix:
         shape = self.body(f"matrix {name}")
         rows, cols = _ints(shape, f"matrix {name}")
-        if shape != f"{rows} {cols}":
-            raise FormatError(f"bad integer in matrix {name}")
         return BinMatrix(rows, cols, _hex([self.next() for _ in range(rows)], cols, "row"))
 
     def int_list(self, tag: str, name: str) -> list[int]:

@@ -153,23 +153,22 @@ def encrypt(
 def decrypt(kp: NtruKeyPair, c: list[int]) -> list[int]:
     """a = center(f * c mod q), then m = center(f_p^-1 * a mod p).
 
-    a is reduced mod p in the pass that centers it mod q.  Wrap failures
-    (possible at toy q) are not detectable at this layer; callers that know
-    (r, m) can consult decryption_identity_check.
+    a is reduced mod p in the packed slots that reduce it mod q.  Wrap
+    failures (possible at toy q) are not detectable at this layer; callers
+    that know (r, m) can consult decryption_identity_check.
     """
     params = kp.params
     if len(c) != params.n:
         raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
-    p, q = params.p, params.q
+    n, p, q = params.n, params.p, params.q
     f, f_p_inv = kp.operands
-    # the slots of f * c rather than conv_mul: one pass reduces them mod q
-    # and then mod p, so a lies in [0, p) and f_p^-1 * a takes 2-byte slots
-    # at rec443 (37 us against 63 us on 3-byte slots, ROADMAP profile)
-    slots, offset = convring._product(f, Operand(c))
-    half = (q - 1) // 2  # centered residues are (x + half) % q - half
-    offset += half
-    a = [((s + offset) % q - half) % p for s in slots]
-    return conv_mul(f_p_inv, Operand(a, bounds=(0, p - 1)), p)
+    # f * c becomes r = (f*c + half) mod q in its slots, and the centered r - half
+    # then a in [0, p), so f_p^-1 * a takes 2-byte slots at rec443
+    x, width, top, offset = convring._product(f, Operand(c))
+    half = (q - 1) // 2
+    x, const = convring._reduce(x, n, width, top, q, offset + half)
+    x, const = convring._reduce(x, n, const[0], q - 1, p, -half)
+    return conv_mul(f_p_inv, Operand.from_slots(x, n, const[0], p - 1), p)
 
 
 def decrypt_with_intermediate(

@@ -25,6 +25,33 @@ def center(value, q):
     return r
 
 
+def conv_oracle(f, g):
+    """Schoolbook polynomial product, then x^k folded onto x^(k mod N): the
+    reference for convring.conv_mul."""
+    n = len(f)
+    prod = [0] * (2 * n)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            prod[i + j] += fi * gj
+    out = [0] * n
+    for k, c in enumerate(prod):
+        out[k % n] += c
+    return out
+
+
+def centred_slots_ref(slots, offset, q):
+    """conv_mul's pass over a product's slots before they were reduced in
+    the packed int: the centered residue of each slot plus offset, mod q."""
+    half = (q - 1) // 2
+    return [(s + offset + half) % q - half for s in slots]
+
+
+def decrypt_slots_ref(slots, offset, q, p):
+    """ntru.decrypt's pass over the slots of f * c before they were reduced
+    in the packed int: centered mod q, then reduced mod p to [0, p)."""
+    return [c % p for c in centred_slots_ref(slots, offset, q)]
+
+
 def poly_eval(p, x):
     """p(x) for one field element x, by Horner's rule with the scalar
     field product: the per-position reference for the sliced kernels."""

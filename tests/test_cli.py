@@ -795,6 +795,11 @@ def _edit_first(tag, change):
     return edit
 
 
+def _leading_zero(rest):
+    """The integer list with a 0 put before the first value's digits."""
+    return "-0" + rest[1:] if rest.startswith("-") else "0" + rest
+
+
 def _add_to_first_coefficient(extra):
     return lambda rest: " ".join([str(int(rest.split()[0]) + extra), *rest.split()[1:]])
 
@@ -828,11 +833,20 @@ def test_ntru_ciphertext_coefficient_outside_centered_range_rejected(tmp_path, c
          "bad integer in poly f"),
         ("mceliece", "ct", _edit_first("param n", lambda v: "0" + v), "bad integer in param n"),
         ("mceliece", "priv", _edit_first("matrix s", lambda v: "0" + v), "bad integer in matrix s"),
+        ("ntru", "pub", _edit_first("poly h", _leading_zero), "bad integer in poly h"),
+        ("ntru", "ct", _edit_first("block", _leading_zero), "bad integer in ntru block"),
+        ("ntru", "priv", _edit_first("poly f", lambda c: "-0 " + c), "bad integer in poly f"),
+        ("ntru", "ct", _edit_first("block", lambda c: "-0" + c[c.index(" "):]),
+         "bad integer in ntru block"),
+        ("ntru", "priv", _edit_first("poly f", lambda c: ""), "bad integer in poly f"),
+        ("ntru", "ct", _edit_first("block", lambda c: ""), "bad integer in ntru block"),
     ],
     ids=[
         "block-0x", "block-plus", "block-upper", "block-wide", "row-upper", "param-plus",
         "param-underscore", "ntru-param-plus", "matrix-shape-plus", "ntru-block-plus",
-        "poly-plus", "param-leading-zero", "matrix-shape-leading-zero",
+        "poly-plus", "param-leading-zero", "matrix-shape-leading-zero", "poly-leading-zero",
+        "ntru-block-leading-zero", "poly-minus-zero", "ntru-block-minus-zero", "poly-empty",
+        "ntru-block-empty",
     ],
 )
 def test_integer_spellings_the_writers_never_emit_rejected(

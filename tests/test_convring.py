@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import center, prime_power_ref
+from oracles import center, centred_slots_ref, conv_oracle, decrypt_slots_ref, prime_power_ref
 from pqlab import kat
 from pqlab.convring import (
     Operand,
+    _centred,
     _invert_lists,
+    _reduce,
     center_mod,
     centered,
     conv_mul,
@@ -99,20 +101,6 @@ def test_conv_length_mismatch():
 
 def test_conv_empty():
     assert conv_mul([], []) == []
-
-
-def conv_oracle(f, g):
-    # independent oracle: schoolbook polynomial product, then fold x^k onto
-    # x^(k mod N)
-    n = len(f)
-    prod = [0] * (2 * n)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            prod[i + j] += fi * gj
-    out = [0] * n
-    for k, c in enumerate(prod):
-        out[k % n] += c
-    return out
 
 
 def test_conv_matches_multiply_then_fold(rng):
@@ -276,6 +264,59 @@ def test_conv_modulus_one_is_all_zeros(rng):
     for n in (1, 5, 443):
         f = [rng.randrange(-9, 10) for _ in range(n)]
         assert conv_mul(f, f, 1) == [0] * n
+
+
+# -- the packed reduction --
+
+# every slot width _product picks up to 9 bytes, and two past it; moduli odd,
+# even and powers of two, up to past 8 bytes
+SLOT_WIDTHS = list(range(1, 10)) + [11, 17]
+REDUCTION_MODULI = [2, 3, 4, 6, 41, 64, 100, 255, 256, 2048, 65535, 2**31 - 1, 2**32,
+                    2**63, 2**64 + 13, 2**72 - 1]
+
+
+@st.composite
+def packed_slots(draw):
+    # n slots of `width` bytes below top; the values include 0, q - 1, the
+    # slot's top and the slots whose centered residue is -half or +q/2, the
+    # two ends of the centered range
+    n = draw(st.integers(1, 12))
+    width = draw(st.sampled_from(SLOT_WIDTHS))
+    q = draw(st.sampled_from(REDUCTION_MODULI) | st.integers(2, 2**80))
+    full = (1 << 8 * width) - 1
+    top = draw(st.sampled_from([full, min(q - 1, full)]) | st.integers(0, full))
+    offset = draw(st.integers(-(2**90), 2**90))
+    half = (q - 1) // 2
+    edges = [0, q - 1, top, (-half - offset) % q, (q // 2 - offset) % q]
+    value = st.sampled_from([v for v in edges if v <= top]) | st.integers(0, top)
+    return n, width, top, q, offset, draw(st.lists(value, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_slots(), st.sampled_from([2, 3, 5, 7, 8, 9]))
+def test_packed_reduction_matches_reference_passes(case, p):
+    n, width, top, q, offset, slots = case
+    x = int.from_bytes(b"".join(s.to_bytes(width, "little") for s in slots), "little")
+    assert _centred(x, n, width, top, q, offset) == centred_slots_ref(slots, offset, q)
+    # decrypt's two reductions: mod q, then the centered value mod p
+    half = (q - 1) // 2
+    y, const = _reduce(x, n, width, top, q, offset + half)
+    y, const = _reduce(y, n, const[0], q - 1, p, -half)
+    size = const[0]
+    residues = [y >> 8 * size * k & (1 << 8 * size) - 1 for k in range(n)]
+    assert residues == decrypt_slots_ref(slots, offset, q, p)
+
+
+@pytest.mark.parametrize("q", [2, 3, 41, 64, 256, 2048, 2**31, 2**64 + 13])
+def test_conv_centered_range_ends(q):
+    # the least centered residue -half and the greatest q/2, each also a
+    # multiple of q away: a signed item whose carry leaves the slot reads
+    # the wrong value or a neighbour's
+    lo, hi = -((q - 1) // 2), q // 2
+    g = [lo, hi, lo - q, hi + q, 0, lo + 3 * q, hi - 5 * q]
+    one = [1] + [0] * (len(g) - 1)
+    assert conv_mul(one, g, q) == [lo, hi, lo, hi, 0, lo, hi]
+    assert conv_mul(Operand(g), Operand(one), q, Operand(one)) == [lo + 1, hi, lo, hi, 0, lo, hi]
 
 
 coeff_lists = st.integers(1, 8).flatmap(

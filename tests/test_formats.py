@@ -267,6 +267,37 @@ def test_bad_integer_coefficient(ntru_kp):
         parse_file(text.replace("poly h", "poly h x", 1))
 
 
+def _first_token(change):
+    return lambda rest: " ".join([change(rest.split(" ")[0]), *rest.split(" ")[1:]])
+
+
+def _leading_zero(token):
+    return "-0" + token[1:] if token.startswith("-") else "0" + token
+
+
+@pytest.mark.parametrize("kind", ["public", "private", "ciphertext"])
+@pytest.mark.parametrize(
+    "change",
+    [_first_token(_leading_zero), _first_token(lambda t: "-0"), lambda rest: ""],
+    ids=["leading-zero", "minus-zero", "empty"],
+)
+def test_integer_list_spelled_as_no_writer_spells_it(ntru_kp, rng, kind, change):
+    # a key poly or a ciphertext block with a leading zero, -0 or no value:
+    # int() reads the first two as the values they spell
+    if kind == "ciphertext":
+        text = serialize_ciphertext_ntru(ntru_kp.params, [[1, 0, -3] + [0] * 8])
+        tag, what = "block", "ntru block"
+    else:
+        kp = ntru_kp.public if kind == "public" else ntru_kp
+        text = (serialize_ntru_public if kind == "public" else serialize_ntru_private)(kp)
+        tag, what = "poly h", "poly h"
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+    lines[i] = f"{tag} {change(lines[i][len(tag) + 1:])}"
+    with pytest.raises(FormatError, match=f"^bad integer in {what}$"):
+        parse_file("\n".join(lines) + "\n")
+
+
 def test_wrong_shape_rejected(ntru_kp, mce_kp_sys):
     # drop one coefficient from h
     text = serialize_ntru_public(ntru_kp.public)
@@ -533,10 +564,11 @@ def test_value_mutated_file_loads_or_raises_format_error(kind, data):
 
 def _respellings(token: str, is_hex: bool) -> list[str]:
     """Spellings of the token's value that int() reads back but no writer
-    emits: '_' between digits, a '+' sign, and for hex a 0x prefix and
-    upper case.  Leading zeros and -0 are left out."""
+    emits: '_' between digits, a '+' sign, a leading zero, -0 for 0, and for
+    hex a 0x prefix and upper case."""
     sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
     out = [f"{sign}{digits[0]}_{digits[1:]}"] if len(digits) > 1 else []
+    out += [f"{sign}0{digits}"] + (["-0"] if token == "0" else [])
     if not sign:
         out.append("+" + token)
     if is_hex:

@@ -6,10 +6,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import blocks_to_bytes_ref, bytes_to_blocks_ref
+from oracles import blocks_to_bytes_ref, bytes_to_blocks_ref, conv_oracle
 from pqlab import formats, kat, ntru
 from pqlab.convring import (
     center_mod,
@@ -451,3 +451,43 @@ def test_sampled_blinding_matches_reference(rng):
     c = encrypt(kp.public, m, rng=random.Random(9))
     r = sample_ternary(443, *PRESETS["rec443"].shape, random.Random(9))
     assert c == _encrypt_reference(kp.public, m, r)
+
+
+# q prime or a power of two, and p a prime power below it
+_PIPELINE_Q = [5, 7, 11, 41, 101, 257, 65537, 2**31 - 1, 4, 8, 64, 2048, 2**16, 2**20]
+_PIPELINE_P = [2, 3, 4, 5, 7, 8, 9, 25, 27, 125]
+
+
+@st.composite
+def _pipeline_cases(draw):
+    n = draw(st.integers(3, 60))
+    q = draw(st.sampled_from(_PIPELINE_Q))
+    p = draw(st.sampled_from(_PIPELINE_P))
+    assume(p < q and math.gcd(p, q) == 1)
+    params = NtruParams(n, p, q, draw(st.integers(0, (n - 1) // 2)))
+    lo_q, hi_q, lo_p, hi_p = -((q - 1) // 2), q // 2, -((p - 1) // 2), p // 2
+
+    def ints(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    ternary = st.permutations([1] * (params.d_f + 1) + [-1] * params.d_f + [0] * (n - 2 * params.d_f - 1))
+    f, r = draw(ternary), draw(ternary)
+    kp = NtruKeyPair(NtruPublicKey(params, tuple(ints(lo_q, hi_q))), tuple(f), tuple(ints(0, p - 1)))
+    return kp, r, ints(lo_p, hi_p), ints(lo_q, hi_q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pipeline_cases())
+def test_block_pipeline_matches_reference(case):
+    # random valid parameters and key material, not necessarily a working
+    # key: encrypt and decrypt equal the schoolbook products centered
+    # coefficient by coefficient, on an encryption and on an arbitrary
+    # centered ciphertext alike
+    kp, r, m, wild = case
+    params = kp.params
+    p, q = params.p, params.q
+    c = encrypt(kp.public, m, r=r)
+    assert c == center_mod([p * a + b for a, b in zip(conv_oracle(r, kp.public.h), m)], q)
+    for block in (c, wild):
+        a = center_mod(conv_oracle(kp.f, block), q)
+        assert decrypt(kp, block) == center_mod(conv_oracle(kp.f_p_inv, a), p)
