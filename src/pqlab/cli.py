@@ -111,9 +111,7 @@ def _cmd_keygen(args) -> int:
             params = _params(mceliece.McElieceParams, 2**m, 2**m - m * t, t)
         else:
             params = mceliece.preset(args.preset or "toy")
-        kp = mceliece.keygen(
-            params.m, params.t, _seeded_rng(args.seed), n=params.n, systematic=args.systematic
-        )
+        kp = mceliece.keygen(params, _seeded_rng(args.seed), systematic=args.systematic)
         files = {
             "key.mcpub": formats.serialize_mceliece_public(kp.public),
             "key.mcpriv": formats.serialize_mceliece_private(kp),

@@ -204,10 +204,13 @@ def serialize_mceliece_private(kp: mce.McElieceKeyPair) -> str:
 
 
 def _parse_mceliece_private(p: _Parser, params: dict[str, int]) -> mce.McElieceKeyPair:
-    n, k, t = astuple(mce.McElieceParams(params["n"], params["k"], params["t"]))
+    mp = mce.McElieceParams(params["n"], params["k"], params["t"])
+    n, k, t = astuple(mp)
+    if params["m"] != mp.m:
+        raise FormatError(f"param m {params['m']} != {mp.m}, the field degree of n = {n}")
     s = p.matrix("s")
     perm = PermMatrix(p.int_list("perm", "p"))
-    ctx = FieldCtx(params["m"])
+    ctx = FieldCtx(mp.m)
     modulus = params["modulus"]
     if modulus != ctx.modulus:
         raise FormatError(f"param modulus {modulus} != {ctx.modulus}, the modulus of GF(2^{ctx.m})")

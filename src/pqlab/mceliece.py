@@ -4,12 +4,14 @@ Key generation hides a decodable code G behind an invertible scramble S and
 a column permutation P: the private key is (S, g, L, P), and the public
 matrix G_hat = S x (G x P) is derived from it: the null-space pass of H
 leaves G by columns, so G x P is those columns moved by P and transposed
-once.  Keygen eliminates H once and draws g with a root test ahead of
-Ben-Or (see gf2m).  Encryption adds a secret weight-t error to m . G_hat;
+once.  Keygen takes the McElieceParams it is asked for, whose k must be
+n - m*t, eliminates H once per g and draws g with a root test ahead of
+Ben-Or (see gf2m), again while H falls below rank m*t.  Systematic keygen
+redraws P while the tail block it inverts is singular (`f2linalg.invert`
+raises RankError, as the solver does for a singular S); both redraws stop
+after KEYGEN_TRIES.  Encryption adds a secret weight-t error to m . G_hat;
 decryption unwinds P, decodes the error, reads v = m . S off the codeword
 and solves it for m through one `RowSolver` of S per key pair, never at keygen.
-Systematic keygen redraws P while the tail block it inverts is singular
-(`f2linalg.invert` raises RankError, as the solver does for a singular S).
 Both key classes expose their (n, k, t) as `params`, a McElieceParams, as
 NTRU keys expose NtruParams.  Includes the key-size and work-factor
 calculators and block encryption for byte streams.
@@ -59,7 +61,7 @@ class McElieceParams:
 
 # Named parameter sets: two desk-scale codes for demos and tests, the classic
 # original proposal, the revision that restored its security margin, and the
-# 128-bit post-quantum set.  k = n - m*t throughout.
+# 128-bit post-quantum set.  k = n - m*t, as keygen requires.
 PRESETS = {
     "toy": McElieceParams(16, 8, 2),
     "demo": McElieceParams(32, 17, 3),
@@ -70,8 +72,8 @@ PRESETS = {
     "pq128": McElieceParams(6960, 5413, 119),
 }
 
-# Permutations drawn before systematic keygen gives up on an invertible tail
-SYSTEMATIC_TRIES = 100
+# Draws of g (until k = n - m*t) and of systematic P (until the tail inverts)
+KEYGEN_TRIES = 100
 
 
 @dataclass(frozen=True)
@@ -137,33 +139,31 @@ class McElieceKeyPair:
 
 
 def keygen(
-    m: int,
-    t: int,
-    rng: random.Random,
-    n: int | None = None,
-    systematic: bool = False,
+    params: McElieceParams, rng: random.Random, systematic: bool = False
 ) -> McElieceKeyPair:
-    """Generate a key pair over a fresh Goppa code with parameters (m, t).
-
-    n defaults to the full support 2^m; smaller n uses the first n field
-    elements.  With systematic=True, S is chosen as the inverse of the last
-    k columns of G x P so the public matrix ends in an identity block and
-    stores as k x (n-k) bits.
+    """A key pair for params over a fresh Goppa code in GF(2^m) whose
+    support is the first n field elements; DimensionError unless
+    k = n - m*t.  A g whose parity check has rank below m*t (so k is
+    larger) is redrawn, as a reducible g is.  With systematic=True, S is
+    the inverse of the last k columns of G x P, so the public matrix ends
+    in an identity block and stores as k x (n-k) bits.
     """
+    n, k, t, m = params.n, params.k, params.t, params.m
+    if k != n - m * t:
+        raise DimensionError(f"need k = n - m*t = {n - m * t}, got k={k}")
     ctx = FieldCtx(m)
-    if n is None:
-        n = ctx.order
-    if not t * m < n <= ctx.order:
-        raise DimensionError(f"need m*t < n <= 2^m, got n={n}")
-    g = random_irreducible(ctx, t, rng)
-    code = GoppaCode(ctx, g, range(n))
-    # the public key needs G's columns: formed before S is drawn, S is not
-    # alive at the elimination's peak (2 MiB of pq128 keygen's peak RSS),
-    # and the code reads k and its free columns off them
-    columns = code.generator_columns
-    k = code.k
+    for _ in range(KEYGEN_TRIES):
+        code = GoppaCode(ctx, random_irreducible(ctx, t, rng), range(n))
+        # the public key needs G's columns: formed before S is drawn, S is not
+        # alive at the elimination's peak (2 MiB of pq128 keygen's peak RSS),
+        # and the code reads k and its free columns off them
+        columns = code.generator_columns
+        if code.k == k:
+            break
+    else:
+        raise SamplingExhausted(f"no Goppa polynomial gave a code of dimension {k}")
     if systematic:
-        for _ in range(SYSTEMATIC_TRIES):
+        for _ in range(KEYGEN_TRIES):
             p = f2linalg.random_permutation(n, rng)
             tail = BinMatrix(k, k, f2linalg.transpose([columns[i] for i in p._inv[n - k :]], k))
             try:

@@ -151,7 +151,7 @@ def test_criterion_05_goppa_bounds():
     worst_slack = None
     for m, t, count in [(4, 2, 10), (5, 2, 10)]:
         for _ in range(count):
-            kp = mceliece.keygen(m, t, rng)
+            kp = mceliece.keygen(mceliece.McElieceParams(2**m, 2**m - m * t, t), rng)
             code = kp.code
             assert code.k >= code.n - m * t, (m, t, code.k)
             w, _ = min_weight_bruteforce(code.generator)
@@ -175,7 +175,7 @@ def test_criterion_06_decoder_equivalence():
     patterns += [BinVector.from_support(n, list(p)) for p in combinations(range(n), 2)]
     assert len(patterns) == 137
     for _ in range(10):
-        kp = mceliece.keygen(4, 2, rng)
+        kp = mceliece.keygen(mceliece.PRESETS["toy"], rng)
         code = kp.code
         for e in patterns:
             word = code.encode(BinVector(code.k, rng.randrange(1 << code.k)))
@@ -195,7 +195,7 @@ def test_criterion_07_round_trips():
     start = time.monotonic()
     rng = random.Random(70)
     for _ in range(5):
-        kp = mceliece.keygen(5, 3, rng)
+        kp = mceliece.keygen(mceliece.PRESETS["demo"], rng)
         for _ in range(200):
             m = BinVector(kp.k, rng.randrange(1 << kp.k))
             c = mceliece.encrypt(kp.public, m, rng=rng)
@@ -317,7 +317,7 @@ def test_criterion_10_toy_attack():
 def test_criterion_11_oracle_correspondences():
     start = time.monotonic()
     rng = random.Random(110)
-    kp = mceliece.keygen(4, 2, rng)
+    kp = mceliece.keygen(mceliece.PRESETS["toy"], rng)
     code = kp.code
     n, k = code.n, code.k
     patterns = [BinVector(n, 0)]

@@ -38,7 +38,7 @@ from pqlab.f2linalg import (
 )
 from pqlab.goppa import patterson_decode
 from pqlab.lattice import ConvModLattice, cvp_bruteforce
-from pqlab.mceliece import keygen as mce_keygen
+from pqlab.mceliece import PRESETS as MCE_PRESETS, keygen as mce_keygen
 from pqlab.ntru import NtruParams, keygen as ntru_keygen
 
 
@@ -102,7 +102,7 @@ def test_spectrum_invariant_under_scrambling(rng):
 
 def test_spectrum_differs_for_unrelated_code():
     # recorded, not asserted: a different random code's spectrum
-    kp = mce_keygen(4, 2, random.Random(123))
+    kp = mce_keygen(MCE_PRESETS["toy"], random.Random(123))
     other = weight_spectrum(kp.code.generator)
     base = weight_spectrum(kat.MCE_G)
     print(f"spectra equal for unrelated codes: {other == base}")
@@ -119,7 +119,7 @@ def test_nearest_fixes_codewords(rng):
 
 
 def test_nearest_agrees_with_patterson(rng):
-    kp = mce_keygen(4, 2, rng)
+    kp = mce_keygen(MCE_PRESETS["toy"], rng)
     code = kp.code
     for _ in range(50):
         word = code.encode(BinVector(code.k, rng.randrange(1 << code.k)))

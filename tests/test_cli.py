@@ -114,6 +114,15 @@ def test_custom_params(tmp_path, rng):
     assert (keys2 / "key.mcpub").is_file()
 
 
+def test_mceliece_params_key_has_the_requested_k(tmp_path):
+    # --params 5,6 asks for McElieceParams(32, 2, 6); seed 2's first g gives
+    # an H of rank below m*t, and its key used to be written with k = 4
+    keys = _keygen(tmp_path, "k", "--scheme", "mceliece", "--params", "5,6", "--seed", "2")
+    for name in ("key.mcpub", "key.mcpriv"):
+        lines = (keys / name).read_text().splitlines()
+        assert lines[1:4] == ["param n 32", "param k 2", "param t 6"]
+
+
 def test_systematic_keygen(tmp_path):
     keys = _keygen(
         tmp_path, "k", "--scheme", "mceliece", "--preset", "toy",
@@ -761,6 +770,9 @@ def test_mceliece_key_without_systematic_param_loads(tmp_path, file):
     [
         ("priv", (), lambda t: t.replace("param modulus 19\n", "param modulus 25\n"),
          "param modulus 25 != 19, the modulus of GF(2^4)"),
+        ("priv", (),
+         lambda t: t.replace("param m 4\nparam modulus 19\n", "param m 5\nparam modulus 37\n"),
+         "param m 5 != 4, the field degree of n = 16"),
         ("pub", ("--systematic",),
          lambda t: t.replace("param systematic 1\n", "param systematic 7\n"),
          "param systematic 7 is not 0 or 1"),
@@ -770,13 +782,15 @@ def test_mceliece_key_without_systematic_param_loads(tmp_path, file):
         ("pub", (), lambda t: t.replace("param k 8\n", "param k 7\n"),
          "public matrix has wrong shape"),
     ],
-    ids=["modulus-25", "public-systematic-7", "private-systematic-7", "public-k-7"],
+    ids=["modulus-25", "m-5", "public-systematic-7", "private-systematic-7", "public-k-7"],
 )
 def test_mceliece_param_values_the_writer_never_emits_rejected(
     tmp_path, capsys, file, keygen_args, edit, reason
 ):
     # x^4 + x^3 + 1 (25) is primitive too, but GF(16) has one modulus, 19: a
-    # seed-1 key read under 25 used to load and fail at decrypt.  The writer
+    # seed-1 key read under 25 used to load and fail at decrypt.  n = 16 needs
+    # m = 4, and m = 5 with GF(32)'s modulus 37 used to fail only when the
+    # rebuilt code's k did not match the stored key.  The writer
     # emits systematic as 0 or 1, and 7 used to load as 1.  k = 7 passes the
     # range checks, but the toy key's 8 x 16 matrix is not k x n
     _, code = _edit_and_use(tmp_path, "mceliece", file, edit, *keygen_args)

@@ -35,14 +35,14 @@ from oracles import poly_gcd
 def mce_kp():
     import random
 
-    return mceliece.keygen(4, 2, random.Random(7))
+    return mceliece.keygen(mceliece.PRESETS["toy"], random.Random(7))
 
 
 @pytest.fixture(scope="module")
 def mce_kp_sys():
     import random
 
-    return mceliece.keygen(4, 2, random.Random(7), systematic=True)
+    return mceliece.keygen(mceliece.PRESETS["toy"], random.Random(7), systematic=True)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def test_ntru_public_roundtrip(ntru_kp):
 @pytest.fixture(scope="module")
 def mce_kp_demo_sys():
     demo = mceliece.PRESETS["demo"]
-    return mceliece.keygen(demo.m, demo.t, random.Random(4), n=demo.n, systematic=True)
+    return mceliece.keygen(demo, random.Random(4), systematic=True)
 
 
 @pytest.mark.parametrize("part", ["public", "private"])
@@ -380,7 +380,7 @@ def test_public_key_loads_exactly_when_mceliece_params_accept():
 # a demo-preset private key and a fixed ciphertext under it; the fuzz below
 # edits the integers of its param, perm p, poly g and support l lines
 _DEMO = mceliece.preset("demo")
-_DEMO_KP = mceliece.keygen(_DEMO.m, _DEMO.t, random.Random(21), n=_DEMO.n)
+_DEMO_KP = mceliece.keygen(_DEMO, random.Random(21))
 _DEMO_TEXT = serialize_mceliece_private(_DEMO_KP)
 _DEMO_LINES = _DEMO_TEXT.splitlines()
 _DEMO_BLOCKS = mceliece.encrypt_long(_DEMO_KP.public, b"fuzz", random.Random(22))
@@ -432,7 +432,7 @@ _NTRU_KP = ntru.keygen(ntru.preset("toy11"), random.Random(23))
 _OTHER_FILES = {
     "mceliece-public": serialize_mceliece_public(_DEMO_KP.public),
     "mceliece-public-systematic": serialize_mceliece_public(
-        mceliece.keygen(4, 2, random.Random(24), systematic=True).public
+        mceliece.keygen(mceliece.PRESETS["toy"], random.Random(24), systematic=True).public
     ),
     "ntru-public": serialize_ntru_public(_NTRU_KP.public),
     "ntru-private": serialize_ntru_private(_NTRU_KP),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqlab import f2linalg, goppa, kat
+from pqlab import f2linalg, goppa, kat, mceliece
 from pqlab.errors import (
     DecodingFailure,
     DimensionError,
@@ -21,8 +21,8 @@ from pqlab.f2linalg import BinMatrix, BinVector, mat_mul, rank, vec_mat_mul
 from pqlab.formats import parse_file, serialize_mceliece_private
 from pqlab.goppa import GoppaCode, LinearCode
 from pqlab.mceliece import (
+    KEYGEN_TRIES,
     PRESETS,
-    SYSTEMATIC_TRIES,
     McElieceParams,
     decrypt,
     decrypt_long,
@@ -50,7 +50,7 @@ def test_readme_quick_session_runs():
 
 
 def test_keygen_shapes(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     assert kp.n == 16
     assert kp.t == 2
     assert kp.k == kp.code.k
@@ -61,12 +61,12 @@ def test_keygen_shapes(rng):
 
 def test_keygen_public_matrix_full_rank_many_seeds():
     for seed in range(50):
-        kp = keygen(4, 2, random.Random(seed))
+        kp = keygen(PRESETS["toy"], random.Random(seed))
         assert rank(kp.public.g_hat) == kp.k
 
 
 def test_keygen_ghat_is_sgp(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     expected = kp.p.apply_mat(mat_mul(kp.s, kp.code.generator))
     assert kp.public.g_hat == expected
 
@@ -74,18 +74,68 @@ def test_keygen_ghat_is_sgp(rng):
 @pytest.mark.parametrize("systematic", [False, True], ids=["plain", "systematic"])
 @pytest.mark.parametrize("seed", range(5))
 def test_keygen_ghat_is_sgp_m8_t10(seed, systematic):
-    kp = keygen(8, 10, random.Random(seed), systematic=systematic)
+    kp = keygen(McElieceParams(256, 176, 10), random.Random(seed), systematic=systematic)
     expected = kp.p.apply_mat(mat_mul(kp.s, kp.code.generator))
     assert kp.public.g_hat == expected
 
 
-def test_keygen_dimension_bounds(rng):
-    with pytest.raises(DimensionError):
-        keygen(4, 2, rng, n=8)  # need t*m < n
-    with pytest.raises(DimensionError):
-        keygen(4, 2, rng, n=17)  # n > 2^m
-    kp = keygen(4, 2, rng, n=12)
-    assert kp.n == 12
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_presets_have_the_designed_dimension(name):
+    p = PRESETS[name]
+    assert p.k == p.n - p.m * p.t
+
+
+@pytest.mark.parametrize(
+    "params",
+    [PRESETS["toy"], PRESETS["demo"], McElieceParams(256, 176, 10), McElieceParams(12, 4, 2)],
+    ids=["toy", "demo", "m8-t10", "n12"],
+)
+def test_keygen_gives_the_params_asked_for(params):
+    kp = keygen(params, random.Random(0))
+    assert kp.params == params
+    assert kp.public.params == params
+    assert kp.code.ctx.m == params.m
+    assert kp.code.support == tuple(range(params.n))
+
+
+@pytest.mark.parametrize(
+    "params", [McElieceParams(16, 9, 2), McElieceParams(17, 9, 2)], ids=["k-9", "n-17"]
+)
+def test_keygen_rejects_k_other_than_n_minus_mt(params):
+    with pytest.raises(DimensionError, match=r"need k = n - m\*t"):
+        keygen(params, random.Random(0))
+
+
+@pytest.fixture
+def drawn_g(monkeypatch):
+    """The list of every g keygen draws, in order."""
+    drawn = []
+    real_random_irreducible = mceliece.random_irreducible
+
+    def recording(ctx, t, r):
+        drawn.append(real_random_irreducible(ctx, t, r))
+        return drawn[-1]
+
+    monkeypatch.setattr(mceliece, "random_irreducible", recording)
+    return drawn
+
+
+def test_keygen_redraws_rank_deficient_g(drawn_g):
+    # at (5, 6) some g give an H of rank below m*t = 30, so k > 2; seed 2
+    # draws two of them, and its key used to carry the first one's k = 4
+    params = McElieceParams(32, 2, 6)
+    kp = keygen(params, random.Random(2))
+    assert kp.params == params
+    assert [GoppaCode(g.ctx, g, range(32)).k for g in drawn_g] == [4, 3, 2]
+    assert kp.code.g == drawn_g[-1]
+
+
+def test_keygen_gives_up_after_keygen_tries_rank_deficient_draws(monkeypatch, drawn_g):
+    # every code reads k = n: keygen raises after KEYGEN_TRIES draws of g
+    monkeypatch.setattr(GoppaCode, "k", property(lambda self: self.n))
+    with pytest.raises(SamplingExhausted):
+        keygen(PRESETS["toy"], random.Random(0))
+    assert len(drawn_g) == KEYGEN_TRIES
 
 
 # -- reference example --
@@ -121,7 +171,7 @@ def test_reference_error_weight():
 
 
 def test_roundtrip_toy(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     for _ in range(100):
         m = BinVector(kp.k, rng.randrange(1 << kp.k))
         c = encrypt(kp.public, m, rng=rng)
@@ -131,7 +181,7 @@ def test_roundtrip_toy(rng):
 
 
 def test_explicit_zero_error(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     m = BinVector(kp.k, rng.randrange(1 << kp.k))
     c = encrypt(kp.public, m, e=BinVector(kp.n, 0))
     assert c == vec_mat_mul(m, kp.public.g_hat)
@@ -139,14 +189,14 @@ def test_explicit_zero_error(rng):
 
 
 def test_encrypt_needs_error_or_rng(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     m = BinVector(kp.k, 1)
     with pytest.raises(ValueError):
         encrypt(kp.public, m)
 
 
 def test_encrypt_length_checks(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     with pytest.raises(DimensionError):
         encrypt(kp.public, BinVector(kp.k + 1, 0), rng=rng)
     with pytest.raises(DimensionError):
@@ -159,7 +209,7 @@ def test_tampered_ciphertext_detected_or_wrong(rng):
     # flip t+1 bits of an error-free ciphertext: the received word sits at
     # distance t+1 from m's codeword, so decryption must raise or return a
     # different message; silently returning m is impossible
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     for _ in range(50):
         m = BinVector(kp.k, rng.randrange(1 << kp.k))
         c = encrypt(kp.public, m, e=BinVector(kp.n, 0))
@@ -176,7 +226,7 @@ def test_tampered_ciphertext_detected_or_wrong(rng):
 def test_tamper_disjoint_from_error(rng):
     # flipping t+1 positions away from the error support lifts the total
     # error weight to 2t+1: again raise-or-wrong, never a silent pass
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     for _ in range(50):
         m = BinVector(kp.k, rng.randrange(1 << kp.k))
         e = BinVector.from_support(kp.n, rng.sample(range(kp.n), kp.t))
@@ -192,7 +242,7 @@ def test_tamper_disjoint_from_error(rng):
 
 def test_decrypt_verifies_reencryption(rng):
     # a vector far from every codeword raises rather than misdecoding
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     failures = 0
     for _ in range(20):
         junk = BinVector(kp.n, rng.randrange(1 << kp.n))
@@ -210,7 +260,7 @@ def test_decrypt_verifies_reencryption(rng):
 def test_decrypt_checks_against_the_key_solver(monkeypatch, rng):
     # a decoder that hands back a wrong error of weight t: c.P^-1 + e is then
     # no codeword, and reading the message off it refuses before S^-1 applies
-    kp = keygen(5, 3, rng)
+    kp = keygen(PRESETS["demo"], rng)
     c = encrypt(kp.public, BinVector(kp.k, rng.randrange(1 << kp.k)), rng=rng)
     real_decode = goppa.patterson_decode
 
@@ -248,7 +298,7 @@ def test_decrypt_long_one_solver_per_key(monkeypatch, rng):
 
     monkeypatch.setattr(f2linalg, "invert", counting_invert)
     monkeypatch.setattr(f2linalg.RowSolver, "__init__", counting_init)
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     assert calls == {"invert": 0, "solver": 0}
     _, _, loaded = parse_file(serialize_mceliece_private(kp))
     assert calls == {"invert": 0, "solver": 1}
@@ -279,7 +329,7 @@ def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
     for seed in range(5):
         inverted.clear()
         drawn.clear()
-        kp = keygen(4, 2, random.Random(seed), systematic=True)
+        kp = keygen(PRESETS["toy"], random.Random(seed), systematic=True)
         n, k = kp.n, kp.k
         tails = [
             BinMatrix(k, k, [r >> (n - k) for r in p.apply_mat(kp.code.generator).data])
@@ -293,7 +343,7 @@ def test_systematic_keygen_inverts_only_its_tail_draws(monkeypatch):
 
 def test_systematic_keygen_gives_up_when_no_tail_inverts(monkeypatch):
     # a singular tail for every permutation drawn: keygen raises after
-    # SYSTEMATIC_TRIES draws instead of looping on
+    # KEYGEN_TRIES draws instead of looping on
     tries = []
 
     def singular(a):
@@ -302,8 +352,8 @@ def test_systematic_keygen_gives_up_when_no_tail_inverts(monkeypatch):
 
     monkeypatch.setattr(f2linalg, "invert", singular)
     with pytest.raises(SamplingExhausted):
-        keygen(4, 2, random.Random(0), systematic=True)
-    assert len(tries) == SYSTEMATIC_TRIES
+        keygen(PRESETS["toy"], random.Random(0), systematic=True)
+    assert len(tries) == KEYGEN_TRIES
 
 
 def test_systematic_keygen_and_public_move_columns_once(monkeypatch):
@@ -317,7 +367,7 @@ def test_systematic_keygen_and_public_move_columns_once(monkeypatch):
         return real_apply_columns(self, columns, rows)
 
     monkeypatch.setattr(f2linalg.PermMatrix, "apply_columns", counting_apply_columns)
-    kp = keygen(8, 10, random.Random(0), systematic=True)
+    kp = keygen(McElieceParams(256, 176, 10), random.Random(0), systematic=True)
     assert calls == []
     kp.public
     assert calls == [kp.k]
@@ -327,7 +377,7 @@ def test_systematic_keygen_and_public_move_columns_once(monkeypatch):
 def test_private_key_load_forms_no_public_matrix(monkeypatch, rng, systematic):
     # loading and decrypting go through S alone: G_hat = S.G.P is formed only
     # when the public key is asked for, and then equals the generated one
-    kp = keygen(4, 2, rng, systematic=systematic)
+    kp = keygen(PRESETS["toy"], rng, systematic=systematic)
     data = rng.randbytes(5)
     blocks = encrypt_long(kp.public, data, rng)
     calls = {"mat_mul": 0, "apply_mat": 0}
@@ -354,7 +404,7 @@ def test_private_key_load_forms_no_public_matrix(monkeypatch, rng, systematic):
 def test_private_key_load_forms_no_generator(monkeypatch, rng):
     # a loaded key takes k and the free columns from one echelon pass of H
     # and decrypts without G; G is the null space of H when it is asked for
-    kp = keygen(6, 3, rng)
+    kp = keygen(McElieceParams(64, 46, 3), rng)
     data = rng.randbytes(20)
     blocks = encrypt_long(kp.public, data, rng)
     calls = []
@@ -381,7 +431,7 @@ def test_keygen_and_load_eliminate_h_once(monkeypatch, rng, systematic):
         return real_rref(rows, cols, back)
 
     monkeypatch.setattr(f2linalg, "_rref", recording_rref)
-    kp = keygen(6, 3, rng, systematic=systematic)
+    kp = keygen(McElieceParams(64, 46, 3), rng, systematic=systematic)
     blocks = encrypt_long(kp.public, b"once", rng)
     h = kp.code.h_bin.data
     assert [back for rows, back in passes if rows == h] == [True]
@@ -396,7 +446,7 @@ def test_keygen_and_load_eliminate_h_once(monkeypatch, rng, systematic):
 
 # bit flips on ciphertexts of the toy Goppa key and the opaque KAT key
 _FLIP_KEYS = {
-    "goppa": keygen(4, 2, random.Random(5)),
+    "goppa": keygen(PRESETS["toy"], random.Random(5)),
     "kat": from_components(kat.MCE_S, kat.MCE_G, kat.MCE_P, kat.MCE_T),
 }
 
@@ -431,7 +481,7 @@ def test_flipped_ciphertext_decrypts_or_raises_pqlab_error(name, msg, err_seed, 
 
 
 def test_systematic_keygen(rng):
-    kp = keygen(4, 2, rng, systematic=True)
+    kp = keygen(PRESETS["toy"], rng, systematic=True)
     assert kp.public.systematic
     k, n = kp.k, kp.n
     for i in range(k):
@@ -444,7 +494,7 @@ def test_systematic_keygen(rng):
 
 def test_systematic_key_reconstruction(rng):
     # storing only the A block loses nothing: [A | I_k] rebuilds exactly
-    kp = keygen(4, 2, rng, systematic=True)
+    kp = keygen(PRESETS["toy"], rng, systematic=True)
     k, n = kp.k, kp.n
     mask = (1 << (n - k)) - 1
     a_block = [r & mask for r in kp.public.g_hat.data]
@@ -489,7 +539,7 @@ def test_from_components_key_cannot_be_serialized():
 
 
 def test_long_roundtrip(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     for size in [0, 1, 2, 5, 17]:
         data = bytes(rng.randrange(256) for _ in range(size))
         blocks = encrypt_long(kp.public, data, rng)
@@ -497,14 +547,14 @@ def test_long_roundtrip(rng):
 
 
 def test_long_empty_is_one_block(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     blocks = encrypt_long(kp.public, b"", rng)
     assert len(blocks) == 1
 
 
 def test_long_block_count(rng):
     # 20 message bits at k=8: 21 bits with the marker, padded to 24 -> 3 blocks
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     assert kp.k == 8
     # 2 bytes: 16+1 = 17 bits -> 3 blocks of 8
     blocks = encrypt_long(kp.public, b"ab", rng)
@@ -512,7 +562,7 @@ def test_long_block_count(rng):
 
 
 def test_long_padding_marker_guard(rng):
-    kp = keygen(4, 2, rng)
+    kp = keygen(PRESETS["toy"], rng)
     # all-zero block decrypts to all-zero bits: no marker anywhere
     zero_blocks = [encrypt(kp.public, BinVector(kp.k, 0), rng=rng)]
     with pytest.raises(DecodingFailure):

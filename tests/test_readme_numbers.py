@@ -39,7 +39,7 @@ def test_legacy_candidates_with_a_root(monkeypatch):
     monkeypatch.setattr(gf2m, "is_irreducible", counted)
     legacy = mceliece.PRESETS["legacy"]
     for seed in range(4):
-        mceliece.keygen(legacy.m, legacy.t, random.Random(seed))
+        mceliece.keygen(legacy, random.Random(seed))
     assert "Legacy McEliece (1024, 524, 50) in library calls, keys of seeds 0..3" in _README
     quote = f"{sum(has_root)} of the {len(has_root)} candidates the four seeds draw have a root"
     assert quote in _README
