@@ -23,10 +23,11 @@ the worst case (q - 1)^2 takes 4.  Packing goes through `struct`, one
 `bytearray`.  A product mod q is reduced in its slots by whole-int
 operations (`_reduce`), and its centered values come out through one signed
 `struct.unpack`: while q fits in 8 bytes, no pass over the coefficients runs
-in Python.  `conv_mul` is the one product-and-centre; outside this module
-only `ntru.decrypt` reads `_product`'s slots, to reduce them mod q and then
-mod p.  A key keeps its operands (`ntru` packs p*h, f and f_p^-1 once per
-key), and an operand keeps its packed int per slot width.
+in Python; an exact product comes out the same way, mod a power of two past
+twice its range.  `conv_mul` is the one product-and-centre and `lift` the
+one product left in its slots (NTRU decryption's f*c mod q, then mod p); no
+other module reads them.  A key keeps its operands, and each operand its
+packed int per slot width.
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ def centered(f: Coeffs, q: int) -> bool:
     return not f or (-q < 2 * min(f) and 2 * max(f) <= q)
 
 
-# struct codes of little-endian signed (operand) and unsigned (slot) items
+# struct codes of little-endian signed items
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
-_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # the item size holding each byte count up to 8
 _ITEM_BYTES = [0, 1, 2, 4, 4, 8, 8, 8, 8]
 
@@ -121,16 +121,6 @@ class Operand:
         self.stride = stride
         self.data = data
         self._ints = {}
-
-    @classmethod
-    def from_slots(cls, x: int, n: int, stride: int, top: int) -> Operand:
-        """The operand of x's n stride-byte slots, each in [0, top]."""
-        op = cls.__new__(cls)
-        op.n, op.low, op.top, op.stride, op._ints = n, 0, top, stride, {stride: x}
-        op.size = size = top.bit_length() // 8 + 1
-        op.data = data = x.to_bytes(n * stride, "little")
-        op.total = sum(sum(data[j::stride]) << 8 * j for j in range(size))
-        return op
 
     def __len__(self) -> int:
         return self.n
@@ -202,13 +192,13 @@ def _reduce(x: int, n: int, width: int, top: int, q: int, add: int) -> tuple[int
     set iff r >= q, times q is the one conditional subtract."""
     k = (top + q - 1).bit_length()
     const = _barrett(n, width, k, q)
-    size, ones, m, mask, b, lift, _, _ = const
+    size, ones, m, mask, b, carry, _, _ = const
     if size != width:
         data = _restride(x.to_bytes(n * width, "little"), n, width, size, width)
         x = int.from_bytes(data, "little")
     x += add % q * ones
     x -= (x * m >> k & mask) * q
-    x -= (x + lift >> b & ones) * q
+    x -= (x + carry >> b & ones) * q
     return x, const
 
 
@@ -218,9 +208,9 @@ def conv_mul(
     """Cyclic convolution h_k = sum over i+j = k (mod N) of f_i g_j, plus
     extra_k when given.
 
-    Exact over the integers when q is None; otherwise reduced to centered
-    representatives mod q.  Either factor may be an `Operand`, and extra
-    is added into the product's slots.
+    Exact over the integers when q is None (centred mod a power of two past
+    twice its range); otherwise reduced to centered representatives mod q.
+    Either factor may be an `Operand`, and extra is added into the slots.
     """
     n = len(f)
     if len(g) != n:
@@ -232,14 +222,9 @@ def conv_mul(
     if not isinstance(g, Operand):
         g = Operand(g)
     x, width, top, offset = _product(f, g, extra)
-    if q is not None:
-        return _centred(x, n, width, top, q, offset)
-    data, item = x.to_bytes(n * width, "little"), _ITEM_BYTES[min(width, 8)]
-    if width > 8:
-        slots = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    else:
-        slots = struct.unpack(f"<{n}{_UNSIGNED[item]}", _restride(data, n, width, item, width))
-    return [s + offset for s in slots]
+    if q is None:
+        q = 2 << max(-offset, top + offset).bit_length()
+    return _centred(x, n, width, top, q, offset)
 
 
 def _centred(x: int, n: int, width: int, top: int, q: int, offset: int) -> list[int]:
@@ -247,6 +232,21 @@ def _centred(x: int, n: int, width: int, top: int, q: int, offset: int) -> list[
     half = (q - 1) // 2
     x, (size, _, _, _, _, _, centre, unpack) = _reduce(x, n, width, top, q, offset + half)
     return list(unpack((x + centre).to_bytes(n * size, "little")))
+
+
+def lift(f: Operand, g: Operand, q: int, p: int) -> Operand:
+    """f*g centred mod q, then reduced into [0, p) in its slots: the operand
+    of the product mod p that follows (NTRU decryption's a = f*c)."""
+    n, half = f.n, (q - 1) // 2
+    x, width, top, offset = _product(f, g)
+    x, (width, *_) = _reduce(x, n, width, top, q, offset + half)
+    x, (width, *_) = _reduce(x, n, width, q - 1, p, -half)
+    a = Operand.__new__(Operand)
+    a.n, a.low, a.top, a.stride, a._ints = n, 0, p - 1, width, {width: x}
+    a.size = size = (p - 1).bit_length() // 8 + 1
+    a.data = data = x.to_bytes(n * width, "little")
+    a.total = sum(sum(data[j::width]) << 8 * j for j in range(size))
+    return a
 
 
 def invert_mod_prime(f: Coeffs, p: int) -> list[int]:

@@ -6,15 +6,16 @@ matrix G_hat = S x (G x P) is derived from it: the null-space pass of H
 leaves G by columns, so G x P is those columns moved by P and transposed
 once.  Keygen takes the McElieceParams it is asked for, whose k must be
 n - m*t, eliminates H once per g and draws g with a root test ahead of
-Ben-Or (see gf2m), again while H falls below rank m*t.  Systematic keygen
-redraws P while the tail block it inverts is singular (`f2linalg.invert`
-raises RankError, as the solver does for a singular S); both redraws stop
-after KEYGEN_TRIES.  Encryption adds a secret weight-t error to m . G_hat;
-decryption unwinds P, decodes the error, reads v = m . S off the codeword
-and solves it for m through one `RowSolver` of S per key pair, never at keygen.
-Both key classes expose their (n, k, t) as `params`, a McElieceParams, as
-NTRU keys expose NtruParams.  Includes the key-size and work-factor
-calculators and block encryption for byte streams.
+Ben-Or (see gf2m), again while H falls below rank m*t or (at t = 1 only) g
+has a root on the support.  Systematic keygen redraws P while the tail
+block it inverts is singular (`f2linalg.invert` raises RankError, as the
+solver does for a singular S); both redraws stop after KEYGEN_TRIES.
+Encryption adds a secret weight-t error to m . G_hat; decryption unwinds P,
+decodes the error, reads v = m . S off the codeword and solves it for m
+through one `RowSolver` of S per key pair, never at keygen.  Both key
+classes expose their (n, k, t) as `params`, a McElieceParams, as NTRU keys
+expose NtruParams.  Includes the key-size and work-factor calculators and
+block encryption for byte streams.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     DimensionError,
     RankError,
     SamplingExhausted,
+    SupportError,
     UnknownParams,
 )
 from .f2linalg import BinMatrix, BinVector, PermMatrix
@@ -143,17 +145,20 @@ def keygen(
 ) -> McElieceKeyPair:
     """A key pair for params over a fresh Goppa code in GF(2^m) whose
     support is the first n field elements; DimensionError unless
-    k = n - m*t.  A g whose parity check has rank below m*t (so k is
-    larger) is redrawn, as a reducible g is.  With systematic=True, S is
-    the inverse of the last k columns of G x P, so the public matrix ends
-    in an identity block and stores as k x (n-k) bits.
+    k = n - m*t.  A g whose H has rank below m*t (so k is larger) or, at
+    t = 1, a root on the support is redrawn, as a reducible g is.  With
+    systematic=True, S is the inverse of the last k columns of G x P, so
+    the public matrix ends in an identity block and stores k x (n-k) bits.
     """
     n, k, t, m = params.n, params.k, params.t, params.m
     if k != n - m * t:
         raise DimensionError(f"need k = n - m*t = {n - m * t}, got k={k}")
     ctx = FieldCtx(m)
     for _ in range(KEYGEN_TRIES):
-        code = GoppaCode(ctx, random_irreducible(ctx, t, rng), range(n))
+        try:
+            code = GoppaCode(ctx, random_irreducible(ctx, t, rng), range(n))
+        except SupportError:  # only a degree-1 g has a root in GF(2^m)
+            continue
         # the public key needs G's columns: formed before S is drawn, S is not
         # alive at the elimination's peak (2 MiB of pq128 keygen's peak RSS),
         # and the code reads k and its free columns off them
@@ -161,7 +166,7 @@ def keygen(
         if code.k == k:
             break
     else:
-        raise SamplingExhausted(f"no Goppa polynomial gave a code of dimension {k}")
+        raise SamplingExhausted(f"no Goppa polynomial off the support gave a code of dimension {k}")
     if systematic:
         for _ in range(KEYGEN_TRIES):
             p = f2linalg.random_permutation(n, rng)

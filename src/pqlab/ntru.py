@@ -153,22 +153,16 @@ def encrypt(
 def decrypt(kp: NtruKeyPair, c: list[int]) -> list[int]:
     """a = center(f * c mod q), then m = center(f_p^-1 * a mod p).
 
-    a is reduced mod p in the packed slots that reduce it mod q.  Wrap
-    failures (possible at toy q) are not detectable at this layer; callers
-    that know (r, m) can consult decryption_identity_check.
+    `convring.lift` reduces f * c mod q and a mod p in the packed slots and
+    hands a to the f_p^-1 product with no list between.  Wrap failures
+    (possible at toy q) are not detectable at this layer; callers that
+    know (r, m) can consult decryption_identity_check.
     """
     params = kp.params
     if len(c) != params.n:
         raise DimensionError(f"ciphertext degree {len(c)} != N {params.n}")
-    n, p, q = params.n, params.p, params.q
     f, f_p_inv = kp.operands
-    # f * c becomes r = (f*c + half) mod q in its slots, and the centered r - half
-    # then a in [0, p), so f_p^-1 * a takes 2-byte slots at rec443
-    x, width, top, offset = convring._product(f, Operand(c))
-    half = (q - 1) // 2
-    x, const = convring._reduce(x, n, width, top, q, offset + half)
-    x, const = convring._reduce(x, n, const[0], q - 1, p, -half)
-    return conv_mul(f_p_inv, Operand.from_slots(x, n, const[0], p - 1), p)
+    return conv_mul(f_p_inv, convring.lift(f, Operand(c), params.q, params.p), params.p)
 
 
 def decrypt_with_intermediate(

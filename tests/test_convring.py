@@ -1,16 +1,18 @@
 """Cyclic convolution ring Z[x]/(x^N - 1) and its modular inverses."""
 
+import ast
 import math
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import center, centred_slots_ref, conv_oracle, decrypt_slots_ref, prime_power_ref
-from pqlab import kat
+from pqlab import kat, ntru
 from pqlab.convring import (
     Operand,
     _centred,
@@ -21,6 +23,7 @@ from pqlab.convring import (
     conv_mul,
     invert_mod,
     invert_mod_prime,
+    lift,
     poly_to_text,
     prime_power,
     sample_ternary,
@@ -307,6 +310,32 @@ def test_packed_reduction_matches_reference_passes(case, p):
     assert residues == decrypt_slots_ref(slots, offset, q, p)
 
 
+# exact values at +-(2^j - 1) and -2^j across byte boundaries (slots past 8
+# bytes from j = 63): the exact product is centred mod 2 << bit_length(its
+# largest magnitude), and one bit less would wrap the values at either end
+@pytest.mark.parametrize("j", [7, 8, 63, 64, 127])
+def test_exact_product_keeps_values_at_the_modulus_edge(j):
+    # an all-zero product: nothing to keep, the modulus is 2
+    for n in (1, 443):
+        assert conv_mul([0] * n, [0] * n, extra=Operand([0] * n)) == [0] * n
+    for v in (2**j - 1, -(2**j - 1), -(2**j)):
+        # f*g + extra with f*g zero: the offset and top are extra's own, so
+        # the modulus is as tight as the values allow
+        for n in (1, 3):
+            values = [v] + [(-1) ** k * (k + 1) for k in range(n - 1)]
+            assert conv_mul([0] * n, [0] * n, extra=Operand(values)) == values
+        # one-term products, x^0 times g, and products with and without extra
+        assert conv_mul([1], [v]) == conv_mul([v], [1]) == [v]
+        assert conv_mul([-1], [-v]) == [v]
+        f, g = [1, 0, 0, 0], [v, -v, 1, 0]
+        assert conv_mul(f, g) == conv_oracle(f, g) == g
+        f, g = [v, 1, -1], [1, v, 2]
+        assert conv_mul(f, g) == conv_oracle(f, g)
+        assert conv_mul(f, g, extra=Operand([v, 0, -v])) == [
+            a + b for a, b in zip(conv_oracle(f, g), [v, 0, -v])
+        ]
+
+
 @pytest.mark.parametrize("q", [2, 3, 41, 64, 256, 2048, 2**31, 2**64 + 13])
 def test_conv_centered_range_ends(q):
     # the least centered residue -half and the greatest q/2, each also a
@@ -317,6 +346,75 @@ def test_conv_centered_range_ends(q):
     one = [1] + [0] * (len(g) - 1)
     assert conv_mul(one, g, q) == [lo, hi, lo, hi, 0, lo, hi]
     assert conv_mul(Operand(g), Operand(one), q, Operand(one)) == [lo + 1, hi, lo, hi, 0, lo, hi]
+
+
+# -- NTRU decryption's lift --
+
+
+def _slot_values(a):
+    # the operand's values as its own slots hold them
+    x, w = a.packed(a.stride), a.stride
+    return [x >> 8 * w * k & (1 << 8 * w) - 1 for k in range(len(a))]
+
+
+@st.composite
+def lift_cases(draw):
+    # f small (a ternary private key or wider), c centered mod q
+    n = draw(st.sampled_from([1, 2, 7, 11, 443]) | st.integers(1, 443))
+    q = draw(st.sampled_from([41, 100, 2048, 2**64 + 13]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    span = draw(st.sampled_from([1, 5, q]))
+    f = [rng.randint(-span, span) for _ in range(n)]
+    c = [rng.randint(-((q - 1) // 2), q // 2) for _ in range(n)]
+    return f, c, q, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_cases())
+def test_lift_matches_centred_product_mod_p(case):
+    f, c, q, p = case
+    a = lift(Operand(f), Operand(c), q, p)
+    want = [v % p for v in conv_mul(f, c, q)]
+    assert _slot_values(a) == want
+    assert a.total == sum(want)
+    assert (len(a), a.low, a.top) == (len(f), 0, p - 1)
+    # as an operand it packs at any slot width
+    assert conv_mul(a, [1] + [0] * (len(f) - 1)) == want
+
+
+def test_lift_then_product_is_ntru_decrypt():
+    kp = ntru.keygen(ntru.PRESETS["rec443"], random.Random(5))
+    n, p, q = kp.params.n, kp.params.p, kp.params.q
+    rng = random.Random(6)
+    m = [rng.choice((-1, 0, 1)) for _ in range(n)]
+    c = ntru.encrypt(kp.public, m, rng=rng)
+    a = lift(Operand(kp.f), Operand(c), q, p)
+    assert conv_mul(Operand(kp.f_p_inv), a, p) == ntru.decrypt(kp, c) == m
+
+
+# -- the slot layout has one owner --
+
+SLOT_NAMES = {"_product", "_reduce", "_barrett", "_centred", "_restride", "from_slots"}
+
+
+def test_only_convring_reads_packed_slots():
+    # every other module goes through conv_mul and lift
+    src = Path(__file__).resolve().parents[1] / "src" / "pqlab"
+    paths = sorted(p for p in src.glob("*.py") if p.name != "convring.py")
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name in SLOT_NAMES:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 coeff_lists = st.integers(1, 8).flatmap(

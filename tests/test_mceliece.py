@@ -138,6 +138,30 @@ def test_keygen_gives_up_after_keygen_tries_rank_deficient_draws(monkeypatch, dr
     assert len(drawn_g) == KEYGEN_TRIES
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_keygen_at_t1_redraws_g_with_a_root_on_the_support(seed, drawn_g):
+    # a degree-1 g = x + a has its root a in GF(2^4); with 12 of the 16
+    # elements as support, seeds 1 and 2 first draw a g whose root is on it
+    params = McElieceParams(12, 8, 1)
+    kp = keygen(params, random.Random(seed))
+    assert kp.params == kp.public.params == params
+    # g = x + a has the root a: every draw but the last has it on the support
+    assert [g.coeffs[0] < 12 for g in drawn_g] == [True] * (len(drawn_g) - 1) + [False]
+    assert kp.code.g == drawn_g[-1]
+    assert len(drawn_g) > 1 or seed == 0
+    rng = random.Random(seed + 100)
+    for _ in range(200):
+        m = BinVector(8, rng.getrandbits(8))
+        assert decrypt(kp, encrypt(kp.public, m, rng=rng)) == m
+
+
+def test_keygen_at_t1_on_the_full_field_gives_up(drawn_g):
+    # with all 16 elements as support every degree-1 g has its root on it
+    with pytest.raises(SamplingExhausted, match="off the support"):
+        keygen(McElieceParams(16, 12, 1), random.Random(0))
+    assert len(drawn_g) == KEYGEN_TRIES
+
+
 # -- reference example --
 
 
